@@ -8,8 +8,9 @@ source/sink operations used by the checkers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from .source import LexError, Location
 
@@ -39,11 +40,30 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCTS = [
-    "&&", "||", "==", "!=", "<=", ">=",
-    "{", "}", "(", ")", "[", "]", ";", ",",
-    "=", "<", ">", "+", "-", "*", "/", "%", "!", "&", ".",
-]
+#: One token (or newline run, or comment) after optional horizontal space.
+#: Alternatives are tried in order: comments before the ``/`` punctuator,
+#: two-char punctuators before their one-char prefixes.  A digit run
+#: followed by a non-ASCII character, a non-ASCII letter, and every
+#: character no other alternative takes fall to ``other``.
+_MASTER = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+        (?P<newline>\n[ \t\r\n]*)
+      | (?P<word>[A-Za-z_]\w*)
+      | (?P<number>[0-9]+(?![0-9]|[^\x00-\x7f]))
+      | (?P<line_comment>//[^\n]*)
+      | (?P<block_comment>/\*.*?\*/)
+      | (?P<open_comment>/\*)
+      | (?P<punct>&&|\|\||==|!=|<=|>=|[{}()\[\];,=<>+\-*/%!&.])
+      | (?P<string>"[^"\n]*")
+      | (?P<end>\Z)
+      | (?P<other>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_WORD = re.compile(r"\w+")  # \w is exactly str.isalnum() or "_"
 
 
 @dataclass(frozen=True)
@@ -60,84 +80,73 @@ class Token:
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Tokenize MiniCC source text; raises :class:`LexError` on bad input."""
-    return list(_scan(source, filename))
+    """Tokenize MiniCC source text; raises :class:`LexError` on bad input.
 
-
-def _scan(source: str, filename: str) -> Iterator[Token]:
-    i = 0
-    line = 1
-    col = 1
+    A token's column is its offset from the start of its line plus one
+    (a tab counts as one column).  The EOF token after a ``//`` comment
+    that runs to the end of the text takes the comment's column.
+    """
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _MASTER.match
     n = len(source)
-
-    def loc() -> Location:
-        return Location(line, col, filename)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", loc())
-            for c in source[i : end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-        if ch.isdigit():
-            start, start_loc = i, loc()
-            while i < n and source[i].isdigit():
-                i += 1
-            col += i - start
-            yield Token(TokenKind.NUMBER, source[start:i], start_loc)
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_loc = i, loc()
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            col += i - start
-            text = source[start:i]
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    eof_column = 0
+    while True:
+        m = match(source, pos)
+        group = m.lastgroup
+        start = m.start(group)
+        pos = m.end()
+        if group == "word":
+            text = source[start:pos]
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            yield Token(kind, text, start_loc)
-            continue
-        if ch == '"':
-            start_loc = loc()
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError("unterminated string literal", start_loc)
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", start_loc)
-            text = source[i + 1 : j]
-            col += j + 1 - i
-            i = j + 1
-            yield Token(TokenKind.STRING, text, start_loc)
-            continue
-        matched = False
-        for p in _PUNCTS:
-            if source.startswith(p, i):
-                yield Token(TokenKind.PUNCT, p, loc())
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if not matched:
-            raise LexError(f"unexpected character {ch!r}", loc())
-    yield Token(TokenKind.EOF, "", loc())
+            append(Token(kind, text, Location(line, start - line_start + 1, filename)))
+        elif group == "punct":
+            text = source[start:pos]
+            append(Token(TokenKind.PUNCT, text, Location(line, start - line_start + 1, filename)))
+        elif group == "newline" or group == "block_comment":
+            newlines = source.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, pos) + 1
+        elif group == "number":
+            text = source[start:pos]
+            append(Token(TokenKind.NUMBER, text, Location(line, start - line_start + 1, filename)))
+        elif group == "string":
+            text = source[start + 1 : pos - 1]
+            append(Token(TokenKind.STRING, text, Location(line, start - line_start + 1, filename)))
+        elif group == "line_comment":
+            if pos == n:
+                eof_column = start - line_start + 1
+        elif group == "end":
+            column = eof_column or n - line_start + 1
+            append(Token(TokenKind.EOF, "", Location(line, column, filename)))
+            return tokens
+        else:
+            location = Location(line, start - line_start + 1, filename)
+            if group == "open_comment":
+                raise LexError("unterminated block comment", location)
+            token = _scan_other(source, start, location)
+            append(token)
+            pos = start + len(token.text)
+
+
+def _scan_other(source: str, start: int, location: Location) -> Token:
+    """The token at ``start`` that the master regex leaves to :class:`str`
+    predicates (a non-ASCII digit run or identifier); raises the
+    :class:`LexError` for any other character there."""
+    ch = source[start]
+    if ch == '"':
+        raise LexError("unterminated string literal", location)
+    if ch.isdigit():
+        end = start + 1
+        while end < len(source) and source[end].isdigit():
+            end += 1
+        return Token(TokenKind.NUMBER, source[start:end], location)
+    if ch.isalpha():
+        text = _WORD.match(source, start).group()
+        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+        return Token(kind, text, location)
+    raise LexError(f"unexpected character {ch!r}", location)

@@ -45,6 +45,9 @@ _BINARY_PRECEDENCE = [
     ["*", "/", "%"],
 ]
 
+#: binary operator -> its level in ``_BINARY_PRECEDENCE`` (higher binds tighter)
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_PRECEDENCE) for op in ops}
+
 
 def parse_program(source: str, filename: str = "<input>") -> A.Program:
     """Parse MiniCC source text into an AST."""
@@ -55,16 +58,24 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        # Reads past the end see the last token (EOF from ``tokenize``).
+        self._last = tokens[-1]
 
     # ----- token helpers ------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        try:
+            return self._tokens[self._pos + ahead]
+        except IndexError:
+            return self._last
 
     def _next(self) -> Token:
-        tok = self._peek()
-        self._pos += 1
-        return tok
+        pos = self._pos
+        self._pos = pos + 1
+        try:
+            return self._tokens[pos]
+        except IndexError:
+            return self._last
 
     def _expect_punct(self, text: str) -> Token:
         tok = self._next()
@@ -290,31 +301,34 @@ class Parser:
     def _parse_expr(self) -> A.Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, level: int) -> A.Expr:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary()
-        lhs = self._parse_binary(level + 1)
-        ops = _BINARY_PRECEDENCE[level]
-        while self._peek().kind == TokenKind.PUNCT and self._peek().text in ops:
-            op = self._next()
+    def _parse_binary(self, min_level: int) -> A.Expr:
+        """Precedence climbing over ``_BINARY_PRECEDENCE``: operators at
+        ``min_level`` or tighter, left-associative within a level."""
+        lhs = self._parse_unary()
+        while True:
+            op = self._peek()
+            level = _BINARY_LEVEL.get(op.text)
+            if level is None or level < min_level or op.kind != TokenKind.PUNCT:
+                return lhs
+            self._pos += 1
             rhs = self._parse_binary(level + 1)
             lhs = A.BinaryExpr(location=op.location, op=op.text, lhs=lhs, rhs=rhs)
-        return lhs
 
     def _parse_unary(self) -> A.Expr:
         tok = self._peek()
-        if tok.is_punct("-") or tok.is_punct("!"):
-            self._next()
-            operand = self._parse_unary()
-            return A.UnaryExpr(location=tok.location, op=tok.text, operand=operand)
-        if tok.is_punct("*"):
-            self._next()
-            operand = self._parse_unary()
-            return A.DerefExpr(location=tok.location, operand=operand)
-        if tok.is_punct("&"):
-            self._next()
-            name = self._expect_ident()
-            return A.AddrOfExpr(location=tok.location, name=name.text)
+        if tok.kind == TokenKind.PUNCT:
+            if tok.text == "-" or tok.text == "!":
+                self._pos += 1
+                operand = self._parse_unary()
+                return A.UnaryExpr(location=tok.location, op=tok.text, operand=operand)
+            if tok.text == "*":
+                self._pos += 1
+                operand = self._parse_unary()
+                return A.DerefExpr(location=tok.location, operand=operand)
+            if tok.text == "&":
+                self._pos += 1
+                name = self._expect_ident()
+                return A.AddrOfExpr(location=tok.location, name=name.text)
         return self._parse_primary()
 
     def _parse_primary(self) -> A.Expr:

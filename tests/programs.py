@@ -196,3 +196,24 @@ void worker(int** y) {
     free(b);
 }
 """
+
+# Nested loops: at depth 2 the inner loop is unrolled inside each of the
+# outer loop's iterations.
+NESTED_LOOPS = """
+extern int n;
+void main() {
+    int i = 0;
+    while (i < n) {
+        int j = 0;
+        while (j < i) {
+            fork(t, worker, &i);
+            j = j + 1;
+        }
+        i = i + 1;
+    }
+}
+
+void worker(int* p) {
+    print(*p);
+}
+"""

@@ -18,8 +18,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.frontend import parse_program
+from repro.frontend.fingerprint import ast_fingerprint
 from repro.ir.values import VariableNamer
+from repro.lowering import lower_program, unroll_loops
 
+from programs import NESTED_LOOPS
 from test_corpus import CORPUS_FILES
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -81,6 +85,35 @@ class TestVariableNamer:
         # scoped names can never collide with user variables.
         v = VariableNamer("worker").fresh("tmp")
         assert "::" in v.name
+
+
+class TestAstFingerprintGolden:
+    """``ast_fingerprint`` is the function ``content_key`` every ``vfs1``
+    disk summary key chains on.  These digests were recorded before the
+    encoder was rewritten; an encoder change that moves them invalidates
+    every persisted summary cache."""
+
+    @pytest.mark.parametrize(
+        "stem, digest",
+        [
+            ("uaf_basic", "91ce454999814bb0"),
+            ("mixed_all_checkers", "30e408a81f046bbe"),
+            ("uaf_loop_fork", "57d67f69a09fa1a5"),
+        ],
+    )
+    def test_corpus_program(self, stem, digest):
+        path = next(p for p in CORPUS_FILES if p.stem == stem)
+        program = unroll_loops(parse_program(path.read_text()), depth=2)
+        assert ast_fingerprint(program) == digest
+
+    def test_nested_loops_at_depth_two(self):
+        program = parse_program(NESTED_LOOPS)
+        assert ast_fingerprint(unroll_loops(program, depth=2)) == "479feb1ea96a5e55"
+        module = lower_program(program, unroll_depth=2)
+        assert {name: f.content_key for name, f in module.functions.items()} == {
+            "main": "ca0f63863890f33b",
+            "worker": "f8fce468e1589337",
+        }
 
 
 class TestCrossProcess:

@@ -49,6 +49,68 @@ class TestLexer:
         assert toks[1].kind == TokenKind.IDENT
 
 
+class TestLexerGolden:
+    """Exact tokens, locations and errors, recorded from the per-character
+    scanner this lexer replaced."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            # The EOF token after a trailing ``//`` comment keeps the
+            # comment's column.
+            (
+                "int x; // done",
+                [("keyword", "int", 1, 1), ("ident", "x", 1, 5), ("punct", ";", 1, 6),
+                 ("eof", "", 1, 8)],
+            ),
+            ("a\n// c", [("ident", "a", 1, 1), ("eof", "", 2, 1)]),
+            # Multi-line block comment, CRLF line endings, tabs (one column).
+            (
+                "int\tx;\r\n/* multi\r\n  line */\ty\t= 1;\r\n",
+                [("keyword", "int", 1, 1), ("ident", "x", 1, 5), ("punct", ";", 1, 6),
+                 ("ident", "y", 3, 11), ("punct", "=", 3, 13), ("number", "1", 3, 15),
+                 ("punct", ";", 3, 16), ("eof", "", 4, 1)],
+            ),
+            # Every two-char punctuator next to its one-char prefix.
+            (
+                "a <= < b && & c || d == = e != ! f >= > g",
+                [("ident", "a", 1, 1), ("punct", "<=", 1, 3), ("punct", "<", 1, 6),
+                 ("ident", "b", 1, 8), ("punct", "&&", 1, 10), ("punct", "&", 1, 13),
+                 ("ident", "c", 1, 15), ("punct", "||", 1, 17), ("ident", "d", 1, 20),
+                 ("punct", "==", 1, 22), ("punct", "=", 1, 25), ("ident", "e", 1, 27),
+                 ("punct", "!=", 1, 29), ("punct", "!", 1, 32), ("ident", "f", 1, 34),
+                 ("punct", ">=", 1, 36), ("punct", ">", 1, 39), ("ident", "g", 1, 41),
+                 ("eof", "", 1, 42)],
+            ),
+            # Identifiers that contain keywords.
+            (
+                "intx int xint if_ whilex returnx null_p",
+                [("ident", "intx", 1, 1), ("keyword", "int", 1, 6), ("ident", "xint", 1, 10),
+                 ("ident", "if_", 1, 15), ("ident", "whilex", 1, 19),
+                 ("ident", "returnx", 1, 26), ("ident", "null_p", 1, 34), ("eof", "", 1, 40)],
+            ),
+        ],
+    )
+    def test_tokens(self, source, expected):
+        toks = tokenize(source)
+        assert [(t.kind, t.text, t.location.line, t.location.column) for t in toks] == expected
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("x;\n  @", "unexpected character '@'", 2, 3),
+            ('a\n "abc', "unterminated string literal", 2, 2),
+            ('a "b\nc"', "unterminated string literal", 1, 3),
+            ("a\n /* open", "unterminated block comment", 2, 2),
+        ],
+    )
+    def test_errors(self, source, message, line, column):
+        with pytest.raises(LexError) as info:
+            tokenize(source, filename="f.mcc")
+        assert info.value.message == message
+        assert str(info.value) == f"f.mcc:{line}:{column}: {message}"
+
+
 class TestParser:
     def test_empty_function(self):
         prog = parse_program("void main() {}")

@@ -17,7 +17,7 @@ from repro.ir import (
 from repro.lowering import lower_program, unroll_loops
 from repro.smt.terms import FALSE, TRUE, and_, not_
 
-from programs import FIG2_BUG_FREE, FORK_IN_LOOP
+from programs import FIG2_BUG_FREE, FORK_IN_LOOP, NESTED_LOOPS
 
 
 def lower(src, depth=2):
@@ -50,9 +50,41 @@ class TestUnrolling:
             unroll_loops(prog, depth=0)
 
     def test_input_not_mutated(self):
-        prog = parse_program("void main() { while (c) { x = 1; } }")
+        prog = parse_program(NESTED_LOOPS)
+        before = repr(prog)  # every field, locations included
         unroll_loops(prog, depth=3)
-        assert isinstance(prog.functions[0].body.body[0], A.WhileStmt)
+        assert repr(prog) == before
+        assert isinstance(prog.functions[0].body.body[1], A.WhileStmt)
+
+    def test_iterations_share_body_statements(self):
+        prog = parse_program(NESTED_LOOPS)
+        loop = prog.functions[0].body.body[1]
+        first = unroll_loops(prog, depth=2).functions[0].body.body[1]
+        second = first.then_body.body[-1]
+        assert first.cond is second.cond is loop.cond
+        # ``int j = 0;`` and ``i = i + 1;`` are the same objects in both
+        # iterations and in the input; the inner loop is unrolled once.
+        for stmts in (first.then_body.body, second.then_body.body):
+            assert stmts[0] is loop.body.body[0]
+            assert stmts[2] is loop.body.body[2]
+        assert first.then_body.body[1] is second.then_body.body[1]
+        assert isinstance(first.then_body.body[1], A.IfStmt)
+
+    def test_analysis_leaves_parsed_ast_unchanged(self, monkeypatch):
+        from repro import AnalysisConfig, Canary
+        from repro.analysis import passes
+
+        parsed = []
+
+        def parse_and_snapshot(source, filename="<input>"):
+            program = parse_program(source, filename)
+            parsed.append((program, repr(program)))
+            return program
+
+        monkeypatch.setattr(passes, "parse_program", parse_and_snapshot)
+        Canary(AnalysisConfig(use_cache=False)).analyze_source(NESTED_LOOPS)
+        [(program, before)] = parsed
+        assert repr(program) == before
 
     def test_nested_loops(self):
         prog = parse_program(
@@ -77,6 +109,7 @@ class TestUnrolling:
         module = lower(FORK_IN_LOOP, depth=2)
         forks = insts_of(module, "main", ForkInst)
         assert len(forks) == 2  # one per unrolled iteration
+        assert forks[0].label != forks[1].label
 
 
 class TestLoweringBasics:
