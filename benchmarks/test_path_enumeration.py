@@ -1,21 +1,21 @@
 """Benchmarks for the sink-directed path enumeration engine.
 
-Three stress shapes, each targeting one prune:
+Two stress shapes, each targeting one prune:
 
 * **dead fan-out** — wide copy trees whose leaves are never dereferenced:
   only sink-reachability keeps the DFS out of them;
 * **guard diamonds** — branch ladders whose arms contradict the source's
   guard arithmetically: the incremental guard prefix cuts the subtree at
-  the first contradictory edge instead of solving every completed path;
-* **shared slot** — the parallel-engine workload (n writers × k readers),
-  here used to pin that the streaming pipeline is wall-clock no slower
-  than the enumerate-all-then-batch barrier it replaces.
+  the first contradictory edge instead of solving every completed path.
 
-Every comparison also asserts the exactness guarantee (identical bug
-keys with and without pruning).  Results are written to
-``BENCH_enumeration.json`` in the repo root; wall-clock numbers are
-recorded there rather than hard-asserted (CI machines vary), except for
-generous pathology bounds.
+Each program is analysed once without checkers; the use-after-free
+checker then runs twice over the resulting VFG, pruned and with its
+three prunes turned off (the reference DFS).  A wall time is the
+analysis plus one checker run.  Every comparison also asserts the exactness
+guarantee (identical bug keys with and without pruning).  Results are
+written to ``BENCH_enumeration.json`` in the repo root; wall-clock
+numbers are recorded there rather than hard-asserted (CI machines
+vary), except for generous pathology bounds.
 """
 
 from __future__ import annotations
@@ -25,20 +25,10 @@ import time
 
 from repro import AnalysisConfig, Canary
 from repro.bench import write_bench_results
-from repro.smt.solver import (
-    IncrementalSolver,
-    Solver,
-    reset_warm_solvers,
-    warm_solver_counters,
-)
-from repro.smt.terms import and_, bool_var, int_var, lt
+from repro.checkers import UseAfterFreeChecker
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "BENCH_enumeration.json"
-
-_UNPRUNED = dict(
-    sink_reachability=False, incremental_guard_pruning=False, dead_state_memo=False
-)
 
 
 def _dead_fanout_program(width: int, depth: int) -> str:
@@ -85,40 +75,32 @@ def _guard_diamond_program(n_arms: int) -> str:
     return "\n".join(lines)
 
 
-def _shared_slot_program(n_workers: int, n_readers: int) -> str:
-    lines = [
-        "void main() {",
-        "    int** slot = malloc();",
-        "    int* init = malloc();",
-        "    *slot = init;",
-    ]
-    for i in range(n_workers):
-        lines.append(f"    fork(t{i}, worker{i}, slot);")
-    for j in range(n_readers):
-        lines.append(f"    int* v{j} = *slot;")
-        lines.append(f"    print(*v{j});")
-    lines.append("}")
-    for i in range(n_workers):
-        lines.append(
-            f"void worker{i}(int** s) {{ int* b{i} = malloc(); *s = b{i}; free(b{i}); }}"
-        )
-    return "\n".join(lines)
-
-
-def _run(text: str, **overrides):
+def _bundle(text: str, **overrides):
+    """(VFG bundle, seconds) of an analysis that runs no checker."""
     t0 = time.perf_counter()
-    report = Canary(AnalysisConfig(**overrides)).analyze_source(text)
-    wall = time.perf_counter() - t0
-    visits = sum(st.get("visits", 0) for st in report.search_statistics.values())
-    pruned = sum(
-        st.get("pruned_unreachable", 0) + st.get("pruned_guard", 0)
-        for st in report.search_statistics.values()
+    report = Canary(AnalysisConfig(checkers=(), **overrides)).analyze_source(text)
+    return report.bundle, time.perf_counter() - t0
+
+
+def _detect(built, prune: bool):
+    """Run the use-after-free checker over a built bundle: (bug keys,
+    analysis wall including the checker, visits, pruned edges, solver
+    queries)."""
+    bundle, build_s = built
+    checker = UseAfterFreeChecker(
+        bundle, sink_reachability=prune, guard_pruning=prune, dead_memo=prune
     )
-    return report, wall, visits, pruned
-
-
-def _keys(report):
-    return sorted(b.key for b in report.bugs)
+    t0 = time.perf_counter()
+    bugs = checker.run()
+    wall = build_s + time.perf_counter() - t0
+    stats = checker.search_stats
+    return (
+        sorted(b.key for b in bugs),
+        wall,
+        stats.visits,
+        stats.pruned_unreachable + stats.pruned_guard,
+        checker.realizability.statistics["queries"],
+    )
 
 
 _results: dict = {}
@@ -130,11 +112,11 @@ def _record(name: str, **data) -> None:
 
 
 def test_dead_fanout_reachability_prune():
-    text = _dead_fanout_program(width=12, depth=8)
-    ref, ref_wall, ref_visits, _ = _run(text, **_UNPRUNED)
-    opt, opt_wall, opt_visits, opt_pruned = _run(text)
-    assert _keys(ref) == _keys(opt)
-    assert len(opt.bugs) == 1
+    bundle = _bundle(_dead_fanout_program(width=12, depth=8))
+    ref_keys, ref_wall, ref_visits, _, _ = _detect(bundle, prune=False)
+    opt_keys, opt_wall, opt_visits, opt_pruned, _ = _detect(bundle, prune=True)
+    assert ref_keys == opt_keys
+    assert len(opt_keys) == 1
     assert opt_visits < ref_visits, (
         f"pruned DFS visited {opt_visits} nodes, reference {ref_visits}"
     )
@@ -152,125 +134,38 @@ def test_dead_fanout_reachability_prune():
 
 def test_guard_diamond_prefix_prune():
     # prune_guards=False disables the *construction-time* semi-decision
-    # filter (the paper's §5.2 optimization) in both runs, so the
-    # contradictions survive into the VFG and only the enumeration-time
-    # prefix can cut them — isolating the incremental prune.
-    text = _guard_diamond_program(n_arms=10)
-    ref, ref_wall, ref_visits, _ = _run(text, prune_guards=False, **_UNPRUNED)
-    opt, opt_wall, opt_visits, _ = _run(text, prune_guards=False)
-    assert _keys(ref) == _keys(opt) == []
-    assert opt_visits <= ref_visits
-    guard_cuts = sum(
-        st.get("pruned_guard", 0) for st in opt.search_statistics.values()
+    # filter (the paper's §5.2 optimization), so the contradictions
+    # survive into the VFG and only the enumeration-time prefix can cut
+    # them — isolating the incremental prune.
+    bundle = _bundle(_guard_diamond_program(n_arms=10), prune_guards=False)
+    ref_keys, ref_wall, ref_visits, _, ref_queries = _detect(bundle, prune=False)
+    opt_keys, opt_wall, opt_visits, guard_cuts, opt_queries = _detect(
+        bundle, prune=True
     )
+    assert ref_keys == opt_keys == []
+    assert opt_visits <= ref_visits
     assert guard_cuts > 0, "contradictory arms must be cut by the prefix"
     # The reference run decides every contradictory candidate with the
     # solver; the pruned run never even assembles those formulas.
-    assert opt.solver_statistics["queries"] <= ref.solver_statistics["queries"]
+    assert opt_queries <= ref_queries
     _record(
         "guard_diamond",
         reference_visits=ref_visits,
         pruned_visits=opt_visits,
         guard_cuts=guard_cuts,
-        reference_queries=ref.solver_statistics["queries"],
-        pruned_queries=opt.solver_statistics["queries"],
+        reference_queries=ref_queries,
+        pruned_queries=opt_queries,
         reference_wall_s=round(ref_wall, 4),
         pruned_wall_s=round(opt_wall, 4),
     )
 
 
-def test_streaming_no_slower_than_batch():
-    text = _shared_slot_program(n_workers=10, n_readers=2)
-    batch, batch_wall, _, _ = _run(
-        text, parallel_solving=True, streaming_solving=False, solver_workers=4
-    )
-    stream, stream_wall, _, _ = _run(
-        text, parallel_solving=True, streaming_solving=True, solver_workers=4
-    )
-    assert _keys(batch) == _keys(stream)
-    # Soft: streaming removes the enumerate-all barrier, so it should not
-    # be pathologically slower (pool startup noise allowed).
-    assert stream_wall <= max(batch_wall * 3.0, batch_wall + 0.5)
-    _record(
-        "streaming_vs_batch",
-        batch_wall_s=round(batch_wall, 4),
-        streaming_wall_s=round(stream_wall, 4),
-        keys=len(_keys(stream)),
-    )
-
-
-def test_incremental_smt_sibling_paths():
-    """End to end: sibling path queries against one sink family routed
-    through the warm per-sink solver must produce identical bug keys and
-    demonstrably share work (conjunct reuse, retained theory lemmas)."""
-    text = _shared_slot_program(n_workers=12, n_readers=2)
-    reset_warm_solvers()
-    off, off_wall, _, _ = _run(text, incremental_smt=False)
-    assert warm_solver_counters()["warm_families"] == 0  # ablation is real
-    reset_warm_solvers()
-    on, on_wall, _, _ = _run(text, incremental_smt=True)
-    warm = warm_solver_counters()
-    reset_warm_solvers()
-    assert _keys(off) == _keys(on)  # exactness w.r.t. reported bug keys
-    assert warm["queries"] > 0
-    assert warm["conjuncts_reused"] > 0, "sibling overlap was not shared"
-    _record(
-        "incremental_smt",
-        keys=len(_keys(on)),
-        warm_queries=warm["queries"],
-        conjuncts_new=warm["conjuncts_new"],
-        conjuncts_reused=warm["conjuncts_reused"],
-        theory_lemmas=warm["theory_lemmas"],
-        oneshot_wall_s=round(off_wall, 4),
-        incremental_wall_s=round(on_wall, 4),
-    )
-
-
-def test_incremental_smt_warm_vs_oneshot_microbench():
-    """The solver-layer win in isolation: 24 sibling formulas sharing a
-    12-conjunct order prefix, solved one-shot each vs one warm solver."""
-    prefix = [lt(int_var(f"t{i}"), int_var(f"t{i + 1}")) for i in range(12)]
-    formulas = []
-    for k in range(24):
-        tail = [lt(int_var(f"t{k % 12}"), int_var(f"u{k}")), bool_var(f"g{k}")]
-        formulas.append(and_(*(prefix + tail)))
-
-    t0 = time.perf_counter()
-    oneshot = []
-    for formula in formulas:
-        solver = Solver()
-        solver.add(formula)
-        oneshot.append(solver.check())
-    oneshot_wall = time.perf_counter() - t0
-
-    warm = IncrementalSolver()
-    t0 = time.perf_counter()
-    warmed = [warm.check_formula(formula)[0] for formula in formulas]
-    warm_wall = time.perf_counter() - t0
-
-    assert oneshot == warmed
-    stats = warm.statistics
-    # Every query after the first reuses the entire shared prefix: the
-    # warm solver encodes each distinct conjunct exactly once.
-    assert stats["conjuncts_reused"] >= 12 * 23
-    assert stats["conjuncts_new"] == 12 + 2 * 24
-    _record(
-        "incremental_smt_micro",
-        queries=len(formulas),
-        conjuncts_new=stats["conjuncts_new"],
-        conjuncts_reused=stats["conjuncts_reused"],
-        oneshot_wall_s=round(oneshot_wall, 4),
-        incremental_wall_s=round(warm_wall, 4),
-        speedup=round(oneshot_wall / max(warm_wall, 1e-9), 2),
-    )
-
-
 def test_check_wall_clock_no_regression():
-    """End to end: the pruned engine must not be slower than the
-    reference DFS on a mixed workload (generous bound for CI noise)."""
-    text = _dead_fanout_program(width=10, depth=6)
-    _ref, ref_wall, _, _ = _run(text, **_UNPRUNED)
-    _opt, opt_wall, _, _ = _run(text)
+    """The pruned engine must not be slower than the reference DFS on a
+    mixed workload (generous bound for CI noise)."""
+    bundle = _bundle(_dead_fanout_program(width=10, depth=6))
+    _, ref_wall, _, _, _ = _detect(bundle, prune=False)
+    _, opt_wall, _, _, _ = _detect(bundle, prune=True)
     assert opt_wall <= max(ref_wall * 1.5, ref_wall + 0.25)
     _record(
         "wall_clock",

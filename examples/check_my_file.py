@@ -48,7 +48,6 @@ def main() -> None:
         checkers=("use-after-free", "double-free", "null-deref"),
         unroll_depth=2,        # paper §6: loops unrolled twice
         context_depth=6,       # paper §7.2: calling-context depth six
-        parallel_solving=True,  # §5.2: path queries are independent
     )
     report = Canary(config).analyze_source(source, filename=filename)
 

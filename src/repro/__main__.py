@@ -61,17 +61,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--show-vfg", action="store_true", help="dump the guarded value-flow graph"
     )
-    parser.add_argument("--parallel", action="store_true", help="parallel path solving")
-    parser.add_argument(
-        "--workers", type=int, default=4, help="worker count for --parallel solving"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="process",
-        help="batch-solving backend for --parallel (process = real parallelism,"
-        " thread = GIL-bound fallback)",
-    )
     parser.add_argument(
         "--cube",
         action="store_true",
@@ -99,50 +88,12 @@ def main(argv=None) -> int:
         help="DFS node-visit budget per source (default: 200000)",
     )
     parser.add_argument(
-        "--no-pruning",
-        action="store_true",
-        help="disable sink-reachability / guard-prefix / dead-state pruning"
-        " (reference enumeration, for debugging and ablation)",
-    )
-    parser.add_argument(
-        "--no-incremental-smt",
-        action="store_true",
-        help="solve every path query one-shot instead of through the warm"
-        " per-sink incremental solvers (debugging and ablation; bug"
-        " reports are identical either way)",
-    )
-    parser.add_argument(
-        "--summary-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shards for per-function summary computation (1 = serial;"
-        " >1 uses the --backend pool with automatic fallback)",
-    )
-    parser.add_argument(
-        "--detect-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shards for the detection phase: sink families are"
-        " partitioned across --backend pool workers, each running the"
-        " full enumerate+solve pipeline over its shard (1 = no sharding;"
-        " reported bugs are identical at every worker count)",
-    )
-    parser.add_argument(
         "--summary-cache",
         default=None,
         metavar="DIR",
         help="persist per-function value-flow summaries under DIR:"
         " a later invocation reuses the summaries of unchanged functions"
         " across process restarts (defaults to --cache-dir when set)",
-    )
-    parser.add_argument(
-        "--no-summaries",
-        action="store_true",
-        help="run interference/detection over the whole VFG instead of"
-        " the per-function summary layer (debugging and ablation; bug"
-        " reports are identical either way)",
     )
     parser.add_argument(
         "--timeout",
@@ -221,41 +172,35 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     defaults = AnalysisConfig()
-    config = AnalysisConfig(
-        checkers=checkers,
-        inter_thread_only=not args.all_threads,
-        model_locks=args.model_locks,
-        memory_model=args.memory_model,
-        unroll_depth=args.unroll,
-        context_depth=args.context_depth,
-        parallel_solving=args.parallel,
-        solver_workers=args.workers,
-        solver_backend=args.backend,
-        cube_and_conquer=args.cube,
-        incremental_smt=not args.no_incremental_smt,
-        summaries=not args.no_summaries,
-        summary_workers=args.summary_workers,
-        detect_workers=args.detect_workers,
-        max_path_depth=args.max_depth
-        if args.max_depth is not None
-        else defaults.max_path_depth,
-        max_paths_per_source=args.max_paths
-        if args.max_paths is not None
-        else defaults.max_paths_per_source,
-        max_search_visits=args.max_visits
-        if args.max_visits is not None
-        else defaults.max_search_visits,
-        sink_reachability=not args.no_pruning,
-        incremental_guard_pruning=not args.no_pruning,
-        dead_state_memo=not args.no_pruning,
-        timeout_seconds=args.timeout,
-        pass_timeout_seconds=args.pass_timeout,
-        solver_timeout_seconds=args.solver_timeout,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        summary_cache_dir=args.summary_cache,
-        explain_cache=args.explain_cache,
-    )
+    try:
+        config = AnalysisConfig(
+            checkers=checkers,
+            inter_thread_only=not args.all_threads,
+            model_locks=args.model_locks,
+            memory_model=args.memory_model,
+            unroll_depth=args.unroll,
+            context_depth=args.context_depth,
+            cube_and_conquer=args.cube,
+            max_path_depth=args.max_depth
+            if args.max_depth is not None
+            else defaults.max_path_depth,
+            max_paths_per_source=args.max_paths
+            if args.max_paths is not None
+            else defaults.max_paths_per_source,
+            max_search_visits=args.max_visits
+            if args.max_visits is not None
+            else defaults.max_search_visits,
+            timeout_seconds=args.timeout,
+            pass_timeout_seconds=args.pass_timeout,
+            solver_timeout_seconds=args.solver_timeout,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            summary_cache_dir=args.summary_cache,
+            explain_cache=args.explain_cache,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
     tracing = args.trace_out is not None or args.trace_chrome is not None
     tracer = Tracer(enabled=True) if tracing else None
     canary = Canary(config, tracer=tracer)

@@ -13,10 +13,10 @@ Two layers:
   JSON-encoded whole-run reports keyed by the source text, filename and
   config hash, so a warm re-run in a fresh process is near-instant.
 
-The store also owns the cross-run solver caches: one
-:class:`~repro.detection.realizability.VerdictCache` (Φ_all → verdict)
-and one :class:`~repro.detection.reachability.ReachabilityIndexCache`,
-both shared by every run of the owning driver.
+The store also owns the cross-run solver caches, defined here: one
+:class:`VerdictCache` (Φ_all → verdict) and one
+:class:`ReachabilityIndexCache` (sink set → backward reachability
+index), both shared by every run of the owning driver.
 
 Thread-safety: all counters, the event log and the memory layer are
 guarded by one reentrant lock, so concurrent pipelines (the daemon's
@@ -35,12 +35,143 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..detection.reachability import ReachabilityIndexCache
-from ..detection.realizability import VerdictCache
+from ..detection.reachability import SinkReachabilityIndex
+from ..smt.terms import BoolTerm
+from ..vfg.graph import ValueFlowGraph, VFGNode
 
-__all__ = ["ArtifactStore"]
+__all__ = ["ArtifactStore", "ReachabilityIndexCache", "VerdictCache"]
+
+
+#: a cached verdict: (verdict, ints, bool atoms, unknown reason)
+_CacheEntry = Tuple[str, Dict[str, int], Dict[str, bool], str]
+
+
+class VerdictCache:
+    """Structural Φ_all → verdict memo, shared across checkers of a run.
+
+    Keys are the formula terms themselves: the term DSL hash-conses, so
+    two structurally identical Φ_all are the same object and repeated
+    queries (the common case when many paths share guards and order
+    skeletons, cf. DFI's reuse of solved sub-queries) hit the cache.
+    Entries store only plain data, materialized into a fresh
+    :class:`~repro.detection.realizability.RealizabilityResult` per hit.
+    Thread-safe (the daemon's workers share one instance); hit/miss
+    counters are exact.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[BoolTerm, _CacheEntry] = {}
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def peek(self, formula: BoolTerm) -> Optional[_CacheEntry]:
+        """Look up without touching the hit/miss counters (callers count
+        via :meth:`record` once they commit to using the answer)."""
+        with self._lock:
+            return self._entries.get(formula)
+
+    def record(self, hit: bool) -> None:
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+
+    def store(self, formula: BoolTerm, entry: _CacheEntry) -> None:
+        with self._lock:
+            self._entries[formula] = entry
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+class ReachabilityIndexCache:
+    """Cross-run memo of sink-set → index, bounded by LRU eviction.
+
+    Checkers that share a sink class (identical sink node sets over the
+    same VFG — e.g. two pointer-dereference properties) share one index;
+    the cache key is the sink set itself, so sharing is by construction
+    rather than by checker name.
+
+    Entries are keyed by graph identity and validated against the VFG
+    version stamped at build time, so an index of a mutated (or dead)
+    graph can never serve a hit.  Past ``capacity`` entries the
+    least-recently-used index is evicted — a resident daemon cycling
+    many subjects keeps its hot sink classes warm instead of losing the
+    whole cache (the pre-LRU behavior discarded everything past a size
+    threshold, zeroing the hit rate exactly when the cache mattered).
+    Thread-safe: the daemon's worker pool shares one instance.
+    """
+
+    def __init__(self, capacity: int = 32) -> None:
+        self.capacity = max(1, capacity)
+        self._indexes: "OrderedDict[Tuple[int, FrozenSet[VFGNode], int], SinkReachabilityIndex]" = (
+            OrderedDict()
+        )
+        self._graphs: Dict[int, ValueFlowGraph] = {}  # keep ids stable
+        self._lock = threading.Lock()
+        self.builds = 0
+        self.shared_hits = 0
+        self.evictions = 0
+
+    def get(
+        self,
+        vfg: ValueFlowGraph,
+        sinks: Iterable[VFGNode],
+        context_depth: int = 6,
+    ) -> SinkReachabilityIndex:
+        key = (id(vfg), frozenset(sinks), max(1, context_depth))
+        with self._lock:
+            index = self._indexes.get(key)
+            if index is not None and index.built_at_version == getattr(
+                vfg, "version", None
+            ):
+                self._indexes.move_to_end(key)
+                self.shared_hits += 1
+                return index
+        # Build outside the lock: indexing is the expensive part, and a
+        # duplicate build by a racing thread is harmless (last write wins,
+        # both indexes are equally valid for their graph version).
+        index = SinkReachabilityIndex(vfg, key[1], key[2])
+        with self._lock:
+            self._indexes[key] = index
+            self._indexes.move_to_end(key)
+            self._graphs[id(vfg)] = vfg
+            self.builds += 1
+            while len(self._indexes) > self.capacity:
+                old_key, _ = self._indexes.popitem(last=False)
+                self.evictions += 1
+                if not any(k[0] == old_key[0] for k in self._indexes):
+                    self._graphs.pop(old_key[0], None)
+        return index
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.builds + self.shared_hits
+        return self.shared_hits / total if total else 0.0
+
+    def statistics(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._indexes),
+                "builds": self.builds,
+                "shared_hits": self.shared_hits,
+                "evictions": self.evictions,
+            }
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._indexes)
+
 
 
 class ArtifactStore:

@@ -42,48 +42,8 @@ class AnalysisConfig:
     max_paths_per_source: int = 512
     max_search_visits: int = 200_000
     max_reports_per_source: int = 8
-    #: sink-directed enumeration (all exact w.r.t. reported bug keys):
-    #: prune DFS edges into nodes that cannot reach the checker's sinks
-    sink_reachability: bool = True
-    #: fold edge guards into an incremental quick-unsat prefix mid-DFS
-    incremental_guard_pruning: bool = True
-    #: memoize (node, context, guard-fingerprint) states proven dead
-    dead_state_memo: bool = True
-    #: stream enumerated paths to the solver pool instead of batching
-    #: (only meaningful with parallel_solving)
-    streaming_solving: bool = True
-    #: producer threads enumerating sources concurrently in streaming mode
-    enumeration_workers: int = 2
-    #: solve independent path queries in parallel (paper §5.2)
-    parallel_solving: bool = False
-    solver_workers: int = 4
-    #: batch-solving backend: 'process' ships pickled formulas to a
-    #: ProcessPoolExecutor (true parallelism for the pure-Python solver);
-    #: 'thread' keeps the in-process pool (GIL-bound fallback).  The
-    #: process backend degrades to threads automatically if process
-    #: creation is unavailable.
-    solver_backend: str = "process"
-    #: memoize Φ_all → verdict across all checkers of one run
-    verdict_cache: bool = True
     #: use cube-and-conquer splitting for path queries (paper §5.2)
     cube_and_conquer: bool = False
-    #: route sibling path queries through warm per-sink incremental SMT
-    #: solvers (assumption-based, ship-once/assume-many); exact w.r.t.
-    #: reported bug keys, ignored under cube_and_conquer
-    incremental_smt: bool = True
-    #: per-function value-flow/escape summaries between Alg. 1 and
-    #: Alg. 2: interference runs its fixpoint over indexed, demand-loaded
-    #: function spans instead of whole-VFG scans (exact w.r.t. bug keys)
-    summaries: bool = True
-    #: shards for summary fingerprinting (1 = in-process serial; >1 uses
-    #: the ``solver_backend`` pool with process→thread→serial fallback)
-    summary_workers: int = 1
-    #: shards for the detection phase: sink families are partitioned
-    #: across ``solver_backend`` pool workers, each running the full
-    #: enumerate+solve pipeline over its shard; the parent merges in
-    #: ordinal order, so reported bug keys equal the serial run's (1 =
-    #: no sharding; falls back process→streaming/serial on pool failure)
-    detect_workers: int = 1
     #: ablation: apply the semi-decision guard filter during construction
     prune_guards: bool = True
     #: ablation: prune non-MHP store/load pairs before Alg. 2 (paper §6)
@@ -123,6 +83,19 @@ class AnalysisConfig:
     #: survive process restarts.  ``None`` routes the namespace to
     #: ``cache_dir`` (summaries persist whenever whole-run reports do).
     summary_cache_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.memory_model not in ("sc", "tso", "pso"):
+            raise ValueError(
+                f"memory_model must be one of sc, tso, pso, not {self.memory_model!r}"
+            )
+        if self.unroll_depth < 1:
+            raise ValueError(f"unroll_depth must be at least 1, not {self.unroll_depth}")
+        for f in fields(self):
+            if f.name == "context_depth" or f.name.startswith("max_"):
+                value = getattr(self, f.name)
+                if value < 0:
+                    raise ValueError(f"{f.name} must not be negative, not {value}")
 
     def cache_key(self) -> str:
         """A stable content hash over every knob that can change analysis

@@ -89,9 +89,9 @@ class AnalysisReport:
         self.truncation_warnings: List[str] = (
             list(truncation_warnings) if truncation_warnings else []
         )
-        #: graceful-degradation notes: isolated pass/checker failures, solver
-        #: pool deaths, budget-starved queries.  A non-empty list means the
-        #: report is complete but was produced on a degraded pipeline.
+        #: graceful-degradation notes: isolated pass/checker failures,
+        #: budget-starved queries.  A non-empty list means the report is
+        #: complete but was produced on a degraded pipeline.
         self.degradation_warnings: List[str] = (
             list(degradation_warnings) if degradation_warnings else []
         )

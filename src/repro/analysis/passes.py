@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..checkers import ALL_CHECKERS, BugReport
-from ..detection.reachability import ReachabilityIndexCache
-from ..detection.realizability import RealizabilityChecker, VerdictCache
+from ..detection.realizability import RealizabilityChecker
 from ..detection.search import SearchLimits
 from ..frontend import parse_program
 from ..frontend.ast_nodes import Program
@@ -44,7 +43,6 @@ from ..lowering import LoweringCache, lower_program_incremental
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..pointer.steensgaard import steensgaard
-from ..smt.solver import warm_solver_counters
 from ..threads.callgraph import build_thread_call_graph
 from ..threads.mhp import MhpAnalysis
 from ..vfg.builder import VFGBundle
@@ -54,7 +52,7 @@ from ..vfg.interference import InterferenceAnalysis
 from ..vfg.summaries import SummaryIndex, compute_summaries
 from ..frontend import FrontendError
 from ..testing.faults import fault_point
-from .artifacts import ArtifactStore
+from .artifacts import ArtifactStore, ReachabilityIndexCache, VerdictCache
 from .budget import Budget, BudgetExceededError
 from .config import AnalysisConfig
 from .driver import AnalysisReport
@@ -518,36 +516,31 @@ class AnalysisPipeline:
         if self._out_of_time("dataflow"):
             return finish()
 
-        # -- per-function value-flow summaries (sharded, content-keyed) -----
-        if cfg.summaries:
+        # -- per-function value-flow summaries (content-keyed) --------------
+        def run_summaries() -> SummaryIndex:
+            return compute_summaries(
+                dataflow,
+                store=self.store if (caching and lineage is not None) else None,
+                lineage_key=f"{lineage}:{cfg.cache_key()}",
+                config_key=cfg.cache_key(),
+                metrics=self.registry,
+            )
 
-            def run_summaries() -> SummaryIndex:
-                return compute_summaries(
-                    dataflow,
-                    store=self.store if (caching and lineage is not None) else None,
-                    lineage_key=f"{lineage}:{cfg.cache_key()}",
-                    config_key=cfg.cache_key(),
-                    workers=cfg.summary_workers,
-                    backend=cfg.solver_backend,
-                    metrics=self.registry,
-                    tracer=self.tracer,
-                )
-
-            summary_index, error = pm.attempt("summaries", run_summaries)
-            if error is not None:
-                # The summary layer is an accelerator: losing it degrades
-                # to the whole-VFG fixpoint, never the findings.
-                pm.warn("summary layer unavailable; interference runs unsharded")
-                summary_index = None
-            else:
-                computed = self.registry.counter("summary.computed").value
-                reused = self.registry.counter("summary.cache_hits").value
-                pm.records[-1].detail = (
-                    f"{len(summary_index.summaries)} summaries"
-                    f" ({computed} computed, {reused} reused)"
-                )
-            if self._out_of_time("summaries"):
-                return finish()
+        summary_index, error = pm.attempt("summaries", run_summaries)
+        if error is not None:
+            # The summary layer is an accelerator: losing it degrades to
+            # the whole-VFG fixpoint, never the findings.
+            pm.warn("summary layer unavailable; interference runs unsharded")
+            summary_index = None
+        else:
+            computed = self.registry.counter("summary.computed").value
+            reused = self.registry.counter("summary.cache_hits").value
+            pm.records[-1].detail = (
+                f"{len(summary_index.summaries)} summaries"
+                f" ({computed} computed, {reused} reused)"
+            )
+        if self._out_of_time("summaries"):
+            return finish()
 
         # -- Alg. 2 interference (always recomputed: global fixpoint) -------
         def run_interference() -> InterferenceAnalysis:
@@ -600,18 +593,14 @@ class AnalysisPipeline:
             order_constraints=cfg.order_constraints,
             lock_analysis=lock_analysis,
             memory_model=cfg.memory_model,
-            backend=cfg.solver_backend,
-            cache=self._verdict_cache(caching),
+            # Terms are hash-consed, so Φ_all → verdict entries stay valid
+            # across runs: share the store's cache for cross-run reuse.
+            cache=self.store.verdict_cache if caching else VerdictCache(),
             solver_timeout=cfg.solver_timeout_seconds,
             budget=budget,
             metrics=self.registry,
             tracer=self.tracer,
-            incremental_smt=cfg.incremental_smt,
         )
-        # Snapshot the in-process warm-solver counters so the detection
-        # phase's delta lands in the run registry (worker-side counters
-        # stay in their processes; serial/thread runs see the full story).
-        warm_before = warm_solver_counters()
         limits = SearchLimits(
             max_depth=cfg.max_path_depth,
             max_paths_per_source=cfg.max_paths_per_source,
@@ -631,16 +620,7 @@ class AnalysisPipeline:
                 inter_thread_only=cfg.inter_thread_only,
                 max_reports_per_source=cfg.max_reports_per_source,
                 collect_suppressed=cfg.collect_suppressed,
-                parallel_solving=cfg.parallel_solving,
-                solver_workers=cfg.solver_workers,
-                solver_backend=cfg.solver_backend,
-                sink_reachability=cfg.sink_reachability,
-                guard_pruning=cfg.incremental_guard_pruning,
-                dead_memo=cfg.dead_state_memo,
                 index_cache=index_cache,
-                streaming=cfg.streaming_solving,
-                enumeration_workers=cfg.enumeration_workers,
-                detect_workers=cfg.detect_workers,
                 budget=budget,
                 tracer=self.tracer,
             )
@@ -695,14 +675,6 @@ class AnalysisPipeline:
                         "truncations": truncations,
                     },
                 )
-
-        warm_after = warm_solver_counters()
-        for key, value in warm_after.items():
-            delta = value - warm_before.get(key, 0)
-            if key == "warm_families":
-                delta = value  # a gauge, not a monotonic counter
-            if delta:
-                self.registry.counter(f"solver.incremental_{key}").add(delta)
         return finish()
 
     # ----- helpers ----------------------------------------------------------
@@ -728,25 +700,18 @@ class AnalysisPipeline:
         self._finish_report(report, events_mark)
         return report
 
-    def _verdict_cache(self, caching: bool) -> Optional[VerdictCache]:
-        if not self.config.verdict_cache:
-            return None
-        # Terms are hash-consed, so Φ_all → verdict entries stay valid
-        # across runs; share the store's cache for cross-run reuse.
-        return self.store.verdict_cache if caching else VerdictCache()
-
     def _detection_fingerprint(
         self, checker, bundle: VFGBundle, skeleton: str
     ) -> Tuple:
         """Everything the checker's verdicts can depend on.
 
-        With sink-directed pruning the DFS never leaves the backward-
+        Sink-directed pruning keeps the DFS inside the backward-
         reachable region of the sink set, so the fingerprint covers that
         region's edges (plus its frontier — out-edges of region nodes
         drive enumeration order and prune counters), the checker's
         sources, and the Φ_ls store index of every object the region
-        mentions.  Without pruning (or without a sink set) the search
-        may roam the whole graph, so the whole edge set is the region.
+        mentions.  Without a sink set the search may roam the whole
+        graph, so the whole edge set is the region.
 
         Node/guard/instruction components compare by identity (or by
         hash-consed structural identity for terms): unchanged functions
@@ -754,10 +719,9 @@ class AnalysisPipeline:
         equal across runs while any relowered function in it forces a
         mismatch — conservative in exactly the right direction.
         """
-        cfg = self.config
         vfg = bundle.vfg
         sinks = checker.sink_node_set()
-        if sinks and cfg.sink_reachability:
+        if sinks:
             region: Set[VFGNode] = set(sinks)
             frontier = list(sinks)
             while frontier:
@@ -784,7 +748,7 @@ class AnalysisPipeline:
         )
         return (
             "fp1",
-            cfg.cache_key(),
+            self.config.cache_key(),
             skeleton,
             frozenset(sinks) if sinks else None,
             edges,

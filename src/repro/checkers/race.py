@@ -62,7 +62,7 @@ class DataRaceChecker(SourceSinkChecker):
                 continue
             # Write-write pairs are symmetric: report each once, from the
             # textually earlier store (the later store finds the pair too
-            # and is dropped here, keeping shard/serial keys identical).
+            # and is dropped here, so each pair is reported once).
             if isinstance(use, StoreInst) and use.label < source_inst.label:
                 continue
             if not mhp.may_happen_in_parallel(source_inst, use):

@@ -1,14 +1,8 @@
 """Guarded reachability detection (paper §5, Fig. 1 right half)."""
 
 from .partial_order import OrderConstraintBuilder, order_var
-from .reachability import ReachabilityIndexCache, SinkReachabilityIndex
-from .realizability import (
-    PathQuery,
-    RealizabilityChecker,
-    RealizabilityResult,
-    StreamingSolver,
-    VerdictCache,
-)
+from .reachability import SinkReachabilityIndex
+from .realizability import PathQuery, RealizabilityChecker, RealizabilityResult
 from .search import (
     PathSearcher,
     SearchLimits,
@@ -21,12 +15,9 @@ __all__ = [
     "OrderConstraintBuilder",
     "order_var",
     "PathQuery",
-    "ReachabilityIndexCache",
     "RealizabilityChecker",
     "RealizabilityResult",
     "SinkReachabilityIndex",
-    "StreamingSolver",
-    "VerdictCache",
     "PathSearcher",
     "SearchLimits",
     "SearchStatistics",

@@ -37,13 +37,12 @@ legal "unbalanced-up" exits).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, deque
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from collections import deque
+from typing import Dict, Iterable, Optional
 
 from ..vfg.graph import ValueFlowGraph, VFGNode
 
-__all__ = ["INFINITE_AVAIL", "ReachabilityIndexCache", "SinkReachabilityIndex"]
+__all__ = ["INFINITE_AVAIL", "SinkReachabilityIndex"]
 
 #: "no fork marker on the context stack": any number of base-level
 #: returns is admissible (unbalanced-up past the stack bottom is legal).
@@ -94,82 +93,3 @@ class SinkReachabilityIndex:
         ``avail`` base-level returns) still reach a sink?"""
         need = self._needs.get(node)
         return need is not None and need <= avail
-
-
-class ReachabilityIndexCache:
-    """Cross-run memo of sink-set → index, bounded by LRU eviction.
-
-    Checkers that share a sink class (identical sink node sets over the
-    same VFG — e.g. two pointer-dereference properties) share one index;
-    the cache key is the sink set itself, so sharing is by construction
-    rather than by checker name.
-
-    Entries are keyed by graph identity and validated against the VFG
-    version stamped at build time, so an index of a mutated (or dead)
-    graph can never serve a hit.  Past ``capacity`` entries the
-    least-recently-used index is evicted — a resident daemon cycling
-    many subjects keeps its hot sink classes warm instead of losing the
-    whole cache (the pre-LRU behavior discarded everything past a size
-    threshold, zeroing the hit rate exactly when the cache mattered).
-    Thread-safe: the daemon's worker pool shares one instance.
-    """
-
-    def __init__(self, capacity: int = 32) -> None:
-        self.capacity = max(1, capacity)
-        self._indexes: "OrderedDict[Tuple[int, FrozenSet[VFGNode], int], SinkReachabilityIndex]" = (
-            OrderedDict()
-        )
-        self._graphs: Dict[int, ValueFlowGraph] = {}  # keep ids stable
-        self._lock = threading.Lock()
-        self.builds = 0
-        self.shared_hits = 0
-        self.evictions = 0
-
-    def get(
-        self,
-        vfg: ValueFlowGraph,
-        sinks: Iterable[VFGNode],
-        context_depth: int = 6,
-    ) -> SinkReachabilityIndex:
-        key = (id(vfg), frozenset(sinks), max(1, context_depth))
-        with self._lock:
-            index = self._indexes.get(key)
-            if index is not None and index.built_at_version == getattr(
-                vfg, "version", None
-            ):
-                self._indexes.move_to_end(key)
-                self.shared_hits += 1
-                return index
-        # Build outside the lock: indexing is the expensive part, and a
-        # duplicate build by a racing thread is harmless (last write wins,
-        # both indexes are equally valid for their graph version).
-        index = SinkReachabilityIndex(vfg, key[1], key[2])
-        with self._lock:
-            self._indexes[key] = index
-            self._indexes.move_to_end(key)
-            self._graphs[id(vfg)] = vfg
-            self.builds += 1
-            while len(self._indexes) > self.capacity:
-                old_key, _ = self._indexes.popitem(last=False)
-                self.evictions += 1
-                if not any(k[0] == old_key[0] for k in self._indexes):
-                    self._graphs.pop(old_key[0], None)
-        return index
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.builds + self.shared_hits
-        return self.shared_hits / total if total else 0.0
-
-    def statistics(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._indexes),
-                "builds": self.builds,
-                "shared_hits": self.shared_hits,
-                "evictions": self.evictions,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._indexes)

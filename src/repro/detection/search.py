@@ -38,7 +38,7 @@ counters are kept and surfaced as soundness warnings by the driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..ir.instructions import Instruction
 from ..ir.values import Variable
@@ -54,7 +54,6 @@ __all__ = [
     "SearchLimits",
     "SearchStatistics",
     "TruncationEvent",
-    "partition_sink_labels",
 ]
 
 
@@ -150,96 +149,6 @@ class ValueFlowPath:
             arrow = "⇢" if edge.interthread else "→"
             parts.append(f"{arrow} {edge.dst!r}")
         return " ".join(parts)
-
-
-# ----- per-sink detection sharding ------------------------------------------
-#
-# The detection phase shards across processes by *sink family*: the sorted
-# universe of potential sink labels is partitioned round-robin, and each
-# worker runs the full enumerate+solve pipeline restricted to emitting only
-# candidates whose sink label falls in its shard.  The DFS itself is NOT
-# restricted — every worker walks exactly the serial search region with the
-# serial truncation accounting — so the union of the shard candidate sets
-# equals the serial candidate set even when enumeration budgets fire, and
-# each candidate carries its true serial (source-index, sequence) ordinal.
-# The parent merges rows sorted by that ordinal and replays the serial
-# reporting policy, which makes the reported bug keys byte-identical to a
-# serial run at every worker count.  Keeping whole sink families on one
-# worker also preserves the warm per-sink incremental-solver locality.
-
-
-def partition_sink_labels(labels, shards: int) -> List[Tuple[int, ...]]:
-    """Round-robin partition of the sorted sink-label universe.
-
-    Empty buckets are dropped, so the result has ``min(shards, len(labels))``
-    entries.  Deterministic: equal inputs give equal partitions in any
-    process.
-    """
-    buckets: List[List[int]] = [[] for _ in range(max(1, shards))]
-    for i, label in enumerate(sorted(set(labels))):
-        buckets[i % len(buckets)].append(label)
-    return [tuple(b) for b in buckets if b]
-
-
-#: worker-process globals for detection sharding, set once per worker by
-#: :func:`_init_detect_worker` (the payload ships through the executor's
-#: ``initargs`` exactly once per worker, not once per shard task)
-_SHARD_STATE: Dict[str, object] = {}
-
-
-def _init_detect_worker(payload: dict) -> None:
-    _SHARD_STATE["payload"] = payload
-
-
-def _detect_shard(shard: Tuple[int, ...]) -> dict:
-    """Pool target: run one checker over one sink-label shard.
-
-    Rebuilds the checker (and a worker-local realizability stack) from the
-    portable payload installed by the initializer, then delegates to
-    :meth:`repro.checkers.base.SourceSinkChecker.shard_rows`.
-    """
-    from ..testing.faults import fault_point
-
-    fault_point("worker:detect")
-    payload = _SHARD_STATE["payload"]
-    bundle = payload["bundle"]
-    solver_cfg = payload["solver"]
-    # Imported lazily: checkers import this module at import time.
-    from ..checkers import ALL_CHECKERS
-    from .realizability import RealizabilityChecker, VerdictCache
-
-    lock_analysis = None
-    if solver_cfg["model_locks"]:
-        from ..threads.locks import LockAnalysis
-
-        lock_analysis = LockAnalysis(bundle.module)
-    realizability = RealizabilityChecker(
-        bundle,
-        use_cube_and_conquer=solver_cfg["use_cube_and_conquer"],
-        solver_max_conflicts=solver_cfg["solver_max_conflicts"],
-        order_constraints=solver_cfg["order_constraints"],
-        lock_analysis=lock_analysis,
-        memory_model=solver_cfg["memory_model"],
-        backend="thread",
-        cache=VerdictCache(),
-        solver_timeout=solver_cfg["solver_timeout"],
-        incremental_smt=solver_cfg["incremental_smt"],
-    )
-    kwargs = payload["checker_kwargs"]
-    checker = ALL_CHECKERS[payload["kind"]](
-        bundle,
-        limits=payload["limits"],
-        realizability=realizability,
-        inter_thread_only=kwargs["inter_thread_only"],
-        max_reports_per_source=kwargs["max_reports_per_source"],
-        parallel_solving=False,
-        sink_reachability=kwargs["sink_reachability"],
-        guard_pruning=kwargs["guard_pruning"],
-        dead_memo=kwargs["dead_memo"],
-        streaming=False,
-        enumeration_workers=1,
-    )
-    return checker.shard_rows(shard)
 
 
 #: def-site index: maps variables to their defining instruction
@@ -405,11 +314,9 @@ class PathSearcher:
                 continue
             pushed = False
             if prefix is not None and edge.guard is not TRUE:
-                # The prefix grows/shrinks in strict DFS (stack) order —
-                # the same discipline the incremental SMT layer uses for
-                # its assumption scopes, so sibling paths diverging late
-                # share both their quick-check state here and their
-                # warm-solver clauses downstream.
+                # The prefix grows/shrinks in strict DFS (stack) order,
+                # so sibling paths diverging late share their
+                # quick-check state.
                 pushed = True
                 if prefix.push(edge.guard):
                     # Prefix definitely unsat ⇒ every completed path

@@ -8,8 +8,7 @@ Three formats, one schema family (validated by :mod:`repro.obs.schema`):
 * ``--trace-chrome`` — the Chrome trace-event format (a JSON object with
   a ``traceEvents`` array of ``"ph": "X"`` complete events), loadable in
   ``chrome://tracing`` and Perfetto.  Spans keep their originating
-  ``pid``/``tid`` so pool-solved queries appear on their worker's track,
-  and parentage is preserved in each event's ``args``.
+  ``pid``/``tid``, and parentage is preserved in each event's ``args``.
 * ``--metrics-out`` — ``{"meta": {...}, "metrics": {...}}`` where
   ``metrics`` is a flat :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
 

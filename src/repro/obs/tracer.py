@@ -8,11 +8,10 @@ in order:
 1. **zero overhead when off** — the default tracer is disabled; its
    ``span()`` returns a shared no-op singleton (no allocation, no lock),
    so instrumented code pays one attribute check per site;
-2. **cross-process spans** — a :class:`SpanContext` (trace id + span id)
-   is picklable and rides along with solver-pool payloads; the worker
-   records spans into a :class:`SpanRecorder` (plain dicts, picklable)
-   and the parent :meth:`Tracer.ingest`\\ s them under the submitting
-   span, so a query solved three processes away still nests correctly;
+2. **detached spans** — a :class:`SpanContext` (trace id + span id)
+   parents a :class:`SpanRecorder` (plain dicts, picklable) that the
+   solver records into without touching the tracer; the tracer then
+   :meth:`Tracer.ingest`\\ s the records under the submitting span;
 3. **exporter-agnostic** — finished spans are plain data; the exporters
    in :mod:`repro.obs.export` turn them into newline-delimited JSON or
    Chrome trace events.

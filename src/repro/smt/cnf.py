@@ -38,50 +38,6 @@ class CnfEncoder:
         self._next_var += 1
         return v
 
-    def fresh_var(self) -> int:
-        """Allocate a fresh SAT variable not tied to any atom or gate.
-
-        Incremental solving uses these as *activation literals*: a
-        conjunct encoded once to a gate literal ``g`` is enabled per
-        query by assuming a fresh ``a`` with the permanent linking
-        clause ``(-a, g)``.
-        """
-        return self._fresh_var()
-
-    def encode_literal(self, term: BoolTerm) -> int:
-        """Encode ``term`` (without asserting it) and return its literal.
-
-        Gate-defining clauses accumulate in :attr:`clauses`; callers that
-        ship clauses to a SAT core incrementally should track how many
-        they have consumed.
-        """
-        return self._encode(term)
-
-    def cluster_vars(self, term: BoolTerm) -> List[int]:
-        """Every SAT variable in ``term``'s encoding: its atom variables
-        plus the auxiliary gate variable of each composite subterm.  Must
-        be called after the term was encoded (gates exist by then); an
-        incremental caller uses this as the *decision cluster* of a
-        conjunct — the variables a solve restricted to the conjunct must
-        be allowed to branch on.
-        """
-        out = set()
-        stack: List[BoolTerm] = [term]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, (BoolVar, Le, Lt, Eq)):
-                out.add(self._var_of_atom[t])
-            elif isinstance(t, Not):
-                stack.append(t.arg)
-            elif isinstance(t, BoolConst):
-                out.add(self._gate_cache[TRUE])
-            elif isinstance(t, (And, Or)):
-                gate = self._gate_cache.get(t)
-                if gate is not None:
-                    out.add(gate)
-                stack.extend(t.args)
-        return sorted(out)
-
     def var_for_atom(self, atom: BoolTerm) -> int:
         v = self._var_of_atom.get(atom)
         if v is None:

@@ -3,9 +3,7 @@
 For complex realizability queries Canary splits the formula on a few
 high-impact atoms into *cubes* (partial assignments) and solves the cubes
 independently — the paper cites Heule et al.'s cube-and-conquer strategy.
-Cubes are embarrassingly parallel; here they run on a thread pool (the
-per-path independence argued in §5.2 also lets the bug checking stage run
-paths in parallel, see :mod:`repro.detection.realizability`).
+Cubes are embarrassingly parallel; here they run on a thread pool.
 """
 
 from __future__ import annotations

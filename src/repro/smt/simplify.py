@@ -104,9 +104,7 @@ class GuardPrefix:
     of re-scanning the whole conjunction per candidate path.
 
     The prefix never *constructs* terms (complements are detected via an
-    atom set, not by building ``Not`` nodes), so it is safe to run on
-    enumeration worker threads while formula assembly stays on the
-    coordinator thread.
+    atom set, not by building ``Not`` nodes).
     """
 
     def __init__(self) -> None:

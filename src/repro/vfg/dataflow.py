@@ -180,21 +180,6 @@ class DataDependenceAnalysis:
         #: per-function value-flow summaries (:mod:`repro.vfg.summaries`).
         self.function_extents: Dict[str, Tuple[int, ...]] = {}
 
-    def __getstate__(self):
-        """Detection-sharding workers receive the finished analysis by
-        pickle; the tracer (holds a lock) and any in-progress journal are
-        parent-side concerns and do not cross the process boundary."""
-        state = dict(self.__dict__)
-        state["tracer"] = None
-        state["_journal"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        from ..obs.tracer import NULL_TRACER
-
-        self.__dict__.update(state)
-        self.tracer = NULL_TRACER
-
     # ----- public ---------------------------------------------------------
 
     def run(self, journal: Optional[DataflowJournal] = None) -> ValueFlowGraph:

@@ -86,13 +86,6 @@ class InterferenceAnalysis:
         self.edges_added = 0
         self._points_back_cache: Dict[Variable, Set[MemObject]] = {}
 
-    def __getstate__(self):
-        """The metrics registry (holds a lock) stays parent-side when the
-        finished analysis ships to a detection-sharding worker."""
-        state = dict(self.__dict__)
-        state["metrics"] = None
-        return state
-
     # ----- public -----------------------------------------------------------
 
     def run(self) -> ValueFlowGraph:

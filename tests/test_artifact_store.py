@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.analysis import AnalysisConfig, ArtifactStore, Canary
-from repro.detection.reachability import ReachabilityIndexCache
+from repro.analysis.artifacts import ReachabilityIndexCache
 
 from test_corpus import CORPUS_FILES, _parse_directives
 

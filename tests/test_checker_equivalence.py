@@ -1,13 +1,12 @@
-"""The CI equivalence-and-replay gate, as a runnable test suite.
+"""The CI witness-replay gate, as a runnable test suite.
 
 Two contracts over the *entire* corpus, with every file's directive
 checkers unioned with the three concurrency families:
 
-* **equivalence** — detection must be byte-identical at every
-  ``detect_workers`` width (1, 2, 8): same bug keys, same witness
-  paths.  Sharded workers rebuild checkers from fixed kwargs and replay
-  (source-index, sequence) ordinals, so any nondeterminism (unsorted
-  object sets, dict-order iteration) shows up here;
+* **isolation** — the checkers of one run share a realizability checker
+  and its verdict cache, and that sharing must be invisible: each
+  checker run alone reports exactly its own slice of the combined run
+  (same bug keys, witness paths and witness interleavings);
 * **replay** — every realizable report must confirm dynamically via
   :func:`repro.interp.confirm_all`.  Files configured with a relaxed
   memory model are skipped: the concrete interpreter executes program
@@ -39,8 +38,6 @@ from test_corpus import CORPUS_FILES, _parse_directives
 #: they only need to be *deterministic* and *replayable*.
 CONCURRENCY_FAMILIES = ("data-race", "atomicity-violation", "order-violation")
 
-WORKER_WIDTHS = (1, 2, 8)
-
 
 def _file_setup(path: Path) -> Tuple[str, Tuple[str, ...], Dict[str, object]]:
     text = path.read_text()
@@ -49,33 +46,33 @@ def _file_setup(path: Path) -> Tuple[str, Tuple[str, ...], Dict[str, object]]:
     return text, all_checkers, config
 
 
-def _analyze(text, filename, checkers, config, workers=1):
+def _analyze(text, filename, checkers, config):
     overrides = dict(config, checkers=checkers, use_cache=False)
-    if workers > 1:
-        overrides.update(detect_workers=workers, solver_backend="process")
-    report = Canary(AnalysisConfig(**overrides)).analyze_source(
-        text, filename=filename
+    return Canary(AnalysisConfig(**overrides)).analyze_source(text, filename=filename)
+
+
+def _signature(bugs):
+    return sorted(
+        (
+            b.key,
+            tuple(b.path),
+            tuple(b.witness_order),
+            tuple(sorted(b.witness_env.items())),
+        )
+        for b in bugs
     )
-    return report
-
-
-def _signature(report):
-    return sorted((b.key, tuple(b.path)) for b in report.bugs)
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
-def test_detection_equivalent_at_every_width(path: Path):
+def test_combined_run_matches_per_checker_runs(path: Path):
     text, checkers, config = _file_setup(path)
-    reference = None
-    for width in WORKER_WIDTHS:
-        report = _analyze(text, path.name, checkers, config, workers=width)
-        signature = _signature(report)
-        if reference is None:
-            reference = signature
-        else:
-            assert signature == reference, (
-                f"{path.name}: detect_workers={width} diverged from serial"
-            )
+    combined = _analyze(text, path.name, checkers, config)
+    for name in checkers:
+        alone = _analyze(text, path.name, (name,), config)
+        assert {b.kind for b in alone.bugs} <= {name}, path.name
+        assert _signature(alone.bugs) == _signature(
+            b for b in combined.bugs if b.kind == name
+        ), f"{path.name}: {name} alone diverged from the combined run"
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])

@@ -225,8 +225,3 @@ class TestAblations:
         assert a.num_reports == b.num_reports == 0
         c = analyze(FIG2_BUGGY, prune_guards=False)
         assert c.num_reports == 1
-
-    def test_parallel_solving_same_result(self):
-        a = analyze(SIMPLE_UAF)
-        b = analyze(SIMPLE_UAF, parallel_solving=True)
-        assert a.num_reports == b.num_reports

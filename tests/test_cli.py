@@ -58,22 +58,6 @@ class TestAnalyzerCli:
         out = capsys.readouterr().out
         assert "VFG:" in out
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backend_flags(self, backend, capsys):
-        rc = repro_main(
-            [
-                str(CORPUS / "uaf_basic.mcc"),
-                "--parallel",
-                "--backend",
-                backend,
-                "--workers",
-                "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "1 finding(s)" in out
-
     def test_cube_flag(self, capsys):
         rc = repro_main([str(CORPUS / "uaf_basic.mcc"), "--cube"])
         out = capsys.readouterr().out
@@ -86,9 +70,14 @@ class TestAnalyzerCli:
         out = capsys.readouterr().out
         assert "queries" in out and "cache" in out and "parse" in out
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            repro_main([str(CORPUS / "uaf_basic.mcc"), "--backend", "nonsense"])
+    @pytest.mark.parametrize(
+        "flags", [["--unroll", "0"], ["--context-depth", "-1"], ["--max-depth", "-2"]]
+    )
+    def test_out_of_range_config_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main([str(CORPUS / "uaf_basic.mcc"), *flags])
+        assert exc.value.code == 2
+        assert "must" in capsys.readouterr().err
 
     def test_all_threads_flag(self, tmp_path, capsys):
         seq = tmp_path / "seq.mcc"

@@ -323,23 +323,3 @@ class TestReplay:
         assert report.num_reports >= 1
         results = confirm_all(report.bundle.module, report.bugs)
         assert all(r.confirmed for r in results), [r.describe() for r in results]
-
-
-class TestShardingEquivalence:
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_keys_identical_across_widths(self, workers):
-        checkers = (
-            "data-race",
-            "atomicity-violation",
-            "order-violation",
-            "use-after-free",
-        )
-        src = RACE_BAIT + RMW_BAIT.replace("main", "rmain").replace(
-            "worker", "rworker"
-        )
-        ref = run(src, checkers)
-        rep = run(src, checkers, detect_workers=workers, solver_backend="process")
-        assert sorted(b.key for b in rep.bugs) == sorted(b.key for b in ref.bugs)
-        assert sorted((b.key, tuple(b.path)) for b in rep.bugs) == sorted(
-            (b.key, tuple(b.path)) for b in ref.bugs
-        )

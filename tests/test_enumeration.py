@@ -1,7 +1,8 @@
 """Tests for the sink-directed enumeration engine: the incremental
 difference-bound store, the GuardPrefix quick-unsat filter, the
 sink-reachability index, and — end to end — the guarantee that all three
-prunes are exact with respect to the reported bug keys.
+prunes are exact with respect to the reported bug keys.  The unpruned
+reference runs each checker directly with its three prunes turned off.
 """
 
 import pathlib
@@ -9,18 +10,22 @@ import pathlib
 import pytest
 
 from repro.analysis import AnalysisConfig, Canary
+from repro.analysis.artifacts import ReachabilityIndexCache
+from repro.checkers import ALL_CHECKERS
 from repro.detection import (
     PathSearcher,
-    ReachabilityIndexCache,
+    RealizabilityChecker,
     SearchLimits,
     SinkReachabilityIndex,
 )
+from repro.threads.locks import LockAnalysis
 from repro.detection.reachability import INFINITE_AVAIL
 from repro.smt import GuardPrefix, TRUE, FALSE, and_, bool_var, int_var, lt, not_, quick_unsat
 from repro.smt.theory import DifferenceBound, IncrementalBoundStore
 from repro.vfg.graph import ValueFlowGraph
 from repro.__main__ import main as repro_main
 
+from fuzz_gen import detection_scaled_program, scaled_program
 from test_corpus import CORPUS_FILES, _parse_directives
 from programs import SIMPLE_UAF
 
@@ -243,9 +248,38 @@ def _visits(report):
     return sum(st.get("visits", 0) for st in report.search_statistics.values())
 
 
-_UNPRUNED = dict(
-    sink_reachability=False, incremental_guard_pruning=False, dead_state_memo=False
-)
+def _unpruned_reference(report, config: AnalysisConfig):
+    """(bug keys, visits) of every checker of ``config`` re-run over the
+    report's VFG with all three enumeration prunes turned off."""
+    bundle = report.bundle
+    realizability = RealizabilityChecker(
+        bundle,
+        solver_max_conflicts=config.solver_max_conflicts,
+        order_constraints=config.order_constraints,
+        lock_analysis=LockAnalysis(bundle.module) if config.model_locks else None,
+        memory_model=config.memory_model,
+    )
+    limits = SearchLimits(
+        max_depth=config.max_path_depth,
+        max_paths_per_source=config.max_paths_per_source,
+        max_visits=config.max_search_visits,
+        context_depth=config.context_depth,
+    )
+    keys, visits = [], 0
+    for name in config.checkers:
+        checker = ALL_CHECKERS[name](
+            bundle,
+            limits=limits,
+            realizability=realizability,
+            inter_thread_only=config.inter_thread_only,
+            max_reports_per_source=config.max_reports_per_source,
+            sink_reachability=False,
+            guard_pruning=False,
+            dead_memo=False,
+        )
+        keys.extend(b.key for b in checker.run())
+        visits += checker.search_stats.visits
+    return sorted(keys), visits
 
 
 class TestPrunedEquivalence:
@@ -255,38 +289,47 @@ class TestPrunedEquivalence:
         visit more nodes than the reference DFS."""
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)
-        base = dict(checkers=checkers, **overrides)
-        reference = Canary(AnalysisConfig(**_UNPRUNED, **base)).analyze_source(
-            text, filename=path.name
-        )
-        pruned = Canary(AnalysisConfig(**base)).analyze_source(
-            text, filename=path.name
-        )
-        assert _keys(reference) == _keys(pruned), path.name
-        assert _visits(pruned) <= _visits(reference), path.name
+        config = AnalysisConfig(checkers=checkers, **overrides)
+        pruned = Canary(config).analyze_source(text, filename=path.name)
+        ref_keys, ref_visits = _unpruned_reference(pruned, config)
+        assert ref_keys == _keys(pruned), path.name
+        assert _visits(pruned) <= ref_visits, path.name
 
-    @pytest.mark.parametrize(
-        "path", CORPUS_FILES[::3], ids=[p.stem for p in CORPUS_FILES[::3]]
-    )
-    def test_corpus_streaming_matches_batch_and_serial(self, path):
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+    def test_corpus_suppressed_diagnostics_keep_findings(self, path):
+        """``collect_suppressed`` turns guard pruning off so that the
+        solver sees (and explains) every refuted candidate; the reported
+        findings must not change."""
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)
-        overrides.pop("parallel_solving", None)
-        base = dict(checkers=checkers, **overrides)
-        serial = Canary(
-            AnalysisConfig(parallel_solving=False, **base)
+        base = dict(checkers=checkers, use_cache=False, **overrides)
+        plain = Canary(AnalysisConfig(**base)).analyze_source(text, filename=path.name)
+        diagnosed = Canary(
+            AnalysisConfig(collect_suppressed=True, **base)
         ).analyze_source(text, filename=path.name)
-        streaming = Canary(
-            AnalysisConfig(
-                parallel_solving=True, streaming_solving=True, solver_workers=4, **base
-            )
-        ).analyze_source(text, filename=path.name)
-        batch = Canary(
-            AnalysisConfig(
-                parallel_solving=True, streaming_solving=False, solver_workers=4, **base
-            )
-        ).analyze_source(text, filename=path.name)
-        assert _keys(serial) == _keys(streaming) == _keys(batch), path.name
+        assert sorted((b.key, b.path) for b in diagnosed.bugs) == sorted(
+            (b.key, b.path) for b in plain.bugs
+        ), path.name
+        assert plain.suppressed == []
+        assert all(s.reason for s in diagnosed.suppressed), path.name
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            scaled_program(seed=0, n_groups=10, helpers_per_group=2),
+            scaled_program(seed=1, n_groups=10, helpers_per_group=2),
+            scaled_program(seed=2, n_groups=10, helpers_per_group=2),
+            detection_scaled_program(n_threads=8, n_slots=2, pad_functions=4),
+        ],
+        ids=["scaled-0", "scaled-1", "scaled-2", "detection-heavy"],
+    )
+    def test_scaled_subject_same_keys_and_fewer_visits(self, text):
+        config = AnalysisConfig(use_cache=False)
+        pruned = Canary(config).analyze_source(text)
+        ref_keys, ref_visits = _unpruned_reference(pruned, config)
+        assert ref_keys == _keys(pruned)
+        assert ref_keys  # every generated subject has bugs to find
+        assert _visits(pruned) <= ref_visits
 
     def test_pruning_actually_fires_somewhere(self):
         """At least one corpus program exercises each prune counter."""
@@ -344,9 +387,3 @@ class TestCliFlags:
     def test_max_paths_flag_accepted(self, capsys):
         rc = repro_main([str(CORPUS / "uaf_basic.mcc"), "--max-paths", "64"])
         assert rc == 1
-
-    def test_no_pruning_flag_same_findings(self, capsys):
-        rc = repro_main([str(CORPUS / "uaf_basic.mcc"), "--no-pruning"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "use-after-free" in out

@@ -1,27 +1,22 @@
 """Deterministic fault injection: every promised degradation path.
 
 The resource-governance layer claims that a crashing pass, a stalled
-solver query, a dying pool worker, or an expired wall budget degrades a
-single report (with the degradation recorded) instead of taking down the
+solver query, or an expired wall budget degrades a single report (with the degradation recorded) instead of taking down the
 run.  Each class here exercises one of those paths through the armed
 fault points in :mod:`repro.testing.faults`; the seed-matrix class
 mirrors the CI ``CANARY_FAULT_SEED`` sweep.
 """
 
-import os
 import time
 
 import pytest
 
 from repro import AnalysisConfig, Canary
 from repro.analysis.fingerprint import report_to_portable
-from repro.detection import RealizabilityChecker, VerdictCache
 from repro.frontend import FrontendError
-from repro.smt import and_, int_var, lt
 from repro.testing import faults
 from repro.testing.faults import (
     CRASHABLE_POINTS,
-    ENV_VAR,
     FaultError,
     FaultPlan,
     fault_point,
@@ -32,7 +27,6 @@ from repro.testing.faults import (
 
 from programs import SIMPLE_UAF
 from test_corpus import CORPUS_FILES, _parse_directives
-from test_parallel_engine import bundle_for, empty_query
 
 
 @pytest.fixture(autouse=True)
@@ -41,43 +35,18 @@ def _disarm_faults():
     faults.clear()
 
 
-@pytest.fixture(scope="module")
-def bundle():
-    return bundle_for(SIMPLE_UAF)
-
-
-def _formulas(n):
-    """Distinct satisfiable difference-logic formulas (unique variables
-    keep the verdict cache and in-stream dedup out of the way)."""
-    out = []
-    for i in range(n):
-        x, y = int_var(f"flt_x{i}"), int_var(f"flt_y{i}")
-        out.append(and_(lt(x, y), lt(y, x + 3)))
-    return out
-
-
 def _fresh_canary(**overrides):
     overrides.setdefault("use_cache", False)
     return Canary(AnalysisConfig(**overrides))
 
 
 class TestFaultHarness:
-    def test_plan_json_round_trip(self):
-        plan = FaultPlan.make(
-            crash=["pass:verify"],
-            stall=["solver:solve"],
-            die=["worker:solve"],
-            stall_seconds=0.1,
-            die_once_path="/tmp/tok",
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
     def test_inject_arms_and_always_disarms(self):
         plan = FaultPlan.make(crash=["pass:verify"])
-        assert ENV_VAR not in os.environ
-        with inject(plan):
-            assert os.environ[ENV_VAR] == plan.to_json()
-        assert ENV_VAR not in os.environ
+        with pytest.raises(FaultError):
+            with inject(plan):
+                fault_point("pass:verify")
+        fault_point("pass:verify")  # disarmed even after a raising body
 
     def test_unarmed_point_is_a_noop(self):
         with inject(FaultPlan.make(crash=["pass:verify"])):
@@ -97,11 +66,6 @@ class TestFaultHarness:
             t0 = time.perf_counter()
             fault_point("solver:solve")
             assert time.perf_counter() - t0 >= 0.05
-
-    def test_die_point_is_noop_in_main_process(self):
-        with inject(FaultPlan.make(die=["worker:solve"])):
-            fault_point("worker:solve")  # must not kill the test process
-        assert faults.fired("worker:solve") == 0 or True  # reached = survived
 
     def test_plan_from_seed_is_deterministic(self):
         assert plan_from_seed(0) == FaultPlan()
@@ -204,63 +168,6 @@ class TestSolverDegradation:
         assert s["unknown"] >= 1
         assert s["sat"] + s["unsat"] + s["unknown"] == s["queries"]
         assert s["unknown_deadline"] + s["unknown_conflicts"] <= s["unknown"]
-
-
-class TestPoolFaultTolerance:
-    def test_worker_death_is_recorded_and_retried(self, bundle, tmp_path):
-        checker = RealizabilityChecker(bundle, backend="process", cache=VerdictCache())
-        plan = FaultPlan.make(
-            die=["worker:solve"], die_once_path=str(tmp_path / "died")
-        )
-        with inject(plan):
-            stream = checker.open_stream(max_workers=2, backend="process")
-            for formula in _formulas(4):
-                stream.submit_formula(formula)
-            results = stream.finish()
-        assert len(results) == 4
-        assert all(r.verdict == "sat" for r in results)
-        s = checker.statistics
-        assert s["pool_failures"] >= 1
-        assert s["pool_retries"] + s["pool_local_solves"] >= 1
-        assert checker.degradation_summary()
-
-    def test_retry_exhaustion_falls_back_to_local_solving(self, bundle):
-        checker = RealizabilityChecker(bundle, backend="process", cache=VerdictCache())
-        with inject(FaultPlan.make(die=["worker:solve"])):  # every worker dies
-            stream = checker.open_stream(max_workers=1, backend="process")
-            stream.max_retries = 1
-            stream.retry_backoff = 0.01
-            [formula] = _formulas(1)
-            stream.submit_formula(formula)
-            results = stream.finish()
-        assert len(results) == 1
-        assert results[0].verdict == "sat"  # solved in-process after retries
-        s = checker.statistics
-        assert s["pool_local_solves"] == 1
-        assert s["pool_failures"] >= 2  # the original death plus the retry's
-        summary = " ".join(checker.degradation_summary())
-        assert "re-solved locally" in summary
-
-    def test_batch_backend_falls_back_to_threads(self, bundle):
-        checker = RealizabilityChecker(bundle, backend="process", cache=VerdictCache())
-        queries = [empty_query(bundle), empty_query(bundle)]
-        with inject(FaultPlan.make(die=["worker:solve"])):
-            results = checker.check_many(queries, parallel=True, max_workers=2)
-        assert len(results) == 2
-        assert all(r.verdict in ("sat", "unsat") for r in results)
-        assert checker.statistics["pool_failures"] >= 1
-
-    def test_end_to_end_analysis_survives_pool_death(self, tmp_path):
-        plan = FaultPlan.make(
-            die=["worker:solve"], die_once_path=str(tmp_path / "died")
-        )
-        with inject(plan):
-            report = _fresh_canary(
-                parallel_solving=True,
-                solver_backend="process",
-                solver_workers=2,
-            ).analyze_source(SIMPLE_UAF)
-        assert report.num_reports >= 1  # the work was recovered, not dropped
 
 
 class TestWallBudgetDegradation:
@@ -377,11 +284,10 @@ class TestControlFlowNeverDegrades:
             with pytest.raises(KeyboardInterrupt):
                 _fresh_canary().analyze_source(SIMPLE_UAF)
 
-    def test_interrupt_and_cancel_round_trip_plan_json(self):
+    def test_interrupt_and_cancel_are_armed_points(self):
         plan = FaultPlan.make(
             interrupt=["pass:pointer"], cancel=["pass:mhp"]
         )
-        assert FaultPlan.from_json(plan.to_json()) == plan
         assert plan.points() == {"pass:pointer", "pass:mhp"}
 
     def test_ordinary_crash_still_degrades(self):

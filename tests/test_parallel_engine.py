@@ -1,6 +1,6 @@
-"""Parallel realizability engine v2: term pickling, the verdict cache,
-process/thread batch backends, cube-and-conquer budget/witness fixes,
-and serial vs. parallel equivalence over the regression corpus."""
+"""Realizability engine: term pickling, the verdict cache,
+cube-and-conquer budget/witness fixes and corpus equivalence, and the
+driver's solver surface."""
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -8,19 +8,14 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro import AnalysisConfig, Canary
-from repro.detection import (
-    PathQuery,
-    RealizabilityChecker,
-    ValueFlowPath,
-    VerdictCache,
-)
+from repro.analysis.artifacts import VerdictCache
+from repro.detection import PathQuery, RealizabilityChecker, ValueFlowPath
 from repro.frontend import parse_program
 from repro.lowering import lower_program
 from repro.smt import (
     FALSE,
     SAT,
     TRUE,
-    UNSAT,
     Solver,
     and_,
     bool_var,
@@ -150,57 +145,6 @@ class TestVerdictCache:
         assert second.statistics["cache_hits"] == 1
         assert cache.hits == 1
 
-    def test_batch_dedupes_repeated_queries(self):
-        bundle = bundle_for(FIG2_BUGGY)
-        cache = VerdictCache()
-        checker = RealizabilityChecker(bundle, cache=cache, backend="process")
-        query = interference_query(bundle)
-        results = checker.check_many([query] * 6, parallel=True, max_workers=2)
-        assert all(r.realizable for r in results)
-        assert checker.statistics["queries"] == 6
-        assert checker.statistics["cache_misses"] == 1
-        assert checker.statistics["cache_hits"] == 5
-
-    def test_unknown_backend_rejected(self):
-        bundle = bundle_for(SIMPLE_UAF)
-        with pytest.raises(ValueError):
-            RealizabilityChecker(bundle, backend="carrier-pigeon")
-
-
-class TestBatchBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_backend_matches_serial(self, backend):
-        bundle = bundle_for(FIG2_BUGGY)
-        queries = [empty_query(bundle), interference_query(bundle)] * 2
-        serial = RealizabilityChecker(bundle)
-        parallel = RealizabilityChecker(bundle, backend=backend)
-        expected = [serial.check(q) for q in queries]
-        got = parallel.check_many(queries, parallel=True, max_workers=3)
-        assert [r.verdict for r in got] == [r.verdict for r in expected]
-        for r in got:
-            if r.realizable:
-                assert all(k.startswith("O") for k in r.witness_order)
-
-    def test_statistics_exact_under_thread_pool(self):
-        # Regression: check() used to do unsynchronized dict updates from
-        # worker threads, losing counts.
-        bundle = bundle_for(SIMPLE_UAF)
-        checker = RealizabilityChecker(bundle, cache=None)
-        queries = [empty_query(bundle) for _ in range(48)]
-        checker.check_many(queries, parallel=True, max_workers=8, backend="thread")
-        s = checker.statistics
-        assert s["queries"] == 48
-        assert s["sat"] + s["unsat"] + s["unknown"] == 48
-
-    def test_process_backend_counts_every_occurrence(self):
-        bundle = bundle_for(SIMPLE_UAF)
-        checker = RealizabilityChecker(bundle, cache=VerdictCache(), backend="process")
-        queries = [empty_query(bundle) for _ in range(10)]
-        checker.check_many(queries, parallel=True, max_workers=4)
-        s = checker.statistics
-        assert s["queries"] == 10
-        assert s["cache_hits"] + s["cache_misses"] == 10
-
 
 class TestCubeAndConquer:
     def test_conflict_budget_plumbed_to_cubes(self, monkeypatch):
@@ -258,30 +202,22 @@ class TestCubeAndConquer:
         assert report.num_reports >= 1
         assert all(b.witness_order for b in report.bugs)
 
-
-def _keys(report):
-    return sorted(b.key for b in report.bugs)
-
-
-class TestSerialParallelEquivalence:
-    @pytest.mark.parametrize(
-        "path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES]
-    )
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_corpus_program_same_keys(self, path, backend):
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+    def test_corpus_program_same_findings(self, path):
+        # Cube-and-conquer is the one parallel solving mode left (paper
+        # §5.2): splitting a query over cubes must decide it exactly as
+        # the monolithic solver does, so the same paths are reported.
         text = path.read_text()
-        expects, checkers, overrides = _parse_directives(text)
-        overrides.pop("parallel_solving", None)
-        base = dict(checkers=checkers, **overrides)
-        serial = Canary(AnalysisConfig(parallel_solving=False, **base)).analyze_source(
+        _expects, checkers, overrides = _parse_directives(text)
+        base = dict(checkers=checkers, use_cache=False, **overrides)
+        plain = Canary(AnalysisConfig(**base)).analyze_source(text, filename=path.name)
+        cube = Canary(AnalysisConfig(cube_and_conquer=True, **base)).analyze_source(
             text, filename=path.name
         )
-        parallel = Canary(
-            AnalysisConfig(
-                parallel_solving=True, solver_backend=backend, solver_workers=4, **base
-            )
-        ).analyze_source(text, filename=path.name)
-        assert _keys(serial) == _keys(parallel), path.name
+        assert sorted((b.key, b.path) for b in cube.bugs) == sorted(
+            (b.key, b.path) for b in plain.bugs
+        ), path.name
+        assert all(b.witness_order for b in cube.bugs), path.name
 
 
 class TestDriverSurface:

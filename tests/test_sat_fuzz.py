@@ -4,7 +4,7 @@ Random small CNF instances are solved by :class:`repro.smt.sat.SatSolver`
 and cross-checked against exhaustive enumeration: verdicts must agree,
 SAT models must satisfy every clause, assumptions must be honored, and
 failed-assumption cores must themselves be inconsistent with the clause
-set.  Scope push/pop and warm re-solving are fuzzed the same way.
+set.
 
 Seeds are fixed so failures reproduce; the trial counts keep the whole
 module comfortably inside the tier-1 time budget.
@@ -99,45 +99,3 @@ class TestDifferentialFuzz:
                     assert not brute_force_sat(n, clauses, core), (
                         f"trial {trial}.{query}: core {core} is not a refutation"
                     )
-
-    def test_scope_push_pop_matches_brute_force(self):
-        rng = random.Random(2024)
-        for trial in range(120):
-            n = rng.randint(3, 8)
-            base = random_clauses(rng, n, rng.randint(2, 14))
-            extra = random_clauses(rng, n, rng.randint(1, 8))
-            solver = SatSolver()
-            if not all(solver.add_clause(list(c)) for c in base):
-                assert not brute_force_sat(n, base)
-                continue
-            expect_base = brute_force_sat(n, base)
-            solver.push()
-            scoped_ok = all(solver.add_clause(list(c)) for c in extra)
-            expect_both = brute_force_sat(n, base + extra)
-            if scoped_ok:
-                result = solver.solve()
-                assert (result is SAT) == expect_both, f"trial {trial}: scoped"
-            else:
-                assert not expect_both, f"trial {trial}: scoped eager UNSAT"
-            solver.pop()
-            result = solver.solve()
-            assert (result is SAT) == expect_base, f"trial {trial}: after pop"
-            if result is SAT:
-                assert_model_satisfies(solver.model, base, f"trial {trial}: post-pop")
-
-    def test_restricted_model_extraction(self):
-        rng = random.Random(7)
-        for trial in range(40):
-            n = rng.randint(4, 8)
-            clauses = random_clauses(rng, n, rng.randint(2, 12))
-            solver = SatSolver()
-            if not all(solver.add_clause(list(c)) for c in clauses):
-                continue
-            solver.ensure_var(n)  # vars absent from every clause still count
-            wanted = rng.sample(range(1, n + 1), rng.randint(1, n))
-            if solver.solve(model_vars=wanted) is SAT:
-                assert set(solver.model) == set(wanted)
-                full = SatSolver()
-                for c in clauses:
-                    full.add_clause(list(c))
-                assert full.solve() is SAT

@@ -124,6 +124,19 @@ class TestRequestIsolation:
         with pytest.raises(ConfigError):
             service.request_config({"no_such_knob": 1})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"memory_model": "xyz"},
+            {"unroll_depth": 0},
+            {"context_depth": -3},
+            {"max_path_depth": -1},
+        ],
+    )
+    def test_out_of_range_value_rejected(self, service, overrides):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
+            service.request_config(overrides)
+
     def test_server_owned_knob_rejected(self, service):
         with pytest.raises(ConfigError):
             service.request_config({"cache_dir": "/tmp/elsewhere"})
@@ -311,6 +324,14 @@ class TestHttpEndpoints:
                                        "config": {"bogus": 1}}
         )
         assert status == 400 and "bogus" in body["error"]
+        for knob, value in (
+            ("memory_model", "xyz"), ("unroll_depth", 0), ("context_depth", -3)
+        ):
+            status, body = _call(
+                port, "POST", "/analyze", {"source": "int main() { return 0; }",
+                                           "config": {knob: value}}
+            )
+            assert status == 400 and knob in body["error"]
         assert _call(port, "GET", "/reports/r999999")[0] == 404
         assert _call(port, "GET", "/nope")[0] == 404
 

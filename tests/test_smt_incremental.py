@@ -1,36 +1,17 @@
-"""Incremental-solving tests: UNKNOWN recovery, scopes, warm solvers.
-
-Covers the reusable-solver bugfix sweep:
+"""SAT-core reuse tests: UNKNOWN recovery and learnt-database reduction.
 
 * every ``UNKNOWN`` exit of :meth:`SatSolver.solve` (conflict budget and
   deadline alike) leaves the solver backtracked to level zero with a
-  consistent trail, so a warm instance can be re-solved;
-* root simplification in ``add_clause`` is scope-aware — a clause
-  simplified against a popped scope's assignment is restored;
-* learnt-database reduction keeps verdicts exact;
-* the warm per-family :class:`IncrementalSolver` agrees with the
-  one-shot :class:`Solver` and with itself across sibling queries;
-* corpus-wide bug keys are identical with ``incremental_smt`` on or off.
+  consistent trail, so the instance can be re-solved (the DPLL(T) loop
+  re-solves after every theory lemma);
+* learnt-database reduction keeps verdicts exact.
 """
 
-import glob
 import itertools
-import os
 import random
+import time
 
-import pytest
-
-from repro.analysis import AnalysisConfig, Canary
 from repro.smt.sat import SAT, UNKNOWN, UNSAT, SatSolver
-from repro.smt.solver import (
-    IncrementalSolver,
-    Solver,
-    _warm_solver,
-    reset_warm_solvers,
-    solve_formula,
-    warm_solver_counters,
-)
-from repro.smt.terms import and_, bool_var, int_var, lt, not_, or_
 
 
 def pigeonhole(holes):
@@ -78,8 +59,6 @@ class TestUnknownRecovery:
         solver = SatSolver()
         for clause in pigeonhole(4):
             assert solver.add_clause(clause)
-        import time
-
         result = solver.solve(deadline=time.monotonic() + 1e-9)
         assert result is UNKNOWN
         assert solver.unknown_reason == "deadline"
@@ -87,88 +66,28 @@ class TestUnknownRecovery:
         assert solver.solve() is UNSAT
 
     def test_model_integrity_after_unknown(self):
-        # A SAT instance inside a scope above UNSAT ballast: budget-UNKNOWN,
-        # pop the ballast, then the re-solve must produce a valid model.
+        # A SAT instance plus UNSAT ballast enabled by an assumption:
+        # budget-UNKNOWN under the assumption, then the re-solve without
+        # it must produce a valid model.
         base = [[1, 2], [-1, 2], [1, -2]]  # forces 2 true; SAT
         solver = SatSolver()
         for clause in base:
             assert solver.add_clause(clause)
-        solver.push()
-        offset = 4
+        offset, act = 4, 3
         hard = [
-            [lit + offset if lit > 0 else lit - offset for lit in c]
+            [lit + offset if lit > 0 else lit - offset for lit in c] + [-act]
             for c in pigeonhole(4)
         ]
         for clause in hard:
             assert solver.add_clause(clause)
-        import time
-
-        assert solver.solve(max_conflicts=2) is UNKNOWN
+        assert solver.solve(max_conflicts=2, assumptions=[act]) is UNKNOWN
         assert_at_root(solver)
-        assert solver.solve(deadline=time.monotonic() + 1e-9) is UNKNOWN
+        assert solver.solve(deadline=time.monotonic() + 1e-9, assumptions=[act]) is UNKNOWN
         assert_at_root(solver)
-        solver.pop()
         assert solver.solve() is SAT
         assert solver.model[2] is True
         for clause in base:
             assert any(solver.model.get(abs(l), False) == (l > 0) for l in clause)
-
-
-class TestScopeAwareSimplification:
-    def test_falsified_literal_restored_after_pop(self):
-        # Inside the scope, literal -1 of the permanent clause is root-
-        # falsified by the scoped unit [1]; the unsound simplification
-        # would leave the permanent clause as unit [2] forever.
-        solver = SatSolver()
-        solver.push()
-        assert solver.add_clause([1])
-        assert solver.add_clause([-1, 2], scope=0)
-        assert solver.solve() is SAT
-        assert solver.model[2] is True  # simplification active in-scope
-        solver.pop()
-        # (a=False, b=False) satisfies (-a or b): must be allowed again
-        assert solver.solve(assumptions=[-1, -2]) is SAT
-
-    def test_satisfied_clause_restored_after_pop(self):
-        # Inside the scope, the permanent clause [1, 2] is root-satisfied
-        # by the scoped unit [1]; dropping it for good would lose the
-        # constraint after pop.
-        solver = SatSolver()
-        solver.push()
-        assert solver.add_clause([1])
-        assert solver.add_clause([1, 2], scope=0)
-        solver.pop()
-        assert solver.solve(assumptions=[-1, -2]) is UNSAT
-        assert solver.ok  # only the assumptions are to blame
-        assert set(solver.failed_assumptions) <= {-1, -2}
-
-    def test_unit_simplified_to_empty_under_scope(self):
-        # [−1] is fully falsified by the scoped unit [1]: UNSAT only while
-        # the scope lives.
-        solver = SatSolver()
-        solver.push()
-        assert solver.add_clause([1])
-        assert not solver.add_clause([-1], scope=0)
-        assert not solver.ok
-        assert solver.solve() is UNSAT
-        solver.pop()
-        assert solver.ok
-        assert solver.solve(assumptions=[-1]) is SAT
-
-    def test_cascading_dependency_across_scopes(self):
-        solver = SatSolver()
-        solver.push()
-        assert solver.add_clause([1])
-        solver.push()
-        assert solver.add_clause([2])
-        # simplifies against both scoped units; must survive both pops
-        assert solver.add_clause([-1, -2, 3], scope=0)
-        assert solver.solve() is SAT
-        assert solver.model[3] is True
-        solver.pop()
-        solver.pop()
-        assert solver.solve(assumptions=[1, 2, -3]) is UNSAT
-        assert solver.solve(assumptions=[-1, -3]) is SAT
 
 
 class TestDatabaseReduction:
@@ -198,129 +117,3 @@ class TestDatabaseReduction:
         solver._max_learnts = 4
         assert solver.solve() is UNSAT
         assert solver.db_reductions >= 1
-
-
-def _random_formula(rng, bools, ints):
-    def atom():
-        if rng.random() < 0.5:
-            b = rng.choice(bools)
-            return b if rng.random() < 0.5 else not_(b)
-        x, y = rng.sample(ints, 2)
-        a = lt(x, y)
-        return a if rng.random() < 0.7 else not_(a)
-
-    conjuncts = []
-    for _ in range(rng.randint(2, 5)):
-        if rng.random() < 0.4:
-            conjuncts.append(atom())
-        else:
-            conjuncts.append(or_(*(atom() for _ in range(rng.randint(2, 3)))))
-    return and_(*conjuncts)
-
-
-class TestIncrementalSolverEquivalence:
-    def test_warm_solver_agrees_with_one_shot(self):
-        rng = random.Random(5150)
-        bools = [bool_var(f"b{i}") for i in range(4)]
-        ints = [int_var(f"t{i}") for i in range(5)]
-        warm = IncrementalSolver()
-        checked_sat = checked_unsat = 0
-        for trial in range(120):
-            formula = _random_formula(rng, bools, ints)
-            reference = Solver()
-            reference.add(formula)
-            expect = reference.check()
-            verdict, model, reason = warm.check_formula(formula)
-            assert verdict == expect, f"trial {trial}"
-            assert not warm.poisoned
-            if verdict is SAT:
-                checked_sat += 1
-                assert model is not None
-                assert model.eval(formula) is True, f"trial {trial}: bad model"
-            else:
-                checked_unsat += 1
-        assert checked_sat > 10 and checked_unsat > 3
-        stats = warm.statistics
-        assert stats["conjuncts_reused"] > 0  # sibling overlap was exploited
-        assert stats["queries"] == 120
-
-    def test_model_restricted_to_query_atoms(self):
-        warm = IncrementalSolver()
-        a, b = bool_var("a"), bool_var("b")
-        verdict, model, _ = warm.check_formula(a)
-        assert verdict is SAT and model.eval(a) is True
-        verdict, model, _ = warm.check_formula(b)
-        assert verdict is SAT
-        assert model.bool_value(b) is True
-        assert model.bool_value(a) is None  # stale atom left out
-
-    def test_unsat_query_does_not_poison_siblings(self):
-        warm = IncrementalSolver()
-        a = bool_var("a")
-        x, y = int_var("x"), int_var("y")
-        # Hide the bound contradiction behind disjunctions so the quick
-        # semi-decision filter cannot refute it: the lazy theory loop must
-        # learn a negative-cycle lemma to conclude UNSAT.
-        hidden = and_(or_(a, lt(x, y)), or_(a, lt(y, x)), not_(a))
-        assert warm.check_formula(hidden)[0] is UNSAT
-        assert warm.statistics["theory_lemmas"] >= 1
-        assert not warm.poisoned
-        verdict, model, _ = warm.check_formula(and_(a, lt(x, y)))
-        assert verdict is SAT
-        assert model.eval(a) is True
-
-
-class TestWarmRegistry:
-    def setup_method(self):
-        reset_warm_solvers()
-
-    def teardown_method(self):
-        reset_warm_solvers()
-
-    def test_same_family_reuses_instance(self):
-        first = _warm_solver("sink:free@main")
-        second = _warm_solver("sink:free@main")
-        other = _warm_solver("sink:free@worker")
-        assert first is second
-        assert first is not other
-        assert warm_solver_counters()["warm_families"] == 2
-
-    def test_solve_formula_family_path_accumulates(self):
-        a = bool_var("a")
-        x, y = int_var("x"), int_var("y")
-        formula = and_(a, lt(x, y))
-        verdict, ints, bools, seconds, reason = solve_formula(
-            formula, family="sink:test"
-        )
-        assert verdict is SAT
-        assert bools.get("a") is True
-        assert reason == ""
-        solve_formula(formula, family="sink:test")
-        counters = warm_solver_counters()
-        assert counters["queries"] == 2
-        assert counters["conjuncts_reused"] >= 2  # second query all-warm
-        reset_warm_solvers()
-        assert warm_solver_counters()["warm_families"] == 0
-
-
-CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.mcc")))
-
-
-class TestCorpusEquivalence:
-    @pytest.mark.skipif(not CORPUS, reason="no corpus programs")
-    def test_bug_keys_identical_with_and_without_incremental(self):
-        keys = {}
-        for incremental in (False, True):
-            reset_warm_solvers()
-            canary = Canary(
-                AnalysisConfig(incremental_smt=incremental, use_cache=False)
-            )
-            found = {}
-            for path in CORPUS:
-                with open(path) as fh:
-                    report = canary.analyze_source(fh.read(), filename=path)
-                found[os.path.basename(path)] = sorted(
-                    (b.kind, b.source.label, b.sink.label) for b in report.bugs
-                )
-            keys[incremental] = found
-        assert keys[False] == keys[True]

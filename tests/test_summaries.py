@@ -1,11 +1,11 @@
 """The per-function summary layer (:mod:`repro.vfg.summaries`).
 
 Covers the exactness contract (identical adjacency, identical bug keys
-with summaries on/off and across worker counts/backends), the artifact
-round-trip (compute → persist → demand-load), single-edit invalidation
-(exactly one summary recomputed), and the degradation ladder (pool
-death → thread fallback → serial; a crashing summaries pass falls back
-to the unsharded fixpoint without losing findings).
+with and without the summary layer), the artifact round-trip (compute →
+persist → demand-load), single-edit invalidation (exactly one summary
+recomputed), and degradation (a crashing summaries pass falls back to
+the whole-VFG fixpoint without losing findings).  The whole-VFG
+reference is reached the same way: by crashing the summaries pass.
 """
 
 import pytest
@@ -51,6 +51,12 @@ def _run(text, **overrides):
     return Canary(AnalysisConfig(**overrides)).analyze_source(text)
 
 
+def _run_whole_vfg(text, **overrides):
+    """The reference run: interference and detection over the whole VFG."""
+    with inject(FaultPlan.make(crash=["pass:summaries"])):
+        return _run(text, **overrides)
+
+
 class TestExactness:
     def test_view_matches_vfg_adjacency_everywhere(self):
         report = _run(SUBJECT)
@@ -68,7 +74,7 @@ class TestExactness:
 
     def test_vfg_summary_identical_on_off(self):
         on = _run(SUBJECT)
-        off = _run(SUBJECT, summaries=False)
+        off = _run_whole_vfg(SUBJECT)
         assert _keys(on) == _keys(off)
         assert on.vfg_summary == off.vfg_summary
         assert off.bundle.summary_index is None
@@ -82,20 +88,27 @@ class TestExactness:
         expects, checkers, config = _parse_directives(text)
         base = dict(config, checkers=checkers, use_cache=False)
         on = Canary(AnalysisConfig(**base)).analyze_source(text)
-        off = Canary(AnalysisConfig(**base, summaries=False)).analyze_source(text)
+        with inject(FaultPlan.make(crash=["pass:summaries"])):
+            off = Canary(AnalysisConfig(**base)).analyze_source(text)
+        assert off.bundle.summary_index is None
         assert _keys(on) == _keys(off)
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_worker_count_equivalence(self, workers, backend):
-        ref = _run(SCALED, summaries=False)
-        rep = _run(SCALED, summary_workers=workers, solver_backend=backend)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(6, 3), (10, 2)], ids=["6x3", "10x2"])
+    def test_scaled_subject_equal_on_off(self, shape, seed):
+        # Many functions and mixed escape routes (fork argument versus a
+        # store inside a helper): every summary is fingerprinted in
+        # process, and the result must match the whole-VFG fixpoint.
+        n_groups, helpers = shape
+        text = scaled_program(seed=seed, n_groups=n_groups, helpers_per_group=helpers)
+        ref = _run_whole_vfg(text)
+        rep = _run(text)
         assert _keys(rep) == _keys(ref)
         assert len(_keys(rep)) == 2  # the generator's deterministic bugs
         assert rep.vfg_summary == ref.vfg_summary
         snap = rep.metrics.snapshot()
         assert snap["summary.computed"] == snap["summary.functions"]
-        assert snap["summary.workers"] == workers
 
 
 class TestArtifactRoundTrip:
@@ -155,7 +168,7 @@ class TestArtifactRoundTrip:
     def test_compute_summaries_direct(self):
         report = _run(SUBJECT)
         dataflow = report.bundle.dataflow
-        index = compute_summaries(dataflow, workers=1)
+        index = compute_summaries(dataflow)
         assert set(index.summaries) == {"helper", "worker", "main"}
         total_span = sum(s.num_edges for s in index.summaries.values())
         # Every dataflow edge is owned by exactly one function span; the
@@ -242,48 +255,17 @@ class TestDiskNamespace:
 
 
 class TestDegradation:
-    def test_pool_death_falls_back_to_threads(self):
-        ref = _run(SCALED, summaries=False)
-        with inject(FaultPlan.make(die=["worker:summary"])):
-            rep = _run(SCALED, summary_workers=4, solver_backend="process")
-        assert _keys(rep) == _keys(ref)
-        snap = rep.metrics.snapshot()
-        assert snap.get("summary.pool_failures", 0) >= 1
-        assert snap["summary.computed"] == snap["summary.functions"]
-
-    def test_pool_death_die_once(self, tmp_path):
-        ref = _run(SCALED, summaries=False)
-        plan = FaultPlan.make(
-            die=["worker:summary"], die_once_path=str(tmp_path / "died")
-        )
-        with inject(plan):
-            rep = _run(SCALED, summary_workers=4, solver_backend="process")
-        assert _keys(rep) == _keys(ref)
-
-    def test_fault_seeded_runs_stay_exact(self, monkeypatch):
-        # The CI matrix path: a seeded plan must never change bug keys
-        # when it only kills summary workers.
-        monkeypatch.setenv(faults.SEED_ENV_VAR, "1")
-        with inject(FaultPlan.make(die=["worker:summary"])):
-            rep = _run(SUBJECT, summary_workers=2, solver_backend="process")
-        assert len(_keys(rep)) == 1
-
     def test_crashing_summaries_pass_keeps_findings(self):
         with inject(FaultPlan.make(crash=["pass:summaries"])):
             rep = _run(SUBJECT)
         # The summary layer is an accelerator: losing it degrades to the
-        # unsharded fixpoint, not to an empty report.
+        # whole-VFG fixpoint, not to an empty report.
         assert len(_keys(rep)) == 1
         assert rep.bundle.summary_index is None
         failed = [r for r in rep.pass_statistics if r["status"] == "failed"]
         assert [r["name"] for r in failed] == ["summaries"]
         assert any("summary layer" in w for w in rep.degradation_warnings)
         assert _keys(rep) == _keys(_run(SUBJECT))
-
-    def test_thread_backend_never_dies(self):
-        with inject(FaultPlan.make(die=["worker:summary"])):
-            rep = _run(SUBJECT, summary_workers=2, solver_backend="thread")
-        assert len(_keys(rep)) == 1
 
 
 class TestMetricsAndObservability:
@@ -300,7 +282,7 @@ class TestMetricsAndObservability:
         assert "interference.widenings" in snap
 
     def test_metrics_present_without_summaries(self):
-        rep = _run(SUBJECT, summaries=False)
+        rep = _run_whole_vfg(SUBJECT)
         snap = rep.metrics.snapshot()
         assert "interference.rounds" in snap
         assert "summary.functions" not in snap
