@@ -88,14 +88,6 @@ def main(argv=None) -> int:
         help="DFS node-visit budget per source (default: 200000)",
     )
     parser.add_argument(
-        "--summary-cache",
-        default=None,
-        metavar="DIR",
-        help="persist per-function value-flow summaries under DIR:"
-        " a later invocation reuses the summaries of unchanged functions"
-        " across process restarts (defaults to --cache-dir when set)",
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -195,7 +187,6 @@ def main(argv=None) -> int:
             solver_timeout_seconds=args.solver_timeout,
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
-            summary_cache_dir=args.summary_cache,
             explain_cache=args.explain_cache,
         )
     except ValueError as exc:

@@ -13,10 +13,9 @@ Two layers:
   JSON-encoded whole-run reports keyed by the source text, filename and
   config hash, so a warm re-run in a fresh process is near-instant.
 
-The store also owns the cross-run solver caches, defined here: one
-:class:`VerdictCache` (Φ_all → verdict) and one
-:class:`ReachabilityIndexCache` (sink set → backward reachability
-index), both shared by every run of the owning driver.
+The store also owns the cross-run solver cache, defined here: one
+:class:`VerdictCache` (Φ_all → verdict), shared by every run of the
+owning driver.
 
 Thread-safety: all counters, the event log and the memory layer are
 guarded by one reentrant lock, so concurrent pipelines (the daemon's
@@ -35,13 +34,11 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..detection.reachability import SinkReachabilityIndex
 from ..smt.terms import BoolTerm
-from ..vfg.graph import ValueFlowGraph, VFGNode
 
-__all__ = ["ArtifactStore", "ReachabilityIndexCache", "VerdictCache"]
+__all__ = ["ArtifactStore", "VerdictCache"]
 
 
 #: a cached verdict: (verdict, ints, bool atoms, unknown reason)
@@ -94,102 +91,16 @@ class VerdictCache:
         return self.hits / total if total else 0.0
 
 
-class ReachabilityIndexCache:
-    """Cross-run memo of sink-set → index, bounded by LRU eviction.
-
-    Checkers that share a sink class (identical sink node sets over the
-    same VFG — e.g. two pointer-dereference properties) share one index;
-    the cache key is the sink set itself, so sharing is by construction
-    rather than by checker name.
-
-    Entries are keyed by graph identity and validated against the VFG
-    version stamped at build time, so an index of a mutated (or dead)
-    graph can never serve a hit.  Past ``capacity`` entries the
-    least-recently-used index is evicted — a resident daemon cycling
-    many subjects keeps its hot sink classes warm instead of losing the
-    whole cache (the pre-LRU behavior discarded everything past a size
-    threshold, zeroing the hit rate exactly when the cache mattered).
-    Thread-safe: the daemon's worker pool shares one instance.
-    """
-
-    def __init__(self, capacity: int = 32) -> None:
-        self.capacity = max(1, capacity)
-        self._indexes: "OrderedDict[Tuple[int, FrozenSet[VFGNode], int], SinkReachabilityIndex]" = (
-            OrderedDict()
-        )
-        self._graphs: Dict[int, ValueFlowGraph] = {}  # keep ids stable
-        self._lock = threading.Lock()
-        self.builds = 0
-        self.shared_hits = 0
-        self.evictions = 0
-
-    def get(
-        self,
-        vfg: ValueFlowGraph,
-        sinks: Iterable[VFGNode],
-        context_depth: int = 6,
-    ) -> SinkReachabilityIndex:
-        key = (id(vfg), frozenset(sinks), max(1, context_depth))
-        with self._lock:
-            index = self._indexes.get(key)
-            if index is not None and index.built_at_version == getattr(
-                vfg, "version", None
-            ):
-                self._indexes.move_to_end(key)
-                self.shared_hits += 1
-                return index
-        # Build outside the lock: indexing is the expensive part, and a
-        # duplicate build by a racing thread is harmless (last write wins,
-        # both indexes are equally valid for their graph version).
-        index = SinkReachabilityIndex(vfg, key[1], key[2])
-        with self._lock:
-            self._indexes[key] = index
-            self._indexes.move_to_end(key)
-            self._graphs[id(vfg)] = vfg
-            self.builds += 1
-            while len(self._indexes) > self.capacity:
-                old_key, _ = self._indexes.popitem(last=False)
-                self.evictions += 1
-                if not any(k[0] == old_key[0] for k in self._indexes):
-                    self._graphs.pop(old_key[0], None)
-        return index
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.builds + self.shared_hits
-        return self.shared_hits / total if total else 0.0
-
-    def statistics(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._indexes),
-                "builds": self.builds,
-                "shared_hits": self.shared_hits,
-                "evictions": self.evictions,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._indexes)
-
-
-
 class ArtifactStore:
     """Keyed artifact storage with hit/miss accounting and an event log."""
 
     def __init__(
         self,
         cache_dir: Optional[str] = None,
-        summary_cache_dir: Optional[str] = None,
         max_memory_entries: Optional[int] = None,
         max_events: Optional[int] = None,
-        index_capacity: int = 32,
     ) -> None:
         self.cache_dir = cache_dir
-        #: dedicated home of the per-function summary namespace (``vfs``);
-        #: falls back to ``cache_dir`` when unset, so plain ``--cache-dir``
-        #: runs persist summaries alongside whole-run reports
-        self.summary_cache_dir = summary_cache_dir
         #: LRU bound on the memory layer (None = unbounded, the one-shot
         #: CLI default; the daemon sets a cap so a resident store cannot
         #: grow without bound across tenants)
@@ -217,15 +128,10 @@ class ArtifactStore:
         #: than no cache entry at all
         self.disk_unportable = 0
         self.events: List[str] = []
-        #: Φ_all → verdict memo shared across runs (PR 1)
+        #: Φ_all → verdict memo shared across runs
         self.verdict_cache = VerdictCache()
-        #: sink-set → backward reachability index memo shared across runs
-        #: (PR 2); LRU-bounded, so a resident daemon keeps hot sink
-        #: classes warm instead of periodically losing the whole cache
-        self.index_cache = ReachabilityIndexCache(capacity=index_capacity)
-        for directory in (cache_dir, summary_cache_dir):
-            if directory:
-                os.makedirs(directory, exist_ok=True)
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
 
     # ----- event log ------------------------------------------------------
 
@@ -304,19 +210,10 @@ class ArtifactStore:
 
     # ----- on-disk layer -----------------------------------------------------
 
-    def _disk_dir(self, namespace: str) -> Optional[str]:
-        if namespace == "vfs" and self.summary_cache_dir:
-            return self.summary_cache_dir
-        return self.cache_dir
-
-    def has_disk(self, namespace: str) -> bool:
-        return self._disk_dir(namespace) is not None
-
     def _disk_path(self, namespace: str, digest: str) -> Optional[str]:
-        directory = self._disk_dir(namespace)
-        if not directory:
+        if not self.cache_dir:
             return None
-        return os.path.join(directory, f"{namespace}-{digest}.json")
+        return os.path.join(self.cache_dir, f"{namespace}-{digest}.json")
 
     def get_disk(self, namespace: str, digest: str) -> Optional[dict]:
         path = self._disk_path(namespace, digest)
@@ -383,12 +280,3 @@ class ArtifactStore:
             self.note(f"store-error disk:{namespace}")
             return
         self.note(f"store disk:{namespace}")
-
-    # ----- housekeeping -------------------------------------------------------
-
-    def begin_run(self) -> None:
-        """Per-run housekeeping hook.  The reachability cache bounds
-        itself by LRU eviction (entries keyed by dead VFG versions age
-        out naturally), so — unlike the pre-LRU behavior, which
-        discarded the *whole* cache past a size threshold and zeroed the
-        daemon's hit rate — nothing is reset here."""

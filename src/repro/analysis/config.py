@@ -18,9 +18,7 @@ __all__ = ["AnalysisConfig", "CACHE_ONLY_FIELDS"]
 #: fields that select *where* results are cached, not *what* is computed —
 #: they are excluded from :meth:`AnalysisConfig.cache_key` so toggling
 #: them never invalidates artifacts.
-CACHE_ONLY_FIELDS = frozenset(
-    {"cache_dir", "use_cache", "explain_cache", "summary_cache_dir"}
-)
+CACHE_ONLY_FIELDS = frozenset({"cache_dir", "use_cache", "explain_cache"})
 
 
 @dataclass(frozen=True)
@@ -78,11 +76,6 @@ class AnalysisConfig:
     use_cache: bool = True
     cache_dir: Optional[str] = None
     explain_cache: bool = False
-    #: directory for the portable on-disk per-function summary namespace
-    #: (``vfs``): content-keyed ``FunctionVFSummary`` entries that
-    #: survive process restarts.  ``None`` routes the namespace to
-    #: ``cache_dir`` (summaries persist whenever whole-run reports do).
-    summary_cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.memory_model not in ("sc", "tso", "pso"):

@@ -299,10 +299,7 @@ class Canary:
         self.config = config if config is not None else AnalysisConfig()
         if store is None:
             store = ArtifactStore(
-                self.config.cache_dir if self.config.use_cache else None,
-                summary_cache_dir=(
-                    self.config.summary_cache_dir if self.config.use_cache else None
-                ),
+                self.config.cache_dir if self.config.use_cache else None
             )
         self.store = store
         self.tracer = tracer if tracer is not None else NULL_TRACER

@@ -40,58 +40,9 @@ __all__ = [
     "report_from_portable",
     "report_to_portable",
     "run_digest",
-    "summary_identity_keys",
 ]
 
 PORTABLE_VERSION = 1
-
-#: schema tag of the on-disk ``vfs`` (FunctionVFSummary) namespace; bump
-#: on any change to the entry layout or to the identity-key recipe
-SUMMARY_SCHEMA = "vfs1"
-
-
-def summary_identity_keys(dataflow, config_key: str) -> dict:
-    """Portable per-function identity keys for the disk summary namespace.
-
-    The key must equal across two processes exactly when the function's
-    Alg. 1 pass is guaranteed to produce byte-identical edges and sites.
-    A pass reads (a) the function's own lowered body — covered by its
-    unrolled-AST ``content_key`` — (b) the module environment (globals,
-    externs) and the per-site callee resolutions, and (c) *global* state
-    written by every earlier pass in the reverse-topological order
-    (points-to facts of shared callees in particular — the same reason
-    journal replay is prefix-only).  So keys chain Merkle-style: each
-    function folds in its predecessor's key, and an edit invalidates the
-    edited function plus everything after it in pass order — the
-    unchanged prefix stays warm.  Requires the deterministic
-    content-derived SSA naming (``VariableNamer``); with it, equal keys
-    imply equal summary fingerprints in any process.
-    """
-    module = dataflow.module
-    env = [
-        SUMMARY_SCHEMA,
-        config_key,
-        "globals:" + ",".join(sorted(module.globals)),
-        "externs:" + ",".join(sorted(module.externs)),
-    ]
-    keys: dict = {}
-    prev_key = ""
-    for position, name in enumerate(dataflow.function_extents):
-        func = module.functions[name]
-        if not func.content_key:
-            # Hand-built function (no lowering stamp): its body has no
-            # portable identity, so neither it nor anything after it in
-            # pass order may hit the disk layer.
-            break
-        rows = env + [f"pos={position}", f"fn={name}", func.content_key, prev_key]
-        for inst in func.body:
-            if isinstance(inst, (CallInst, ForkInst)):
-                callees = ",".join(sorted(dataflow.tcg.callees_at(inst)))
-                rows.append(f"site:{inst.label}:{callees}")
-        prev_key = stable_digest(rows)
-        keys[name] = prev_key
-    return keys
-
 
 def run_digest(source: str, filename: str, config_key: str) -> str:
     """The whole-run cache key: source text + filename + config hash."""

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..checkers import ALL_CHECKERS, BugReport
+from ..detection.reachability import SinkReachabilityIndex
 from ..detection.realizability import RealizabilityChecker
 from ..detection.search import SearchLimits
 from ..frontend import parse_program
@@ -52,7 +53,7 @@ from ..vfg.interference import InterferenceAnalysis
 from ..vfg.summaries import SummaryIndex, compute_summaries
 from ..frontend import FrontendError
 from ..testing.faults import fault_point
-from .artifacts import ArtifactStore, ReachabilityIndexCache, VerdictCache
+from .artifacts import ArtifactStore, VerdictCache
 from .budget import Budget, BudgetExceededError
 from .config import AnalysisConfig
 from .driver import AnalysisReport
@@ -231,7 +232,6 @@ class AnalysisPipeline:
     ) -> AnalysisReport:
         cfg = self.config
         caching = cfg.use_cache and not track_memory
-        self.store.begin_run()
         events_mark = len(self.store.events)
         digest = run_digest(source, filename, cfg.cache_key())
         if caching:
@@ -280,7 +280,6 @@ class AnalysisPipeline:
     def analyze_ast(self, ast: Program, track_memory: bool = False) -> AnalysisReport:
         with self.tracer.span("analyze", entry="ast"):
             caching = self.config.use_cache and not track_memory
-            self.store.begin_run()
             module = self._lower(ast, None, caching)
             report = self._analyze_module(
                 module, lineage=None, track_memory=track_memory, caching=caching
@@ -292,7 +291,6 @@ class AnalysisPipeline:
         self, module: IRModule, track_memory: bool = False
     ) -> AnalysisReport:
         with self.tracer.span("analyze", entry="module"):
-            self.store.begin_run()
             caching = self.config.use_cache and not track_memory
             return self._analyze_module(
                 module, lineage=None, track_memory=track_memory, caching=caching
@@ -448,10 +446,11 @@ class AnalysisPipeline:
             return finish()
 
         # -- pointer / thread structure (skeleton-keyed reuse) --------------
-        skeleton = module_skeleton(module)
+        skeleton = None
         triple = None
         tkey = (lineage, cfg.unroll_depth)
         if caching and lineage is not None:
+            skeleton = module_skeleton(module)
             entry = self.store.get("threads", tkey)
             if entry is not None and entry["skeleton"] == skeleton:
                 triple = entry
@@ -516,29 +515,17 @@ class AnalysisPipeline:
         if self._out_of_time("dataflow"):
             return finish()
 
-        # -- per-function value-flow summaries (content-keyed) --------------
-        def run_summaries() -> SummaryIndex:
-            return compute_summaries(
-                dataflow,
-                store=self.store if (caching and lineage is not None) else None,
-                lineage_key=f"{lineage}:{cfg.cache_key()}",
-                config_key=cfg.cache_key(),
-                metrics=self.registry,
-            )
-
-        summary_index, error = pm.attempt("summaries", run_summaries)
+        # -- per-function value-flow summaries -----------------------------
+        summary_index, error = pm.attempt(
+            "summaries", lambda: compute_summaries(dataflow, metrics=self.registry)
+        )
         if error is not None:
             # The summary layer is an accelerator: losing it degrades to
             # the whole-VFG fixpoint, never the findings.
             pm.warn("summary layer unavailable; interference runs unsharded")
             summary_index = None
         else:
-            computed = self.registry.counter("summary.computed").value
-            reused = self.registry.counter("summary.cache_hits").value
-            pm.records[-1].detail = (
-                f"{len(summary_index.summaries)} summaries"
-                f" ({computed} computed, {reused} reused)"
-            )
+            pm.records[-1].detail = f"{len(summary_index.summaries)} summaries"
         if self._out_of_time("summaries"):
             return finish()
 
@@ -607,9 +594,10 @@ class AnalysisPipeline:
             max_visits=cfg.max_search_visits,
             context_depth=cfg.context_depth,
         )
-        index_cache = (
-            self.store.index_cache if caching else ReachabilityIndexCache()
-        )
+        # Checkers with the same sink set share one reachability index.
+        # The VFG no longer changes after interference, so an index built
+        # here stays valid for the rest of the run.
+        index_cache: Dict[Tuple[FrozenSet[VFGNode], int], SinkReachabilityIndex] = {}
         for name in cfg.checkers:
             if self._out_of_time(f"detect:{name}"):
                 return finish()

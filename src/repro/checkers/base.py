@@ -160,7 +160,8 @@ class SourceSinkChecker:
         # explain — so the diagnostic mode turns it off.
         self.guard_pruning = guard_pruning and not collect_suppressed
         self.dead_memo = dead_memo
-        #: optional repro.analysis.artifacts.ReachabilityIndexCache
+        #: optional ``(sink set, context depth) -> index`` dict shared by
+        #: the checkers of one run over one unchanging VFG
         self.index_cache = index_cache
         #: optional repro.analysis.budget.Budget — checked between sources;
         #: on expiry the checker winds down with what it has found so far
@@ -243,12 +244,15 @@ class SourceSinkChecker:
     ) -> Optional[SinkReachabilityIndex]:
         if not self.sink_reachability or not sinks:
             return None
+        depth = self.limits.context_depth
         cache = self.index_cache
         if cache is None:
-            return SinkReachabilityIndex(
-                self.bundle.vfg, sinks, self.limits.context_depth
-            )
-        return cache.get(self.bundle.vfg, sinks, self.limits.context_depth)
+            return SinkReachabilityIndex(self.bundle.vfg, sinks, depth)
+        key = (frozenset(sinks), depth)
+        index = cache.get(key)
+        if index is None:
+            index = cache[key] = SinkReachabilityIndex(self.bundle.vfg, key[0], depth)
+        return index
 
     def _make_searcher(
         self,

@@ -83,7 +83,6 @@ class SinkReachabilityIndex:
                     work.append(edge.src)
         self._needs = needs
         self.num_reachable = len(needs)
-        self.built_at_version = getattr(vfg, "version", None)
 
     def min_need(self, node: VFGNode) -> Optional[int]:
         return self._needs.get(node)

@@ -1,15 +1,15 @@
 """Structural fingerprints of AST nodes.
 
 The incremental pipeline decides whether a function must be re-lowered
-by comparing content hashes of its (unrolled) AST.  The fingerprint is
-*structural*: it covers node types, names, operators and literals but
-ignores :class:`~repro.frontend.source.Location` fields, so reformatting
-or edits elsewhere in the file do not invalidate a function.
+by comparing content hashes of its (unrolled) AST.  The fingerprint
+covers node types, names, operators, literals and each node's source
+line and column, since lowered instructions carry their locations into
+reports.  The filename is left out: a lowering cache belongs to one file.
 
-The digest is the ``content_key`` the ``vfs1`` disk summary keys chain
-on, so its input bytes are fixed: every part — a class name, ``[n``,
-``]``, ``;`` or the ``repr`` of a leaf — is UTF-8 encoded and followed by
-``\\x1f``, exactly as :func:`stable_digest` frames a list of parts.
+Every part of the digest input — a class name, ``[n``, ``]``, ``;``, a
+location ``@line:col`` or the ``repr`` of a leaf — is UTF-8 encoded and
+followed by ``\\x1f``, exactly as :func:`stable_digest` frames a list of
+parts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import dataclasses
 import hashlib
 from typing import Dict, Iterable, Optional, Tuple
 
-from .ast_nodes import FuncDef, Program
+from .ast_nodes import Program
+from .source import Location
 
 __all__ = ["ast_fingerprint", "program_context_fingerprint", "stable_digest"]
 
@@ -40,16 +41,15 @@ def _part(text: str) -> bytes:
 
 _Layout = Optional[Tuple[bytes, Tuple[str, ...]]]
 
-#: class -> (name part, non-location field names), or None for a class
-#: that is not a dataclass
+#: class -> (name part, field names), or None for a class that is not a
+#: dataclass
 _LAYOUTS: Dict[type, _Layout] = {}
 
 
 def _layout(cls: type) -> _Layout:
     layout = None
     if dataclasses.is_dataclass(cls):
-        names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "location")
-        layout = (_part(cls.__name__), names)
+        layout = (_part(cls.__name__), tuple(f.name for f in dataclasses.fields(cls)))
     _LAYOUTS[cls] = layout
     return layout
 
@@ -60,6 +60,8 @@ def _encode(obj, memo: Dict[int, bytes]) -> bytes:
     for the call) to its encoding, so a subtree shared across unrolled
     iterations is encoded once."""
     cls = type(obj)
+    if cls is Location:
+        return _part(f"@{obj.line}:{obj.column}")
     layout = _LAYOUTS[cls] if cls in _LAYOUTS else _layout(cls)
     if layout is not None:
         encoded = memo.get(id(obj))

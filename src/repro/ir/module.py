@@ -31,10 +31,6 @@ class IRFunction:
     params: List[Variable] = field(default_factory=list)
     body: List[Instruction] = field(default_factory=list)
     returns: List[Tuple[Value, BoolTerm]] = field(default_factory=list)
-    #: unrolled-AST fingerprint stamped by the lowering ("" for
-    #: hand-built functions) — the content component of the function's
-    #: portable summary identity (:mod:`repro.analysis.fingerprint`)
-    content_key: str = ""
 
     def instructions(self) -> Iterator[Instruction]:
         return iter(self.body)

@@ -149,10 +149,13 @@ def lower_program_incremental(
     module context (function list, globals, externs, unroll depth) all
     match the cached run; reuse re-registers the *same* ``IRFunction``
     object.  Returns the module and the names of the reused functions.
-    The cache, when given, is updated in place for the next run.
+    The cache, when given, is updated in place for the next run; without
+    one no fingerprint is computed.
     """
     bounded = unroll_loops(program, unroll_depth)
-    context_fp = program_context_fingerprint(bounded, unroll_depth)
+    context_fp = (
+        program_context_fingerprint(bounded, unroll_depth) if cache is not None else ""
+    )
     reuse_ok = cache is not None and cache.context_fp == context_fp
 
     module = IRModule()
@@ -168,7 +171,7 @@ def lower_program_incremental(
     reused: List[str] = []
     new_entries: Dict[str, _CachedFunction] = {}
     for i, func in enumerate(bounded.functions):
-        fp = ast_fingerprint(func)
+        fp = ast_fingerprint(func) if cache is not None else ""
         prev = cache.functions.get(func.name) if reuse_ok else None
         if prev is not None and prev.fingerprint == fp and prev.block_index == i:
             module.adopt_function(prev.func, i)
@@ -177,7 +180,6 @@ def lower_program_incremental(
         else:
             module.begin_label_block(i)
             lowered = _FunctionLowerer(module, func, func_names).lower()
-            lowered.content_key = fp
             module.functions[func.name] = lowered
             new_entries[func.name] = _CachedFunction(fp, i, lowered)
     if cache is not None:

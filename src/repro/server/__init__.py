@@ -2,9 +2,9 @@
 
 The one-shot CLI pays a cold Python process — parse, lower, analyze,
 exit — for every invocation.  The server keeps the warm state the
-engine has accumulated since PR 3 alive across requests: the in-memory
-:class:`~repro.analysis.artifacts.ArtifactStore`, the Φ_all→verdict
-cache, the LRU reachability-index cache and the disk summary namespace.
+engine has accumulated alive across requests: the in-memory
+:class:`~repro.analysis.artifacts.ArtifactStore` and the Φ_all→verdict
+cache.
 A request that re-submits an edited file rides the function-level
 incremental path and re-analyzes in milliseconds.
 

@@ -228,12 +228,6 @@ def serve_main(argv=None) -> int:
         metavar="DIR",
         help="persist whole-run reports under DIR (shared by all requests)",
     )
-    parser.add_argument(
-        "--summary-cache",
-        default=None,
-        metavar="DIR",
-        help="persist the portable per-function summary namespace under DIR",
-    )
     parser.add_argument("--verbose", action="store_true", help="log every request")
     args = parser.parse_args(argv)
 
@@ -247,7 +241,6 @@ def serve_main(argv=None) -> int:
         checkers=checkers,
         timeout_seconds=args.timeout,
         cache_dir=args.cache_dir,
-        summary_cache_dir=args.summary_cache,
     )
     service = AnalysisService(
         config,

@@ -2,7 +2,7 @@
 
 One :class:`AnalysisService` owns the daemon's warm state — the shared
 :class:`~repro.analysis.artifacts.ArtifactStore` (memory layer, verdict
-cache, LRU reachability indexes, optional disk namespaces) — and a pool
+cache, optional disk run cache) — and a pool
 of worker threads draining a submission queue.  Each request is
 isolated in three ways:
 
@@ -73,9 +73,6 @@ class AnalysisService:
         self.config = config if config is not None else AnalysisConfig()
         self.store = ArtifactStore(
             cache_dir=self.config.cache_dir if self.config.use_cache else None,
-            summary_cache_dir=(
-                self.config.summary_cache_dir if self.config.use_cache else None
-            ),
             max_memory_entries=max_memory_entries,
             max_events=10_000,
         )
@@ -226,8 +223,6 @@ class AnalysisService:
             snapshot[f"store.{key}"] = value
         snapshot["store.verdict_cache_entries"] = len(self.store.verdict_cache)
         snapshot["store.verdict_cache_hits"] = self.store.verdict_cache.hits
-        for key, value in self.store.index_cache.statistics().items():
-            snapshot[f"store.index_cache_{key}"] = value
         return snapshot
 
     def health(self) -> Dict[str, Any]:

@@ -1,10 +1,10 @@
 """ArtifactStore bugfix sweep: disk-store error accounting, strict disk
-serialization, LRU caches, and thread-safe shared access.
+serialization, the memory-layer LRU, and thread-safe shared access.
 
 These are the invariants the daemon's resident store relies on — each
 regression test here pins one of the cache-layer bugs the one-shot CLI
 used to hide (silent ``put_disk`` failures, lossy ``default=str``
-serialization, the blunt whole-cache reachability reset).
+serialization).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import threading
 import pytest
 
 from repro.analysis import AnalysisConfig, ArtifactStore, Canary
-from repro.analysis.artifacts import ReachabilityIndexCache
 
 from test_corpus import CORPUS_FILES, _parse_directives
 
@@ -91,7 +90,7 @@ class TestStrictDiskSerialization:
         # A set would have been persisted as its ``str()`` rendering
         # before the fix; now the entry is refused outright.
         store = ArtifactStore(cache_dir=str(tmp_path))
-        store.put_disk("vfs", "s1", {"edges": {1, 2, 3}})
+        store.put_disk("run", "s1", {"edges": {1, 2, 3}})
         assert store.disk_unportable == 1
         for path in tmp_path.iterdir():
             text = path.read_text()
@@ -103,70 +102,6 @@ class TestStrictDiskSerialization:
         assert store.get_disk("run", "z") is None
         assert store.disk_corrupt == 1
         assert store.disk_unportable == 0
-
-
-# ----- satellite: blunt cache reset → LRU ------------------------------------
-
-
-def _small_vfg_and_sinks():
-    """A tiny real VFG with a one-node sink set, via a corpus analysis."""
-    report = Canary(AnalysisConfig()).analyze_source(
-        (CORPUS / "uaf_basic.mcc").read_text(), filename="uaf_basic.mcc"
-    )
-    vfg = report.bundle.vfg
-    nodes = list(vfg.nodes())
-    return vfg, nodes
-
-
-class TestReachabilityCacheLRU:
-    def test_capacity_evicts_least_recently_used(self):
-        vfg, nodes = _small_vfg_and_sinks()
-        cache = ReachabilityIndexCache(capacity=4)
-        for i in range(6):
-            cache.get(vfg, [nodes[i]])
-        assert len(cache) == 4
-        assert cache.evictions == 2
-        # the two oldest sink sets were evicted; re-requesting rebuilds
-        builds = cache.builds
-        cache.get(vfg, [nodes[0]])
-        assert cache.builds == builds + 1
-
-    def test_hot_entry_survives_cold_churn(self):
-        vfg, nodes = _small_vfg_and_sinks()
-        cache = ReachabilityIndexCache(capacity=4)
-        hot = cache.get(vfg, [nodes[0]])
-        for i in range(1, 12):
-            cache.get(vfg, [nodes[i % len(nodes)]])
-            assert cache.get(vfg, [nodes[0]]) is hot  # touched → stays warm
-        assert cache.shared_hits >= 11
-
-    def test_version_mismatch_still_invalidates(self):
-        vfg, nodes = _small_vfg_and_sinks()
-        cache = ReachabilityIndexCache(capacity=4)
-        first = cache.get(vfg, [nodes[0]])
-        if hasattr(vfg, "version"):
-            vfg.version += 1
-            second = cache.get(vfg, [nodes[0]])
-            assert second is not first
-
-    def test_statistics_shape(self):
-        cache = ReachabilityIndexCache(capacity=2)
-        stats = cache.statistics()
-        assert set(stats) == {"entries", "builds", "shared_hits", "evictions"}
-
-    def test_begin_run_preserves_hit_rate_across_many_runs(self):
-        """The daemon regression: >32 begin_run boundaries used to wipe
-        the whole cache; now warm runs keep hitting."""
-        store = ArtifactStore()
-        canary = Canary(AnalysisConfig(), store=store)
-        source = (CORPUS / "uaf_basic.mcc").read_text()
-        canary.analyze_source(source, filename="uaf_basic.mcc")
-        builds_after_cold = store.index_cache.builds
-        for i in range(40):
-            store.begin_run()
-        # the cold run's indexes are still resident — nothing was reset
-        assert len(store.index_cache) > 0
-        assert store.index_cache.builds == builds_after_cold
 
 
 # ----- memory-layer LRU and event-log bounds ---------------------------------

@@ -1,12 +1,11 @@
 """Cross-run identity: independent processes must mint byte-identical
-IR names, summary fingerprints, VFG summaries, and bug keys.
+IR names, VFGs (nodes, edges and guards), VFG summaries, and bug keys.
 
-This is the end-to-end contract behind the portable disk summary
-namespace — identity keys computed in one process must mean the same
-thing in another, regardless of hash seed, import order, or interning
-state.  The subprocess tests run the full pipeline twice under
-*different* ``PYTHONHASHSEED`` values and compare JSON dumps byte for
-byte.
+Labels, SSA names and guards must not depend on hash seed, import order,
+or interning state: the portable run cache rehydrates a report by label
+in another process.  The subprocess tests run the full pipeline twice
+under *different* ``PYTHONHASHSEED`` values and compare JSON dumps byte
+for byte.
 """
 
 import json
@@ -21,7 +20,7 @@ import pytest
 from repro.frontend import parse_program
 from repro.frontend.fingerprint import ast_fingerprint
 from repro.ir.values import VariableNamer
-from repro.lowering import lower_program, unroll_loops
+from repro.lowering import unroll_loops
 
 from programs import NESTED_LOOPS
 from test_corpus import CORPUS_FILES
@@ -32,15 +31,14 @@ DRIVER = textwrap.dedent(
     """
     import json, sys
     from repro import AnalysisConfig, Canary
+    from repro.vfg.export import to_json
 
     text = open(sys.argv[1]).read()
     rep = Canary(AnalysisConfig(use_cache=False)).analyze_source(text)
-    index = rep.bundle.summary_index
-    fps = {n: s.fingerprint for n, s in index.summaries.items()} if index else {}
     print(json.dumps({
         "keys": sorted(str(b.key) for b in rep.bugs),
         "vfg": rep.vfg_summary,
-        "fps": fps,
+        "graph": to_json(rep.bundle.vfg),
         "vars": sorted(
             v.name
             for fn in rep.bundle.module.functions.values()
@@ -88,17 +86,17 @@ class TestVariableNamer:
 
 
 class TestAstFingerprintGolden:
-    """``ast_fingerprint`` is the function ``content_key`` every ``vfs1``
-    disk summary key chains on.  These digests were recorded before the
-    encoder was rewritten; an encoder change that moves them invalidates
-    every persisted summary cache."""
+    """``ast_fingerprint`` keys the lowering cache.  These digests pin its
+    input bytes, locations (``@line:col``) included, so that an encoder
+    change is a deliberate one.  They were recorded when locations were
+    folded in, and checked against a plain recursive encoder."""
 
     @pytest.mark.parametrize(
         "stem, digest",
         [
-            ("uaf_basic", "91ce454999814bb0"),
-            ("mixed_all_checkers", "30e408a81f046bbe"),
-            ("uaf_loop_fork", "57d67f69a09fa1a5"),
+            ("uaf_basic", "63697192633c13c8"),
+            ("mixed_all_checkers", "bd5bc686c22d49f1"),
+            ("uaf_loop_fork", "86f07c42bacb25ad"),
         ],
     )
     def test_corpus_program(self, stem, digest):
@@ -107,12 +105,11 @@ class TestAstFingerprintGolden:
         assert ast_fingerprint(program) == digest
 
     def test_nested_loops_at_depth_two(self):
-        program = parse_program(NESTED_LOOPS)
-        assert ast_fingerprint(unroll_loops(program, depth=2)) == "479feb1ea96a5e55"
-        module = lower_program(program, unroll_depth=2)
-        assert {name: f.content_key for name, f in module.functions.items()} == {
-            "main": "ca0f63863890f33b",
-            "worker": "f8fce468e1589337",
+        program = unroll_loops(parse_program(NESTED_LOOPS), depth=2)
+        assert ast_fingerprint(program) == "08c4a8372c50917d"
+        assert {f.name: ast_fingerprint(f) for f in program.functions} == {
+            "main": "ce6dacfa545ee9a4",
+            "worker": "702b8fbc8f5d3464",
         }
 
 
@@ -124,27 +121,25 @@ class TestCrossProcess:
         second = _pipeline_dump(path, "4242")
         assert first == second
         payload = json.loads(first)
-        assert payload["fps"]
+        assert json.loads(payload["graph"])["edges"]
         assert all("::" in name for name in payload["vars"] if "::" in name)
 
-    def test_full_corpus_fingerprints_stable(self, tmp_path):
+    def test_full_corpus_vfgs_stable(self, tmp_path):
         # One subprocess per seed over the whole corpus (batched in a
         # single interpreter each, to keep this test affordable).
         batch = textwrap.dedent(
             """
             import json, sys
             from repro import AnalysisConfig, Canary
+            from repro.vfg.export import to_json
             out = {}
             for path in sys.argv[1:]:
                 rep = Canary(AnalysisConfig(use_cache=False)).analyze_source(
                     open(path).read()
                 )
-                index = rep.bundle.summary_index
                 out[path] = {
                     "keys": sorted(str(b.key) for b in rep.bugs),
-                    "fps": {n: s.fingerprint for n, s in index.summaries.items()}
-                    if index
-                    else {},
+                    "graph": to_json(rep.bundle.vfg),
                 }
             print(json.dumps(out, sort_keys=True))
             """

@@ -10,7 +10,6 @@ import pathlib
 import pytest
 
 from repro.analysis import AnalysisConfig, Canary
-from repro.analysis.artifacts import ReachabilityIndexCache
 from repro.checkers import ALL_CHECKERS
 from repro.detection import (
     PathSearcher,
@@ -211,30 +210,39 @@ class TestSinkReachabilityIndex:
         assert index.min_need("a") == 0
 
 
-class TestReachabilityIndexCache:
-    def test_same_sink_set_shares_index(self):
-        vfg = _graph([("a", "s", "direct")])
-        cache = ReachabilityIndexCache()
-        i1 = cache.get(vfg, {"s"})
-        i2 = cache.get(vfg, {"s"})
-        assert i1 is i2
-        assert cache.builds == 1 and cache.shared_hits == 1
+class TestReachabilityIndexSharing:
+    def _indexes_of_run(self, monkeypatch, checkers):
+        """(checker name, sink set, index) for every index a run's
+        checkers ask for, in checker order."""
+        from repro.checkers.base import SourceSinkChecker
 
-    def test_distinct_sink_sets_build_separately(self):
-        vfg = _graph([("a", "s", "direct"), ("a", "t", "direct")])
-        cache = ReachabilityIndexCache()
-        assert cache.get(vfg, {"s"}) is not cache.get(vfg, {"t"})
-        assert cache.builds == 2 and len(cache) == 2
+        seen = []
+        original = SourceSinkChecker._reach_index
 
-    def test_mutation_invalidates_cached_index(self):
-        vfg = _graph([("a", "s", "direct")])
-        cache = ReachabilityIndexCache()
-        stale = cache.get(vfg, {"s"})
-        assert not stale.can_enter("b")
-        vfg.add_edge("b", "a", TRUE, "direct")
-        fresh = cache.get(vfg, {"s"})
-        assert fresh is not stale
-        assert fresh.can_enter("b")
+        def recording(checker, sinks):
+            index = original(checker, sinks)
+            seen.append((type(checker).__name__, frozenset(sinks), index))
+            return index
+
+        monkeypatch.setattr(SourceSinkChecker, "_reach_index", recording)
+        text = (CORPUS / "mixed_all_checkers.mcc").read_text()
+        Canary(AnalysisConfig(checkers=checkers, use_cache=False)).analyze_source(text)
+        return seen
+
+    def test_same_sink_set_shares_one_index(self, monkeypatch):
+        # use-after-free and data-race both sink at dereferenced pointers.
+        (_a, sinks_a, first), (_b, sinks_b, second) = self._indexes_of_run(
+            monkeypatch, ("use-after-free", "data-race")
+        )
+        assert sinks_a == sinks_b
+        assert first is not None and first is second
+
+    def test_distinct_sink_sets_build_separately(self, monkeypatch):
+        (_a, sinks_a, first), (_b, sinks_b, second) = self._indexes_of_run(
+            monkeypatch, ("use-after-free", "double-free")
+        )
+        assert sinks_a != sinks_b
+        assert first is not second
 
 
 # ----- end-to-end exactness --------------------------------------------------

@@ -269,6 +269,65 @@ def test_corpus_cold_warm_incremental_equivalence(path):
     assert _keys(incr) == _keys(fresh), path.name
 
 
+def _prepend_line(text):
+    return "// a line above everything\n" + text
+
+
+def _first_body_line(lines):
+    """Index of the first statement after the first opening brace."""
+    opened = next(i for i, line in enumerate(lines) if line.rstrip().endswith("{"))
+    return next(
+        i for i in range(opened + 1, len(lines)) if lines[i].rstrip().endswith(";")
+    )
+
+
+def _blank_line_in_body(text):
+    lines = text.split("\n")
+    lines.insert(_first_body_line(lines), "")
+    return "\n".join(lines)
+
+
+def _reindent_line(text):
+    lines = text.split("\n")
+    at = _first_body_line(lines)
+    lines[at] = "  " + lines[at]
+    return "\n".join(lines)
+
+
+def _described(report):
+    return sorted(
+        (
+            b.describe(),
+            tuple(str(s.location) for s in b.statements),
+            b.path,
+            tuple(sorted(b.witness_order.items())),
+            repr(sorted(b.witness_env.items())),
+        )
+        for b in report.bugs
+    )
+
+
+@pytest.mark.parametrize(
+    "edit", [_prepend_line, _blank_line_in_body, _reindent_line],
+    ids=["prepend", "blank", "reindent"],
+)
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+def test_corpus_line_moving_edit_matches_fresh(path, edit):
+    """An edit that moves lines or columns but no code: the incremental
+    re-analysis reports exactly what a fresh run does, locations included
+    (a reused function must not keep its old line numbers)."""
+    text = path.read_text()
+    _expects, checkers, overrides = _parse_directives(text)
+    config = AnalysisConfig(checkers=checkers, **overrides)
+    canary = Canary(config)
+    canary.analyze_source(text, filename=path.name)
+    edited = edit(text)
+    assert edited != text
+    incr = canary.analyze_source(edited, filename=path.name)
+    fresh = Canary(config).analyze_source(edited, filename=path.name)
+    assert _described(incr) == _described(fresh), path.name
+
+
 def _rows(report):
     return sorted(
         (

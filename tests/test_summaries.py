@@ -1,10 +1,10 @@
 """The per-function summary layer (:mod:`repro.vfg.summaries`).
 
 Covers the exactness contract (identical adjacency, identical bug keys
-with and without the summary layer), the artifact round-trip (compute →
-persist → demand-load), single-edit invalidation (exactly one summary
-recomputed), and degradation (a crashing summaries pass falls back to
-the whole-VFG fixpoint without losing findings).  The whole-VFG
+with and without the summary layer), the summary content (edge spans and
+the site indexes), an incremental re-run after a one-function edit, and
+degradation (a crashing summaries pass falls back to the whole-VFG
+fixpoint without losing findings).  The whole-VFG
 reference is reached the same way: by crashing the summaries pass.
 """
 
@@ -98,8 +98,8 @@ class TestExactness:
     @pytest.mark.parametrize("shape", [(6, 3), (10, 2)], ids=["6x3", "10x2"])
     def test_scaled_subject_equal_on_off(self, shape, seed):
         # Many functions and mixed escape routes (fork argument versus a
-        # store inside a helper): every summary is fingerprinted in
-        # process, and the result must match the whole-VFG fixpoint.
+        # store inside a helper): the result must match the whole-VFG
+        # fixpoint.
         n_groups, helpers = shape
         text = scaled_program(seed=seed, n_groups=n_groups, helpers_per_group=helpers)
         ref = _run_whole_vfg(text)
@@ -108,31 +108,23 @@ class TestExactness:
         assert len(_keys(rep)) == 2  # the generator's deterministic bugs
         assert rep.vfg_summary == ref.vfg_summary
         snap = rep.metrics.snapshot()
-        assert snap["summary.computed"] == snap["summary.functions"]
+        assert snap["summary.functions"] == len(rep.bundle.dataflow.function_extents)
 
 
 class TestArtifactRoundTrip:
-    def test_persist_and_demand_load_identical_edges(self):
+    def test_incremental_rerun_matches_cold(self):
         canary = Canary(AnalysisConfig())
         first = canary.analyze_source(SUBJECT, filename="s.mcc")
         second = canary.analyze_source(SUBJECT_EDITED, filename="s.mcc")
-        snap = second.metrics.snapshot()
-        # Replayed functions demand-load their persisted summaries; only
-        # the edited function (main, last in the bottom-up order) is
-        # fingerprinted again.
-        assert snap["summary.cache_hits"] == 2
-        assert snap["summary.computed"] == 1
+        # Only the edited function (main, last in the bottom-up order)
+        # runs its dataflow pass again; the others replay the journal.
         rerun = [
             row["name"].split(":", 1)[1]
             for row in second.pass_statistics
             if row["name"].startswith("dataflow:") and row["status"] == "run"
         ]
         assert rerun == ["main"]
-        # Reused summaries are the same artifacts, not recomputed equals.
-        assert (
-            second.bundle.summary_index.summaries["worker"]
-            is first.bundle.summary_index.summaries["worker"]
-        )
+        assert second.metrics.snapshot()["summary.functions"] == 3
         cold = _run(SUBJECT_EDITED)
         assert _keys(second) == _keys(cold) == _keys(first)
         assert second.vfg_summary == cold.vfg_summary
@@ -142,28 +134,18 @@ class TestArtifactRoundTrip:
         index = report.bundle.summary_index
         summary = index.summaries["worker"]
         assert isinstance(summary, FunctionVFSummary)
-        assert summary.fingerprint and len(summary.fingerprint) == 64
         start, end = summary.edge_span
         assert end > start
-        # Site positions point back into the global site lists and stay
-        # inside the function's own extent.
+        # Site positions point back into the global site lists, ascending.
         dataflow = report.bundle.dataflow
-        for positions in summary.ptr_stores.values():
-            for pos in positions:
-                assert summary.extent[2] <= pos < summary.extent[3]
-                assert dataflow.all_stores[pos].pointer in summary.ptr_stores
-
-    def test_fingerprint_tracks_function_content(self):
-        # Within one driver the edited function gets a new fingerprint
-        # while untouched functions keep their (reused) artifacts.
-        canary = Canary(AnalysisConfig())
-        first = canary.analyze_source(SUBJECT, filename="s.mcc")
-        second = canary.analyze_source(SUBJECT_EDITED, filename="s.mcc")
-        fps1 = {n: s.fingerprint for n, s in first.bundle.summary_index.summaries.items()}
-        fps2 = {n: s.fingerprint for n, s in second.bundle.summary_index.summaries.items()}
-        assert fps1["helper"] == fps2["helper"]
-        assert fps1["worker"] == fps2["worker"]
-        assert fps1["main"] != fps2["main"]
+        for sites, positions_of in (
+            (dataflow.all_stores, index.ptr_stores),
+            (dataflow.all_loads, index.ptr_loads),
+        ):
+            assert positions_of
+            for var, positions in positions_of.items():
+                assert positions == sorted(positions)
+                assert all(sites[pos].pointer is var for pos in positions)
 
     def test_compute_summaries_direct(self):
         report = _run(SUBJECT)
@@ -174,84 +156,6 @@ class TestArtifactRoundTrip:
         # Every dataflow edge is owned by exactly one function span; the
         # difference to num_edges is the interference overlay.
         assert total_span <= dataflow.vfg.num_edges
-
-
-class TestDiskNamespace:
-    """The portable on-disk summary namespace: entries keyed by
-    content-derived identity, shared across independent processes."""
-
-    def _vfs_files(self, directory):
-        import glob
-        import os
-
-        return sorted(glob.glob(os.path.join(str(directory), "vfs-*.json")))
-
-    def test_roundtrip_across_instances(self, tmp_path):
-        d = str(tmp_path)
-        cold = Canary(AnalysisConfig(cache_dir=d, summary_cache_dir=d)).analyze_source(
-            SUBJECT
-        )
-        snap = cold.metrics.snapshot()
-        assert snap["summary.disk_stores"] == 3
-        assert len(self._vfs_files(tmp_path)) == 3
-        # A *fresh* instance (fresh in-memory store — stands in for a new
-        # process) analyzing an edited source: the run digest misses, but
-        # every unchanged function rehydrates from disk.
-        warm = Canary(AnalysisConfig(cache_dir=d, summary_cache_dir=d)).analyze_source(
-            SUBJECT_EDITED
-        )
-        snap2 = warm.metrics.snapshot()
-        assert snap2["summary.disk_hits"] == 2
-        assert snap2["summary.computed"] == 1
-        ref = _run(SUBJECT_EDITED)
-        assert _keys(warm) == _keys(ref)
-        assert warm.vfg_summary == ref.vfg_summary
-
-    def test_corrupt_entries_recompute_and_heal(self, tmp_path):
-        d = str(tmp_path)
-        Canary(AnalysisConfig(cache_dir=d, summary_cache_dir=d)).analyze_source(SUBJECT)
-        for path in self._vfs_files(tmp_path):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("{truncated by a killed writer")
-        rep = Canary(AnalysisConfig(cache_dir=d, summary_cache_dir=d)).analyze_source(
-            SUBJECT_EDITED
-        )
-        snap = rep.metrics.snapshot()
-        # The two unchanged functions were requested, found corrupt, and
-        # recomputed — never a run failure, never a wrong answer.
-        assert rep.cache_statistics["disk_corrupt"] == 2
-        assert snap.get("summary.disk_hits", 0) == 0
-        assert snap["summary.computed"] == 3
-        assert _keys(rep) == _keys(_run(SUBJECT_EDITED))
-        # Recomputation heals every requested entry in place.
-        import json
-
-        healed = 0
-        for path in self._vfs_files(tmp_path):
-            try:
-                json.load(open(path, encoding="utf-8"))
-                healed += 1
-            except ValueError:
-                pass
-        assert healed >= 3
-
-    def test_summary_cache_dir_routes_vfs_entries(self, tmp_path):
-        runs = tmp_path / "runs"
-        sums = tmp_path / "sums"
-        runs.mkdir()
-        sums.mkdir()
-        Canary(
-            AnalysisConfig(cache_dir=str(runs), summary_cache_dir=str(sums))
-        ).analyze_source(SUBJECT)
-        assert len(self._vfs_files(sums)) == 3
-        assert not self._vfs_files(runs)
-
-    def test_disk_layer_inactive_without_cache(self, tmp_path):
-        rep = _run(SUBJECT)  # use_cache=False
-        snap = rep.metrics.snapshot()
-        assert "summary.disk_stores" not in snap
-        assert "summary.disk_hits" not in snap
-        assert not self._vfs_files(tmp_path)
 
 
 class TestDegradation:
