@@ -1,12 +1,9 @@
-"""Benchmarks for the staged pass pipeline's incremental re-analysis.
+"""Benchmarks for the pass pipeline's whole-run cache.
 
-Three scenarios on a multi-function subject:
+Two scenarios on a multi-function subject:
 
 * **warm** — re-analyzing identical input must execute *zero* passes
   (in particular no pointer/VFG pass) and report identical bug keys;
-* **incremental** — after editing one helper function, fewer than half
-  of the pipeline's passes re-execute, and the keys still match a fresh
-  cold run on the edited source;
 * **disk-warm** — with ``cache_dir``, a fresh driver (simulating a new
   process) re-executes only the frontend passes.
 
@@ -32,9 +29,7 @@ VFG_PASSES = ("pointer", "tcg", "mhp", "dataflow", "interference")
 
 def _subject(n_spin: int = 8) -> str:
     """An inter-thread UAF between two workers communicating through a
-    global, plus ``n_spin`` arithmetic helpers analyzed alongside them.
-    The helpers come after the workers so a helper edit leaves every
-    worker label (and the thread structure) untouched."""
+    global, plus ``n_spin`` arithmetic helpers analyzed alongside them."""
     parts = [
         "int *g;",
         "",
@@ -110,46 +105,6 @@ def test_warm_rerun_executes_zero_passes():
         speedup=cold_wall / warm_wall if warm_wall else float("inf"),
         cold_passes_run=len(cold.passes_run()),
         warm_passes_run=len(warm.passes_run()),
-    )
-
-
-def test_single_function_edit_reruns_under_half_the_passes():
-    text = _subject()
-    canary = Canary(AnalysisConfig())
-    t0 = time.perf_counter()
-    cold = canary.analyze_source(text, filename="subject.mcc")
-    cold_wall = time.perf_counter() - t0
-
-    # Edit the helper analyzed last: Alg. 1 journal replay is valid for
-    # the unbroken prefix of the bottom-up order (later summaries may
-    # observe points-to state written while analyzing earlier functions),
-    # so an edit invalidates the edited function and everything after it.
-    edited = text.replace("b = a + 7;", "b = a + 77;")
-    assert edited != text
-    t1 = time.perf_counter()
-    incr = canary.analyze_source(edited, filename="subject.mcc")
-    incr_wall = time.perf_counter() - t1
-
-    total = len(incr.pass_statistics)
-    ran = incr.passes_run()
-    fraction = len(ran) / total
-    assert fraction < 0.5, f"incremental edit re-ran {ran} ({fraction:.0%})"
-    # the edit is thread- and sink-irrelevant: the pointer triple and the
-    # detection pass must be reused, and the workers' dataflow replays
-    for name in ("pointer", "tcg", "mhp", "dataflow:w_free", "dataflow:w_use"):
-        assert name not in ran
-    assert not any(name.startswith("detect:") for name in ran)
-    assert _keys(incr) == _keys(cold)
-    fresh = Canary(AnalysisConfig()).analyze_source(edited, filename="subject.mcc")
-    assert _keys(incr) == _keys(fresh)
-    _record(
-        "incremental",
-        total_passes=total,
-        passes_rerun=len(ran),
-        rerun_fraction=fraction,
-        rerun_names=ran,
-        incremental_seconds=incr_wall,
-        cold_seconds=cold_wall,
     )
 
 

@@ -1,30 +1,29 @@
-"""Content-addressed artifact store for the pass pipeline.
+"""The whole-run cache behind the pass pipeline.
 
-Two layers:
+One record format, two layers.  A run's record is the portable report
+(:func:`~repro.analysis.fingerprint.report_to_portable` plus its pass
+rows): plain data keyed by instruction labels, which are deterministic
+per source text.  Both layers are keyed by the run digest (source text,
+filename and config hash):
 
-* an **in-memory layer** scoped to one :class:`~repro.analysis.driver.Canary`
-  instance (or, in daemon mode, shared by every request of a
-  :class:`~repro.server.service.AnalysisService`).  It holds *live*
-  objects — lowered functions, dataflow journals, the pointer/thread-
-  structure triple, per-checker detection results — keyed by content
-  fingerprints plus object-identity validity conditions checked at
-  reuse time;
-* an optional **on-disk layer** (``cache_dir``) holding portable,
-  JSON-encoded whole-run reports keyed by the source text, filename and
-  config hash, so a warm re-run in a fresh process is near-instant.
+* the **in-memory layer**, scoped to one
+  :class:`~repro.analysis.driver.Canary` instance (or, in daemon mode,
+  shared by every request of a
+  :class:`~repro.server.service.AnalysisService`), stores the record
+  together with the lowered :class:`~repro.ir.module.IRModule`, so a hit
+  rehydrates without running any pass;
+* the optional **on-disk layer** (``cache_dir``) stores the record as
+  JSON, so a fresh process re-runs only parse and lower and then
+  rehydrates the record against its own module.
 
-The store also owns the cross-run solver cache, defined here: one
-:class:`VerdictCache` (Φ_all → verdict), shared by every run of the
-owning driver.
+Nothing a run computes is shared with a later run except these records.
+This module also defines :class:`VerdictCache`, the per-run Φ_all →
+verdict memo.
 
 Thread-safety: all counters, the event log and the memory layer are
 guarded by one reentrant lock, so concurrent pipelines (the daemon's
-worker pool) can share a store.  Mutable lineage-keyed artifacts
-(lowering caches, dataflow journals) additionally need the per-lineage
-lock (:meth:`lineage_lock`) held for the duration of a run — the
-pipeline acquires it, so two concurrent requests for the *same* file
-serialize (and the second one rides the incremental path) while
-distinct files analyze in parallel.
+worker pool) can share a store.  Records are never mutated after they
+are stored, so concurrent runs of the same file need no further locking.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ _CacheEntry = Tuple[str, Dict[str, int], Dict[str, bool], str]
 
 
 class VerdictCache:
-    """Structural Φ_all → verdict memo, shared across checkers of a run.
+    """Structural Φ_all → verdict memo, shared by the checkers of one run.
 
     Keys are the formula terms themselves: the term DSL hash-conses, so
     two structurally identical Φ_all are the same object and repeated
@@ -54,8 +53,7 @@ class VerdictCache:
     skeletons, cf. DFI's reuse of solved sub-queries) hit the cache.
     Entries store only plain data, materialized into a fresh
     :class:`~repro.detection.realizability.RealizabilityResult` per hit.
-    Thread-safe (the daemon's workers share one instance); hit/miss
-    counters are exact.
+    Thread-safe; hit/miss counters are exact.
     """
 
     def __init__(self) -> None:
@@ -92,7 +90,8 @@ class VerdictCache:
 
 
 class ArtifactStore:
-    """Keyed artifact storage with hit/miss accounting and an event log."""
+    """The run cache's two layers, with hit/miss accounting and an event
+    log."""
 
     def __init__(
         self,
@@ -111,7 +110,6 @@ class ArtifactStore:
         self.max_events = max_events
         self._memory: "OrderedDict[Tuple[str, Any], Any]" = OrderedDict()
         self._lock = threading.RLock()
-        self._lineage_locks: Dict[Any, threading.RLock] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -128,8 +126,6 @@ class ArtifactStore:
         #: than no cache entry at all
         self.disk_unportable = 0
         self.events: List[str] = []
-        #: Φ_all → verdict memo shared across runs
-        self.verdict_cache = VerdictCache()
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -157,19 +153,6 @@ class ArtifactStore:
                 stats["artifact_evictions"] = self.evictions
             return stats
 
-    # ----- concurrency ----------------------------------------------------
-
-    def lineage_lock(self, lineage: Any) -> threading.RLock:
-        """The per-lineage run lock: held by a pipeline for the duration
-        of a cached analysis of ``lineage``, serializing mutation of the
-        lineage-keyed live artifacts (lowering cache, dataflow journal,
-        thread triple) between concurrent requests for the same file."""
-        with self._lock:
-            lock = self._lineage_locks.get(lineage)
-            if lock is None:
-                lock = self._lineage_locks[lineage] = threading.RLock()
-            return lock
-
     # ----- in-memory layer -------------------------------------------------
 
     def get(self, namespace: str, key: Any) -> Optional[Any]:
@@ -190,15 +173,6 @@ class ArtifactStore:
             self._evict_over_cap()
         self.note(f"store {namespace}")
         return value
-
-    def setdefault(self, namespace: str, key: Any, factory) -> Any:
-        with self._lock:
-            value = self._memory.get((namespace, key))
-            if value is None:
-                value = self._memory[(namespace, key)] = factory()
-            self._memory.move_to_end((namespace, key))
-            self._evict_over_cap()
-            return value
 
     def _evict_over_cap(self) -> None:
         # caller holds self._lock

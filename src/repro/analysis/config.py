@@ -20,6 +20,17 @@ __all__ = ["AnalysisConfig", "CACHE_ONLY_FIELDS"]
 #: them never invalidates artifacts.
 CACHE_ONLY_FIELDS = frozenset({"cache_dir", "use_cache", "explain_cache"})
 
+#: optional budgets that must not be negative (besides ``context_depth``
+#: and the ``max_*`` bounds); 0 is legal and means "expire immediately"
+_BUDGET_FIELDS = frozenset(
+    {
+        "solver_max_conflicts",
+        "timeout_seconds",
+        "pass_timeout_seconds",
+        "solver_timeout_seconds",
+    }
+)
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -85,9 +96,13 @@ class AnalysisConfig:
         if self.unroll_depth < 1:
             raise ValueError(f"unroll_depth must be at least 1, not {self.unroll_depth}")
         for f in fields(self):
-            if f.name == "context_depth" or f.name.startswith("max_"):
+            if (
+                f.name == "context_depth"
+                or f.name.startswith("max_")
+                or f.name in _BUDGET_FIELDS
+            ):
                 value = getattr(self, f.name)
-                if value < 0:
+                if value is not None and value < 0:
                     raise ValueError(f"{f.name} must not be negative, not {value}")
 
     def cache_key(self) -> str:

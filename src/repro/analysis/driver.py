@@ -5,15 +5,13 @@ construction (Alg. 1 + Alg. 2) → guarded source–sink checking, and
 returns an :class:`AnalysisReport` with the confirmed bugs and the
 phase-by-phase statistics used by the benchmarks.
 
-Since PR 3 the driver is a facade over the staged pass pipeline
-(:mod:`repro.analysis.passes`): each phase is a named pass, and a
-content-addressed :class:`~repro.analysis.artifacts.ArtifactStore`
-owned by the driver lets repeated runs skip passes whose input hashes
-are unchanged — a warm re-run of identical input executes no analysis
-pass at all, and after editing one function only the passes downstream
-of the change re-execute.
+The driver is a facade over the staged pass pipeline
+(:mod:`repro.analysis.passes`): each phase is a named pass, and the
+whole-run cache of the :class:`~repro.analysis.artifacts.ArtifactStore`
+owned by the driver answers a re-run of identical input without
+executing any pass.  Any other input is analysed from scratch.
 
-Since PR 5 every run's statistics live in one
+Every run's statistics live in one
 :class:`~repro.obs.metrics.MetricsRegistry` (``report.metrics``): the
 solver counters, per-checker phase and enumeration counters, cache
 counters, pass table and phase timings all share a single namespace the
@@ -281,9 +279,10 @@ class AnalysisReport:
 class Canary:
     """Facade over the whole analysis.
 
-    The driver owns an :class:`ArtifactStore`: repeated ``analyze_*``
-    calls on one instance reuse phase artifacts whose content hashes are
-    unchanged (disable with ``AnalysisConfig(use_cache=False)``).  An
+    The driver owns an :class:`ArtifactStore`: an ``analyze_source``
+    call whose source, filename and config match an earlier run of the
+    instance is answered from the run cache (disable with
+    ``AnalysisConfig(use_cache=False)``).  An
     optional :class:`~repro.obs.tracer.Tracer` collects the span
     timeline across all runs of the instance.
     """
@@ -316,9 +315,9 @@ class Canary:
         request gets its own (immutable) config — and thus its own
         budget, checkers and knobs — while every run digs into the same
         resident store.  Content keys embed the config hash, so two
-        configs never alias each other's artifacts.  ``analyze_*`` calls
-        are thread-safe across siblings: the store locks its layers and
-        serializes same-file runs on a per-lineage lock.
+        configs never alias each other's cached runs.  ``analyze_*``
+        calls are thread-safe across siblings: the store locks its
+        layers, and runs share nothing else.
         """
         return Canary(config, store=self.store, tracer=self.tracer)
 

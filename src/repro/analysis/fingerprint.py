@@ -1,91 +1,49 @@
-"""IR-level fingerprints and the portable report codec.
+"""Run digests and the portable report codec.
 
-``module_skeleton`` hashes exactly the slice of a lowered module that the
-pointer/thread-structure phases (Steensgaard → thread call graph → MHP)
-depend on: the label layout, instruction opcodes, direct call/fork
-targets, thread and mutex names.  Two modules with equal skeletons have
-identical thread structure and — absent function pointers — identical
-call resolution, so those phase artifacts can be reused even though
-variable names (and hence most value-level content) differ between runs.
+``run_digest`` keys the whole-run cache: the source text, the filename
+and the config hash.
 
 ``report_to_portable`` / ``report_from_portable`` translate an
 :class:`~repro.analysis.driver.AnalysisReport` to/from a JSON-safe dict
 keyed entirely by instruction labels, which are deterministic per source
-text (per-function label blocks): a fresh process can re-lower the same
-source and rehydrate a cached report against its own module.
+text (per-function label blocks).  This is the one record format of the
+run cache: the memory layer rehydrates it against the module it stored
+with it, the disk layer against a module a fresh process re-lowered
+from the same source.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+import hashlib
+from typing import TYPE_CHECKING, Iterable, List
 
-from ..frontend.fingerprint import stable_digest
-from ..ir.instructions import (
-    CallInst,
-    ForkInst,
-    JoinInst,
-    LockInst,
-    SignalInst,
-    UnlockInst,
-    WaitInst,
-)
 from ..ir.module import IRModule
-from ..ir.values import FunctionRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .driver import AnalysisReport
 
 __all__ = [
-    "module_skeleton",
     "report_from_portable",
     "report_to_portable",
     "run_digest",
+    "stable_digest",
 ]
 
 PORTABLE_VERSION = 1
 
+
+def stable_digest(parts: Iterable[str]) -> str:
+    """A short, process-independent digest of an iterable of strings."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode("utf-8", "backslashreplace"))
+        h.update(b"\x1f")
+    return h.hexdigest()[:16]
+
+
 def run_digest(source: str, filename: str, config_key: str) -> str:
     """The whole-run cache key: source text + filename + config hash."""
     return stable_digest(["run", filename, config_key, source])
-
-
-def module_skeleton(module: IRModule) -> str:
-    """Hash of the pointer/thread-structure-relevant slice of a module."""
-    parts = [
-        f"entry={module.entry}",
-        "globals:" + ",".join(sorted(module.globals)),
-        "externs:" + ",".join(sorted(module.externs)),
-    ]
-    indirect = False
-    for name, func in module.functions.items():
-        parts.append(f"fn:{name}/{len(func.params)}")
-        for inst in func.body:
-            enc = f"{inst.label}:{type(inst).__name__}"
-            if isinstance(inst, (CallInst, ForkInst)):
-                callee = inst.callee
-                if isinstance(callee, FunctionRef):
-                    enc += f":{callee.name}"
-                else:
-                    enc += ":?"
-                    indirect = True
-                if isinstance(inst, ForkInst):
-                    enc += f":{inst.thread}"
-            elif isinstance(inst, JoinInst):
-                enc += f":{inst.thread}"
-            elif isinstance(inst, (LockInst, UnlockInst)):
-                enc += f":{inst.mutex}"
-            elif isinstance(inst, (SignalInst, WaitInst)):
-                enc += f":{inst.cond}"
-            parts.append(enc)
-    if indirect:
-        # Function-pointer targets come from whole-module points-to facts,
-        # and those facts are keyed by per-lowering Variable objects: the
-        # cached triple answers queries correctly only for the exact same
-        # lowered function objects.  Folding in their identities makes any
-        # relowered function force the pointer phases to re-run.
-        for name, func in module.functions.items():
-            parts.append(f"obj:{name}:{id(func)}")
-    return stable_digest(parts)
 
 
 def report_to_portable(report: "AnalysisReport") -> dict:
@@ -133,7 +91,9 @@ def report_to_portable(report: "AnalysisReport") -> dict:
 def report_from_portable(
     data: dict, module: IRModule, metrics=None
 ) -> "AnalysisReport":
-    """Rehydrate a portable report against a freshly lowered module.
+    """Rehydrate a portable report against a module lowered from the
+    same source.  Every container of the result is fresh, so the record
+    can be rehydrated again.
 
     Raises ``KeyError`` when a recorded label no longer exists (stale
     cache entry) — callers treat that as a miss and re-analyze.
@@ -151,7 +111,7 @@ def report_from_portable(
             path=b["path"],
             inter_thread=b["inter_thread"],
             witness_order=dict(b.get("witness_order", {})),
-            witness_env=dict(b.get("witness_env", {})),
+            witness_env={k: dict(v) for k, v in b.get("witness_env", {}).items()},
             statements=[
                 module.instruction_at(label) for label in b.get("statements", ())
             ],

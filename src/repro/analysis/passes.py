@@ -4,25 +4,16 @@ Each phase of the paper's Fig. 1 — parse, bound/lower, IR verification,
 pointer analysis, thread call graph, MHP, Alg. 1 data dependence,
 Alg. 2 interference, per-checker detection — is a named *pass* run by a
 :class:`PassManager` that records a uniform (status, seconds, detail)
-row per pass.  The :class:`AnalysisPipeline` threads content-addressed
-artifacts from the :class:`~repro.analysis.artifacts.ArtifactStore`
-between passes, so a pass whose input hashes are unchanged is skipped
-(status ``cached``) instead of re-executed:
+row per pass.
 
-* **run key** (source text + filename + config hash) — a warm re-run of
-  identical input returns the memoized report without executing any
-  analysis pass; with ``cache_dir`` the portable report also survives
-  process restarts;
-* **per-function AST fingerprints** — unchanged functions reuse their
-  lowered IR objects (label blocks keep all labels stable);
-* **dataflow journal** — Alg. 1 replays the recorded VFG mutations for
-  the unchanged prefix of the bottom-up function order;
-* **module skeleton** — the pointer/thread-structure triple
-  (Steensgaard, thread call graph, MHP) is reused whenever the label
-  layout, opcodes and call/fork/join/lock structure are unchanged;
-* **detection region fingerprint** — a checker re-runs only when the
-  backward-reachable VFG region of its sinks (plus its sources and the
-  store index feeding Φ_ls) changed.
+One request is one whole analysis: every pass runs, and nothing a run
+computes is reused by a later run except through the whole-run cache of
+the :class:`~repro.analysis.artifacts.ArtifactStore`.  That cache is
+keyed by the source text, filename and config hash and holds one record
+format, the portable report: a memory hit rehydrates it against the
+stored module without running any pass (status ``cached``), a disk hit
+(``cache_dir``) runs ``parse`` and ``lower`` and then rehydrates it the
+same way.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..checkers import ALL_CHECKERS, BugReport
 from ..detection.reachability import SinkReachabilityIndex
@@ -40,15 +31,15 @@ from ..frontend import parse_program
 from ..frontend.ast_nodes import Program
 from ..ir.module import IRModule
 from ..ir.verifier import verify_module
-from ..lowering import LoweringCache, lower_program_incremental
+from ..lowering import lower_program_incremental
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..pointer.steensgaard import steensgaard
 from ..threads.callgraph import build_thread_call_graph
 from ..threads.mhp import MhpAnalysis
 from ..vfg.builder import VFGBundle
-from ..vfg.dataflow import DataDependenceAnalysis, DataflowJournal
-from ..vfg.graph import ObjNode, VFGNode
+from ..vfg.dataflow import DataDependenceAnalysis
+from ..vfg.graph import VFGNode
 from ..vfg.interference import InterferenceAnalysis
 from ..vfg.summaries import SummaryIndex, compute_summaries
 from ..frontend import FrontendError
@@ -57,12 +48,7 @@ from .artifacts import ArtifactStore, VerdictCache
 from .budget import Budget, BudgetExceededError
 from .config import AnalysisConfig
 from .driver import AnalysisReport
-from .fingerprint import (
-    module_skeleton,
-    report_from_portable,
-    report_to_portable,
-    run_digest,
-)
+from .fingerprint import report_from_portable, report_to_portable, run_digest
 
 __all__ = ["AnalysisPipeline", "PassManager", "PassRecord"]
 
@@ -216,20 +202,6 @@ class AnalysisPipeline:
     def _analyze_source(
         self, source: str, filename: str, track_memory: bool
     ) -> AnalysisReport:
-        caching = self.config.use_cache and not track_memory
-        if caching and filename:
-            # Serialize concurrent runs of the *same* lineage: the live
-            # lineage-keyed artifacts (lowering cache, dataflow journal,
-            # thread triple) are mutated in place, so a second request
-            # for the file waits — and then rides the warm/incremental
-            # path.  Distinct files analyze fully in parallel.
-            with self.store.lineage_lock(filename):
-                return self._analyze_source_inner(source, filename, track_memory)
-        return self._analyze_source_inner(source, filename, track_memory)
-
-    def _analyze_source_inner(
-        self, source: str, filename: str, track_memory: bool
-    ) -> AnalysisReport:
         cfg = self.config
         caching = cfg.use_cache and not track_memory
         events_mark = len(self.store.events)
@@ -237,10 +209,12 @@ class AnalysisPipeline:
         if caching:
             hit = self.store.get("run", digest)
             if hit is not None:
-                return self._replay_memoized_run(hit, events_mark)
+                return self._rehydrate(
+                    hit["record"], hit["module"], events_mark, "run cache"
+                )
         try:
             ast = self.pm.run("parse", lambda: parse_program(source, filename))
-            module = self._lower(ast, filename, caching)
+            module = self._lower(ast)
         except FrontendError:
             raise  # malformed input is the caller's problem, not degradation
         except BudgetExceededError:
@@ -256,34 +230,35 @@ class AnalysisPipeline:
         if self._out_of_time("frontend"):
             return self._degraded_empty_report(events_mark)
         if caching and cfg.cache_dir:
-            data = self.store.get_disk("run", digest)
-            if data is not None:
-                report = self._rehydrate_disk_run(data, module, events_mark)
-                if report is not None:
-                    self.store.put("run", digest, {"report": report, "module": module})
+            record = self.store.get_disk("run", digest)
+            if record is not None:
+                try:
+                    report = self._rehydrate(
+                        record, module, events_mark, "disk run cache"
+                    )
+                except KeyError:
+                    self.store.note("stale disk:run")
+                else:
+                    self.store.put("run", digest, {"record": record, "module": module})
                     return report
-        report = self._analyze_module(
-            module, lineage=filename, track_memory=track_memory, caching=caching
-        )
+        report = self._analyze_module(module, track_memory, events_mark)
         report.set_timing("parse", self.pm.seconds_of("parse"))
         report.set_timing("lowering", self.pm.seconds_of("lower"))
         # Degraded runs (budget expiry, isolated failures) are partial by
         # definition: caching them would pin the degradation.
         if caching and not report.timed_out and not report.degradation_warnings:
-            self.store.put("run", digest, {"report": report, "module": module})
+            record = report_to_portable(report)
+            record["pass_statistics"] = report.pass_statistics
+            self.store.put("run", digest, {"record": record, "module": module})
             if cfg.cache_dir:
-                portable = report_to_portable(report)
-                portable["pass_statistics"] = report.pass_statistics
-                self.store.put_disk("run", digest, portable)
+                self.store.put_disk("run", digest, record)
         return report
 
     def analyze_ast(self, ast: Program, track_memory: bool = False) -> AnalysisReport:
         with self.tracer.span("analyze", entry="ast"):
-            caching = self.config.use_cache and not track_memory
-            module = self._lower(ast, None, caching)
-            report = self._analyze_module(
-                module, lineage=None, track_memory=track_memory, caching=caching
-            )
+            events_mark = len(self.store.events)
+            module = self._lower(ast)
+            report = self._analyze_module(module, track_memory, events_mark)
             report.set_timing("lowering", self.pm.seconds_of("lower"))
             return report
 
@@ -291,49 +266,22 @@ class AnalysisPipeline:
         self, module: IRModule, track_memory: bool = False
     ) -> AnalysisReport:
         with self.tracer.span("analyze", entry="module"):
-            caching = self.config.use_cache and not track_memory
-            return self._analyze_module(
-                module, lineage=None, track_memory=track_memory, caching=caching
-            )
+            return self._analyze_module(module, track_memory, len(self.store.events))
 
-    # ----- cached-run replay ------------------------------------------------
+    # ----- run-cache hits ---------------------------------------------------
 
-    def _replay_memoized_run(self, hit: dict, events_mark: int) -> AnalysisReport:
-        """Whole-run memory hit: return a fresh report sharing the stored
-        (still live) results — no pass executes."""
-        stored: AnalysisReport = hit["report"]
-        for row in stored.pass_statistics or ({"name": "pipeline"},):
-            self.pm.cached(row["name"], detail="run cache")
-        report = AnalysisReport(
-            bugs=list(stored.bugs),
-            suppressed=list(stored.suppressed),
-            vfg_summary=dict(stored.vfg_summary),
-            timings={k: 0.0 for k in ("parse", "lowering", "vfg", "checking", "solving")},
-            solver_statistics=dict(stored.solver_statistics),
-            checker_statistics={k: dict(v) for k, v in stored.checker_statistics.items()},
-            search_statistics={k: dict(v) for k, v in stored.search_statistics.items()},
-            truncation_warnings=list(stored.truncation_warnings),
-            degradation_warnings=list(stored.degradation_warnings),
-            timed_out=stored.timed_out,
-            bundle=stored.bundle,
-            metrics=self.registry,
-        )
-        self._finish_report(report, events_mark)
-        return report
-
-    def _rehydrate_disk_run(
-        self, data: dict, module: IRModule, events_mark: int
-    ) -> Optional[AnalysisReport]:
-        """Disk hit: parse+lower ran live (labels are deterministic), the
-        remaining passes rehydrate from the portable record."""
-        try:
-            report = report_from_portable(data, module, metrics=self.registry)
-        except KeyError:
-            self.store.note("stale disk:run")
-            return None
-        for row in data.get("pass_statistics", ()):
-            if row["name"] not in ("parse", "lower"):
-                self.pm.cached(row["name"], detail="disk run cache")
+    def _rehydrate(
+        self, record: dict, module: IRModule, events_mark: int, detail: str
+    ) -> AnalysisReport:
+        """A run-cache hit: ``record`` rehydrated against ``module``, with
+        a ``cached`` row for every recorded pass that did not run here.
+        Raises ``KeyError`` when the record names a label ``module``
+        lacks (a stale disk entry)."""
+        report = report_from_portable(record, module, metrics=self.registry)
+        ran = {rec.name for rec in self.pm.records}
+        for row in record.get("pass_statistics", ()):
+            if row["name"] not in ran:
+                self.pm.cached(row["name"], detail=detail)
         report.timings = {
             "parse": self.pm.seconds_of("parse"),
             "lowering": self.pm.seconds_of("lower"),
@@ -346,39 +294,20 @@ class AnalysisPipeline:
 
     # ----- phases -----------------------------------------------------------
 
-    def _lower(
-        self, ast: Program, lineage: Optional[str], caching: bool
-    ) -> IRModule:
-        cfg = self.config
-        cache: Optional[LoweringCache] = None
-        if caching and lineage is not None:
-            cache = self.store.setdefault(
-                "lowering", (lineage, cfg.unroll_depth), LoweringCache
-            )
-        module, reused = self.pm.run(
+    def _lower(self, ast: Program) -> IRModule:
+        module, _reused = self.pm.run(
             "lower",
-            lambda: lower_program_incremental(
-                ast, unroll_depth=cfg.unroll_depth, cache=cache
-            ),
+            lambda: lower_program_incremental(ast, unroll_depth=self.config.unroll_depth),
         )
-        self.pm.records[-1].detail = (
-            f"reused {len(reused)}/{len(module.functions)} function(s)"
-        )
-        if reused:
-            self.store.note(f"hit lowering:{','.join(reused)}")
+        self.pm.records[-1].detail = f"{len(module.functions)} function(s)"
         return module
 
     def _analyze_module(
-        self,
-        module: IRModule,
-        lineage: Optional[str],
-        track_memory: bool,
-        caching: bool,
+        self, module: IRModule, track_memory: bool, events_mark: int
     ) -> AnalysisReport:
         cfg = self.config
         pm = self.pm
         budget = self.budget
-        events_mark = len(self.store.events)
         if track_memory:
             tracemalloc.start()
 
@@ -445,51 +374,24 @@ class AnalysisPipeline:
         if self._out_of_time("verify"):
             return finish()
 
-        # -- pointer / thread structure (skeleton-keyed reuse) --------------
-        skeleton = None
-        triple = None
-        tkey = (lineage, cfg.unroll_depth)
-        if caching and lineage is not None:
-            skeleton = module_skeleton(module)
-            entry = self.store.get("threads", tkey)
-            if entry is not None and entry["skeleton"] == skeleton:
-                triple = entry
-        if triple is not None:
-            pointsto, tcg, mhp = triple["pointsto"], triple["tcg"], triple["mhp"]
-            pm.cached("pointer", detail="skeleton unchanged")
-            pm.cached("tcg", detail="skeleton unchanged")
-            pm.cached("mhp", detail="skeleton unchanged")
-        else:
-            pointsto, error = pm.attempt("pointer", lambda: steensgaard(module))
-            if error is None:
-                tcg, error = pm.attempt(
-                    "tcg", lambda: build_thread_call_graph(module, pointsto)
-                )
-            if error is None:
-                mhp, error = pm.attempt("mhp", lambda: MhpAnalysis(tcg))
-            if error is not None:
-                # Everything downstream needs the thread structure; the
-                # report stays empty but well-formed, with the failure
-                # recorded in pass_statistics and degradation_warnings.
-                pm.warn("thread-structure phase unavailable; no findings produced")
-                return finish()
-            if caching and lineage is not None:
-                self.store.put(
-                    "threads",
-                    tkey,
-                    {"skeleton": skeleton, "pointsto": pointsto, "tcg": tcg, "mhp": mhp},
-                )
+        # -- pointer / thread structure --------------------------------------
+        pointsto, error = pm.attempt("pointer", lambda: steensgaard(module))
+        if error is None:
+            tcg, error = pm.attempt(
+                "tcg", lambda: build_thread_call_graph(module, pointsto)
+            )
+        if error is None:
+            mhp, error = pm.attempt("mhp", lambda: MhpAnalysis(tcg))
+        if error is not None:
+            # Everything downstream needs the thread structure; the
+            # report stays empty but well-formed, with the failure
+            # recorded in pass_statistics and degradation_warnings.
+            pm.warn("thread-structure phase unavailable; no findings produced")
+            return finish()
         if self._out_of_time("threads"):
             return finish()
 
-        # -- Alg. 1 data dependence (journaled, per-function passes) --------
-        journal: Optional[DataflowJournal] = None
-        if caching and lineage is not None:
-            journal = self.store.setdefault(
-                "dataflow",
-                (lineage, cfg.max_content_entries, cfg.prune_guards),
-                DataflowJournal,
-            )
+        # -- Alg. 1 data dependence (per-function passes) --------------------
         dataflow = DataDependenceAnalysis(
             module,
             tcg,
@@ -500,7 +402,7 @@ class AnalysisPipeline:
         try:
             with self.tracer.span("pass:dataflow"):
                 fault_point("pass:dataflow")
-                dataflow.run(journal)
+                dataflow.run()
         except BudgetExceededError:
             raise  # hard cancellation unwinds; never a degradation warning
         except Exception as exc:
@@ -580,9 +482,7 @@ class AnalysisPipeline:
             order_constraints=cfg.order_constraints,
             lock_analysis=lock_analysis,
             memory_model=cfg.memory_model,
-            # Terms are hash-consed, so Φ_all → verdict entries stay valid
-            # across runs: share the store's cache for cross-run reuse.
-            cache=self.store.verdict_cache if caching else VerdictCache(),
+            cache=VerdictCache(),
             solver_timeout=cfg.solver_timeout_seconds,
             budget=budget,
             metrics=self.registry,
@@ -612,56 +512,24 @@ class AnalysisPipeline:
                 budget=budget,
                 tracer=self.tracer,
             )
-            fingerprint = None
-            if caching and lineage is not None:
-                fingerprint = self._detection_fingerprint(checker, bundle, skeleton)
-                prev = self.store.get("detect", (lineage, name))
-                if prev is not None and prev["fingerprint"] == fingerprint:
-                    pm.cached(
-                        f"detect:{name}",
-                        detail=f"{len(prev['bugs'])} report(s), sink region unchanged",
-                    )
-                    bugs.extend(prev["bugs"])
-                    suppressed.extend(prev["suppressed"])
-                    checker_statistics[name] = dict(prev["checker_stats"])
-                    search_statistics[name] = dict(prev["search_stats"])
-                    truncation_warnings.extend(prev["truncations"])
-                    continue
             found, error = pm.attempt(f"detect:{name}", checker.run)
             if error is not None:
                 # One crashing checker never takes down the others.
                 pm.warn(f"checker {name}: its findings are omitted")
                 continue
             pm.records[-1].detail = f"{len(found)} report(s)"
-            truncations = [
-                f"{name}: {event.describe()}" for event in checker.truncation_events
-            ]
             bugs.extend(found)
             suppressed.extend(checker.suppressed)
             checker_statistics[name] = dict(checker.statistics)
             search_statistics[name] = checker.search_stats.as_dict()
-            truncation_warnings.extend(truncations)
+            truncation_warnings.extend(
+                f"{name}: {event.describe()}" for event in checker.truncation_events
+            )
             undecided = checker.statistics.get("undecided", 0)
             if undecided:
                 pm.warn(
                     f"checker {name}: {undecided} candidate(s) undecided"
                     " (solver budget exhausted before a verdict)"
-                )
-            # Budget-starved verdicts (and runs that expired mid-checker)
-            # are time-dependent; caching them would pin UNKNOWN-influenced
-            # or partial results across runs.
-            if fingerprint is not None and not undecided and not budget.expired():
-                self.store.put(
-                    "detect",
-                    (lineage, name),
-                    {
-                        "fingerprint": fingerprint,
-                        "bugs": list(found),
-                        "suppressed": list(checker.suppressed),
-                        "checker_stats": dict(checker.statistics),
-                        "search_stats": checker.search_stats.as_dict(),
-                        "truncations": truncations,
-                    },
                 )
         return finish()
 
@@ -687,62 +555,6 @@ class AnalysisPipeline:
         )
         self._finish_report(report, events_mark)
         return report
-
-    def _detection_fingerprint(
-        self, checker, bundle: VFGBundle, skeleton: str
-    ) -> Tuple:
-        """Everything the checker's verdicts can depend on.
-
-        Sink-directed pruning keeps the DFS inside the backward-
-        reachable region of the sink set, so the fingerprint covers that
-        region's edges (plus its frontier — out-edges of region nodes
-        drive enumeration order and prune counters), the checker's
-        sources, and the Φ_ls store index of every object the region
-        mentions.  Without a sink set the search may roam the whole
-        graph, so the whole edge set is the region.
-
-        Node/guard/instruction components compare by identity (or by
-        hash-consed structural identity for terms): unchanged functions
-        keep their lowered objects, so an untouched region compares
-        equal across runs while any relowered function in it forces a
-        mismatch — conservative in exactly the right direction.
-        """
-        vfg = bundle.vfg
-        sinks = checker.sink_node_set()
-        if sinks:
-            region: Set[VFGNode] = set(sinks)
-            frontier = list(sinks)
-            while frontier:
-                node = frontier.pop()
-                for edge in vfg.in_edges(node):
-                    if edge.src not in region:
-                        region.add(edge.src)
-                        frontier.append(edge.src)
-            edges = frozenset(
-                e for e in vfg.edges() if e.src in region or e.dst in region
-            )
-        else:
-            region = set(vfg.nodes())
-            edges = frozenset(vfg.edges())
-        sources: FrozenSet = frozenset(
-            (origin, inst, guard) for origin, inst, guard in checker.sources()
-        )
-        objs = {e.obj for e in edges if e.obj is not None}
-        objs.update(n.obj for n in region if isinstance(n, ObjNode))
-        object_stores = frozenset(
-            (obj, store, guard)
-            for obj in objs
-            for store, guard in bundle.object_stores.get(obj, ())
-        )
-        return (
-            "fp1",
-            self.config.cache_key(),
-            skeleton,
-            frozenset(sinks) if sinks else None,
-            edges,
-            sources,
-            object_stores,
-        )
 
     def _finish_report(self, report: AnalysisReport, events_mark: int) -> None:
         report.pass_statistics = self.pm.statistics()

@@ -71,35 +71,18 @@ class IRModule:
             )
         return label
 
-    def begin_label_block(self, index: int) -> int:
+    def begin_label_block(self, index: int) -> None:
         """Start allocating labels at ``index * LABEL_BLOCK_STRIDE``.
 
         The lowering opens one block per function (in declaration order),
         which keeps every function's labels stable under edits to other
         functions: label *order* still follows declaration order, but the
         numbering of function ``i`` no longer depends on the sizes of
-        functions ``0..i-1``.  Returns the block's first label.
+        functions ``0..i-1``.
         """
         start = index * LABEL_BLOCK_STRIDE
         self._next_label = start
         self._block_limit = start + LABEL_BLOCK_STRIDE
-        return start
-
-    def adopt_function(self, func: IRFunction, block_index: int) -> None:
-        """Re-register a previously lowered function under this module.
-
-        Used by the incremental lowering to reuse an unchanged function's
-        instruction objects (and hence labels, variables and guards) from
-        an earlier run.  The function must have been lowered in the same
-        block position.
-        """
-        start = self.begin_label_block(block_index)
-        self.functions[func.name] = func
-        last = start - 1
-        for inst in func.body:
-            self.register(inst, func.name)
-            last = inst.label
-        self._next_label = last + 1
 
     def register(self, inst: Instruction, func_name: str) -> None:
         self._labels[inst.label] = inst

@@ -1,7 +1,6 @@
 """AST-to-IR lowering: bounded unrolling + guarded partial-SSA construction."""
 
 from .lower import (
-    LoweringCache,
     LoweringError,
     lower_program,
     lower_program_incremental,
@@ -9,7 +8,6 @@ from .lower import (
 from .unroll import DEFAULT_UNROLL_DEPTH, unroll_loops
 
 __all__ = [
-    "LoweringCache",
     "LoweringError",
     "lower_program",
     "lower_program_incremental",

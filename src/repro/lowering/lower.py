@@ -18,11 +18,9 @@ cross-arm flows between exclusive branches).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..frontend import ast_nodes as A
-from ..frontend.fingerprint import ast_fingerprint, program_context_fingerprint
 from ..frontend.source import Location
 from ..ir.instructions import (
     AddrOfInst,
@@ -78,7 +76,6 @@ from .unroll import DEFAULT_UNROLL_DEPTH, unroll_loops
 __all__ = [
     "lower_program",
     "lower_program_incremental",
-    "LoweringCache",
     "LoweringError",
 ]
 
@@ -101,28 +98,6 @@ class LoweringError(Exception):
     pass
 
 
-@dataclass
-class _CachedFunction:
-    fingerprint: str
-    block_index: int
-    func: IRFunction
-
-
-@dataclass
-class LoweringCache:
-    """Carry-over state for :func:`lower_program_incremental`.
-
-    Holds the previous run's lowered :class:`IRFunction` objects plus the
-    interned global cells.  Reusing the *objects* (not copies) is what
-    keeps variable, instruction and guard identities stable across runs,
-    which the downstream per-function artifact reuse depends on.
-    """
-
-    context_fp: str = ""
-    functions: Dict[str, _CachedFunction] = field(default_factory=dict)
-    globals: Dict[str, MemObject] = field(default_factory=dict)
-
-
 def lower_program(
     program: A.Program,
     unroll_depth: int = DEFAULT_UNROLL_DEPTH,
@@ -130,63 +105,32 @@ def lower_program(
     """Lower a parsed MiniCC program to an :class:`IRModule`.
 
     Loops are unrolled to ``unroll_depth`` first (paper §6 unrolls twice).
+    Each function is lowered into its own label block (indexed by
+    declaration order), so labels — and therefore bug keys — of one
+    function never depend on the contents of another.
     """
-    module, _reused = lower_program_incremental(program, unroll_depth, None)
+    bounded = unroll_loops(program, unroll_depth)
+    module = IRModule()
+    for ext in bounded.externs:
+        module.externs[ext.name] = SymbolicConstant(ext.name)
+    for glob in bounded.globals:
+        module.globals[glob.name] = MemObject(glob.name, "global")
+    func_names = {f.name for f in bounded.functions}
+    for i, func in enumerate(bounded.functions):
+        module.begin_label_block(i)
+        module.functions[func.name] = _FunctionLowerer(module, func, func_names).lower()
     return module
 
 
 def lower_program_incremental(
     program: A.Program,
     unroll_depth: int = DEFAULT_UNROLL_DEPTH,
-    cache: Optional[LoweringCache] = None,
 ) -> Tuple[IRModule, Tuple[str, ...]]:
-    """Lower a program, reusing unchanged functions from ``cache``.
-
-    Each function is lowered into its own label block (indexed by
-    declaration order), so labels — and therefore bug keys — of one
-    function never depend on the contents of another.  A function is
-    reused when its unrolled-AST fingerprint, block position and the
-    module context (function list, globals, externs, unroll depth) all
-    match the cached run; reuse re-registers the *same* ``IRFunction``
-    object.  Returns the module and the names of the reused functions.
-    The cache, when given, is updated in place for the next run; without
-    one no fingerprint is computed.
-    """
-    bounded = unroll_loops(program, unroll_depth)
-    context_fp = (
-        program_context_fingerprint(bounded, unroll_depth) if cache is not None else ""
-    )
-    reuse_ok = cache is not None and cache.context_fp == context_fp
-
-    module = IRModule()
-    for ext in bounded.externs:
-        module.externs[ext.name] = SymbolicConstant(ext.name)
-    for glob in bounded.globals:
-        obj = cache.globals.get(glob.name) if reuse_ok else None
-        module.globals[glob.name] = obj if obj is not None else MemObject(
-            glob.name, "global"
-        )
-    func_names = {f.name for f in bounded.functions}
-
-    reused: List[str] = []
-    new_entries: Dict[str, _CachedFunction] = {}
-    for i, func in enumerate(bounded.functions):
-        fp = ast_fingerprint(func) if cache is not None else ""
-        prev = cache.functions.get(func.name) if reuse_ok else None
-        if prev is not None and prev.fingerprint == fp and prev.block_index == i:
-            module.adopt_function(prev.func, i)
-            reused.append(func.name)
-            new_entries[func.name] = prev
-        else:
-            module.begin_label_block(i)
-            lowered = _FunctionLowerer(module, func, func_names).lower()
-            module.functions[func.name] = lowered
-            new_entries[func.name] = _CachedFunction(fp, i, lowered)
-    if cache is not None:
-        cache.context_fp = context_fp
-        cache.functions = new_entries
-        cache.globals = dict(module.globals)
-    return module, tuple(reused)
+    """:func:`lower_program` plus the names of functions reused from an
+    earlier run, which is always empty: every run lowers every function.
+    The pipeline's ``lower`` pass calls this name, and
+    ``perfbench/layers.py`` wraps it and unpacks the pair."""
+    return lower_program(program, unroll_depth), ()
 
 
 def _collect_addr_taken(block: A.BlockStmt, acc: Set[str]) -> None:

@@ -1,12 +1,11 @@
 """Analysis-as-a-service: a long-lived daemon over the resident engine.
 
 The one-shot CLI pays a cold Python process — parse, lower, analyze,
-exit — for every invocation.  The server keeps the warm state the
-engine has accumulated alive across requests: the in-memory
-:class:`~repro.analysis.artifacts.ArtifactStore` and the Φ_all→verdict
-cache.
-A request that re-submits an edited file rides the function-level
-incremental path and re-analyzes in milliseconds.
+exit — for every invocation.  The server keeps one warm process and its
+whole-run cache (:class:`~repro.analysis.artifacts.ArtifactStore`)
+alive across requests: a byte-identical re-submission is answered from
+the cache without running a pass, and an edited file is analysed from
+scratch, exactly as a one-shot run would.
 
 Three layers:
 

@@ -5,17 +5,17 @@ Endpoints:
 * ``POST /analyze`` — body ``{"source": "...", "filename": "f.mcc",
   "config": {...}, "wait": false}``; returns ``202`` with the report id
   (or ``200`` with the finished record when ``wait`` is true).
-  Re-submitting an edited source under the same filename is the watch
-  mode: the run rides the function-level incremental path against the
-  resident store;
+  Re-submitting a byte-identical source and config is answered from the
+  resident run cache without running a pass; an edited source is
+  analysed from scratch;
 * ``GET /reports/<id>`` — poll one report (``queued``/``running``/
   ``done``/``failed``; ``done`` carries the portable result and the
   run's metrics snapshot);
 * ``GET /reports`` — list records (without result payloads);
 * ``DELETE /reports/<id>`` (or ``POST /reports/<id>/cancel``) — cancel
   an in-flight run;
-* ``GET /metrics`` — the server's aggregate metrics registry plus live
-  store statistics, as flat JSON;
+* ``GET /metrics`` — the server's aggregate metrics registry plus the
+  run cache's counters (``store.*``), as flat JSON;
 * ``GET /healthz`` — liveness.
 
 ``serve_main`` is the ``repro serve`` subcommand: it builds the
@@ -237,11 +237,14 @@ def serve_main(argv=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    config = AnalysisConfig(
-        checkers=checkers,
-        timeout_seconds=args.timeout,
-        cache_dir=args.cache_dir,
-    )
+    try:
+        config = AnalysisConfig(
+            checkers=checkers,
+            timeout_seconds=args.timeout,
+            cache_dir=args.cache_dir,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     service = AnalysisService(
         config,
         workers=args.server_workers,

@@ -1,9 +1,9 @@
 """The analysis service: a bounded worker pool over one resident store.
 
 One :class:`AnalysisService` owns the daemon's warm state — the shared
-:class:`~repro.analysis.artifacts.ArtifactStore` (memory layer, verdict
-cache, optional disk run cache) — and a pool
-of worker threads draining a submission queue.  Each request is
+:class:`~repro.analysis.artifacts.ArtifactStore` (the whole-run cache:
+memory layer plus optional disk layer) — and a pool of worker threads
+draining a submission queue.  Each request is
 isolated in three ways:
 
 * **config** — the request's knob overrides are folded into a fresh
@@ -23,10 +23,10 @@ isolated in three ways:
   prefix (:meth:`MetricsRegistry.merge`), so ``/metrics`` shows
   cumulative traffic while per-report snapshots stay request-scoped.
 
-Same-file requests additionally serialize on the store's per-lineage
-lock (inside the pipeline), which is what makes re-submission of an
-edited file a *watch mode*: the second run replays the journal prefix
-and re-executes only the passes downstream of the edit.
+Requests share nothing but the run cache: a byte-identical
+re-submission is answered from it without running a pass, and an edited
+one is analysed from scratch, so requests for the same file run in
+parallel like any others.
 """
 
 from __future__ import annotations
@@ -221,8 +221,6 @@ class AnalysisService:
             snapshot[f"server.reports_{key}"] = value
         for key, value in self.store.statistics().items():
             snapshot[f"store.{key}"] = value
-        snapshot["store.verdict_cache_entries"] = len(self.store.verdict_cache)
-        snapshot["store.verdict_cache_hits"] = self.store.verdict_cache.hits
         return snapshot
 
     def health(self) -> Dict[str, Any]:

@@ -74,7 +74,9 @@ def _intern(cls, *args):
         found = object.__new__(cls)
         found._args = args
         found._hash = hash(key)
-        _interned[key] = found
+        # Not a plain store: when two threads build the same term at
+        # once, both must get the object that was stored first.
+        found = _interned.setdefault(key, found)
     return found
 
 

@@ -21,13 +21,17 @@ body, computing:
 Fork sites transfer only the direct argument edge; the interference
 analysis (Alg. 2, :mod:`repro.vfg.interference`) resolves everything
 that flows through them (Alg. 1 lines 23-24).
+
+Every run analyses every function once, from scratch; the per-function
+``dataflow:<fn>`` pass rows come from
+:attr:`DataDependenceAnalysis.function_trace`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.instructions import (
     AddrOfInst,
@@ -63,8 +67,6 @@ from .graph import DefNode, NullNode, ObjNode, StoreNode, ValueFlowGraph
 
 __all__ = [
     "DataDependenceAnalysis",
-    "DataflowJournal",
-    "FunctionJournal",
     "FunctionSummary",
     "PtsSet",
     "ContentEntry",
@@ -101,40 +103,6 @@ class FunctionSummary:
         return {v: o for o, v in self.initial_values.items()}
 
 
-@dataclass
-class FunctionJournal:
-    """The recorded effects of one function's Alg. 1 pass.
-
-    Alg. 1 mutates global state (the VFG, ``pts``, the load/store and
-    escape lists) as it walks a function body.  Recording every mutation
-    as a replayable op turns the per-function pass into a memoizable
-    artifact: when the function object, its per-site callee resolutions
-    and its callees' summaries are all unchanged since the recording run,
-    replaying the ops into a fresh analysis reproduces the pass exactly
-    (same nodes, same guards, same identities) at a fraction of the cost.
-    """
-
-    name: str
-    func: IRFunction
-    summary: Optional[FunctionSummary] = None
-    #: call/fork label -> resolved callee set at recording time
-    site_resolutions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    #: callee/fork-target function objects consumed during the pass
-    dep_funcs: Dict[str, Optional[IRFunction]] = field(default_factory=dict)
-    #: callee summary objects consumed during the pass
-    dep_summaries: Dict[str, Optional[FunctionSummary]] = field(default_factory=dict)
-    ops: List[Tuple] = field(default_factory=list)
-
-
-@dataclass
-class DataflowJournal:
-    """Per-module journal set: the reverse-topological order of the
-    recording run plus one :class:`FunctionJournal` per function."""
-
-    order: List[str] = field(default_factory=list)
-    functions: Dict[str, FunctionJournal] = field(default_factory=dict)
-
-
 class DataDependenceAnalysis:
     """Runs Alg. 1 over a module, populating a :class:`ValueFlowGraph`."""
 
@@ -150,8 +118,8 @@ class DataDependenceAnalysis:
 
         self.module = module
         self.tcg = tcg
-        #: optional repro.obs Tracer: each live function analysis becomes
-        #: a ``dataflow:<fn>`` span (cached replays are not spanned)
+        #: optional repro.obs Tracer: each function analysis becomes a
+        #: ``dataflow:<fn>`` span
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.vfg = ValueFlowGraph()
         self.max_content_entries = max_content_entries
@@ -167,9 +135,7 @@ class DataDependenceAnalysis:
         #: objects passed at fork sites (seed of the escape analysis)
         self.fork_escaped: List[MemObject] = []
         self.statistics = {"strong_updates": 0, "weak_updates": 0, "edges_pruned": 0}
-        #: journal currently being recorded (None while replaying / plain runs)
-        self._journal: Optional[FunctionJournal] = None
-        #: (function name, 'run'|'cached', seconds) per Alg. 1 pass
+        #: (function name, 'run', seconds) per Alg. 1 pass
         self.function_trace: List[Tuple[str, str, float]] = []
         #: per-function ownership extents, in pass order: name ->
         #: (edge_start, edge_end, store_start, store_end, load_start,
@@ -182,35 +148,13 @@ class DataDependenceAnalysis:
 
     # ----- public ---------------------------------------------------------
 
-    def run(self, journal: Optional[DataflowJournal] = None) -> ValueFlowGraph:
-        """Analyze the module, optionally replaying from / recording into
-        ``journal``.
-
-        Replay is valid only for an unbroken *prefix* of the recording
-        run's reverse-topological order: the first function that fails
-        validation (changed object, changed call resolution, changed
-        callee summary) may write global state — points-to facts of
-        shared callees in particular — that later passes read, so every
-        function after it is re-analyzed live and re-recorded.
-        """
-        order = self.tcg.reverse_topological_functions()
-        prefix_clean = journal is not None
-        new_order: List[str] = []
-        new_functions: Dict[str, FunctionJournal] = {}
-        pos = 0
-        for name in order:
+    def run(self) -> ValueFlowGraph:
+        """Analyze the module, one pass per function in the thread call
+        graph's reverse-topological order (callees before callers)."""
+        for name in self.tcg.reverse_topological_functions():
             func = self.module.functions.get(name)
             if func is None:
                 continue
-            rec: Optional[FunctionJournal] = None
-            if (
-                prefix_clean
-                and pos < len(journal.order)
-                and journal.order[pos] == name
-            ):
-                rec = journal.functions.get(name)
-                if rec is not None and not self._replay_valid(rec, func):
-                    rec = None
             t0 = time.perf_counter()
             marks = (
                 self.vfg.num_edges,
@@ -218,25 +162,9 @@ class DataDependenceAnalysis:
                 len(self.all_loads),
                 len(self.fork_escaped),
             )
-            if rec is not None:
-                self._replay(rec)
-                new_functions[name] = rec
-                self.function_trace.append(
-                    (name, "cached", time.perf_counter() - t0)
-                )
-            else:
-                prefix_clean = False
-                if journal is not None:
-                    self._journal = FunctionJournal(name=name, func=func)
-                with self.tracer.span(f"dataflow:{name}"):
-                    self._analyze_function(func)
-                if self._journal is not None:
-                    self._journal.summary = self.summaries[name]
-                    new_functions[name] = self._journal
-                    self._journal = None
-                self.function_trace.append(
-                    (name, "run", time.perf_counter() - t0)
-                )
+            with self.tracer.span(f"dataflow:{name}"):
+                self._analyze_function(func)
+            self.function_trace.append((name, "run", time.perf_counter() - t0))
             self.function_extents[name] = (
                 marks[0],
                 self.vfg.num_edges,
@@ -247,118 +175,10 @@ class DataDependenceAnalysis:
                 marks[3],
                 len(self.fork_escaped),
             )
-            new_order.append(name)
-            pos += 1
-        if journal is not None:
-            journal.order = new_order
-            journal.functions = new_functions
         return self.vfg
 
-    # ----- journal record / replay ----------------------------------------
-
-    def _replay_valid(self, rec: FunctionJournal, func: IRFunction) -> bool:
-        if rec.func is not func or rec.summary is None:
-            return False
-        for inst in func.body:
-            if isinstance(inst, (CallInst, ForkInst)):
-                if self.tcg.callees_at(inst) != rec.site_resolutions.get(
-                    inst.label
-                ):
-                    return False
-        for name, f in rec.dep_funcs.items():
-            if self.module.functions.get(name) is not f:
-                return False
-        for name, s in rec.dep_summaries.items():
-            if self.summaries.get(name) is not s:
-                return False
-        return True
-
-    def _replay(self, rec: FunctionJournal) -> None:
-        self.summaries[rec.name] = rec.summary
-        for op in rec.ops:
-            tag = op[0]
-            if tag == "edge":
-                self.vfg.add_edge(
-                    op[1],
-                    op[2],
-                    op[3],
-                    op[4],
-                    callsite=op[5],
-                    obj=op[6],
-                    store=op[7],
-                    load=op[8],
-                )
-            elif tag == "pts":
-                self._pts_add(op[1], op[2], op[3])
-            elif tag == "load":
-                self.all_loads.append(op[1])
-            elif tag == "store":
-                self.all_stores.append(op[1])
-            elif tag == "starget":
-                self.store_targets.setdefault(op[1], []).append((op[2], op[3]))
-            elif tag == "fesc":
-                self.fork_escaped.append(op[1])
-            elif tag == "stat":
-                self.statistics[op[1]] = self.statistics.get(op[1], 0) + op[2]
-
-    def _add_edge(
-        self,
-        src,
-        dst,
-        guard: BoolTerm,
-        kind: str,
-        callsite: Optional[int] = None,
-        obj: Optional[MemObject] = None,
-        store: Optional[StoreInst] = None,
-        load: Optional[LoadInst] = None,
-    ) -> None:
-        if self._journal is not None:
-            self._journal.ops.append(
-                ("edge", src, dst, guard, kind, callsite, obj, store, load)
-            )
-        self.vfg.add_edge(
-            src,
-            dst,
-            guard,
-            kind,
-            callsite=callsite,
-            obj=obj,
-            store=store,
-            load=load,
-        )
-
-    def _note_load(self, inst: LoadInst) -> None:
-        if self._journal is not None:
-            self._journal.ops.append(("load", inst))
-        self.all_loads.append(inst)
-
-    def _note_store(self, inst: StoreInst) -> None:
-        if self._journal is not None:
-            self._journal.ops.append(("store", inst))
-        self.all_stores.append(inst)
-
-    def _note_store_target(
-        self, obj: MemObject, store: StoreInst, guard: BoolTerm
-    ) -> None:
-        if self._journal is not None:
-            self._journal.ops.append(("starget", obj, store, guard))
-        self.store_targets.setdefault(obj, []).append((store, guard))
-
-    def _note_fork_escape(self, obj: MemObject) -> None:
-        if self._journal is not None:
-            self._journal.ops.append(("fesc", obj))
-        self.fork_escaped.append(obj)
-
-    def _bump(self, key: str, delta: int = 1) -> None:
-        if self._journal is not None:
-            self._journal.ops.append(("stat", key, delta))
-        self.statistics[key] = self.statistics.get(key, 0) + delta
-
-    def _resolve_callees(self, inst: Instruction) -> List[str]:
-        names = self.tcg.callees_at(inst)
-        if self._journal is not None:
-            self._journal.site_resolutions[inst.label] = names
-        return sorted(names)
+    def _bump(self, key: str) -> None:
+        self.statistics[key] += 1
 
     def pts_of(self, value: Value) -> PtsSet:
         if isinstance(value, Variable):
@@ -372,8 +192,7 @@ class DataDependenceAnalysis:
         self.summaries[func.name] = summary
         content: Dict[MemObject, List[ContentEntry]] = {}
         # Synthetic initial-value names are scoped to this function, so
-        # they are identical in every process analyzing the same source
-        # (journal replay reuses the recorded Variables and never mints).
+        # they are identical in every process analyzing the same source.
         self._namer = VariableNamer(f"in::{func.name}")
 
         # Formal pointees: each pointer parameter may reference memory the
@@ -384,7 +203,7 @@ class DataDependenceAnalysis:
             pointee = MemObject(f"{func.name}.arg{i}", "formal")
             summary.formal_pointees[i] = pointee
             self._pts_add(param, pointee, TRUE)
-            self._add_edge(ObjNode(pointee), DefNode(param), TRUE, "alloc")
+            self.vfg.add_edge(ObjNode(pointee), DefNode(param), TRUE, "alloc")
             init = self._namer.fresh(f"arg{i}")
             summary.initial_values[pointee] = init
             content[pointee] = [ContentEntry(init, TRUE, None)]
@@ -420,7 +239,7 @@ class DataDependenceAnalysis:
     ) -> None:
         if isinstance(inst, (AllocInst, AddrOfInst)):
             self._pts_add(inst.dst, inst.obj, inst.guard)
-            self._add_edge(ObjNode(inst.obj), DefNode(inst.dst), inst.guard, "alloc")
+            self.vfg.add_edge(ObjNode(inst.obj), DefNode(inst.dst), inst.guard, "alloc")
             if isinstance(inst, AllocInst):
                 # Fresh heap cell: content starts empty (uninitialized),
                 # so no initial synthetic value is needed.
@@ -436,7 +255,7 @@ class DataDependenceAnalysis:
         elif isinstance(inst, (BinOpInst, CmpInst)):
             for operand in (inst.lhs, inst.rhs):
                 if isinstance(operand, Variable):
-                    self._add_edge(
+                    self.vfg.add_edge(
                         DefNode(operand), DefNode(inst.dst), inst.guard, "direct"
                     )
         elif isinstance(inst, LoadInst):
@@ -455,7 +274,7 @@ class DataDependenceAnalysis:
         summary: FunctionSummary,
         content: Dict[MemObject, List[ContentEntry]],
     ) -> None:
-        self._note_load(inst)
+        self.all_loads.append(inst)
         for obj, alias_guard in self.pts_of(inst.pointer).items():
             entries = (
                 self._initial_content(obj, summary, content)
@@ -467,7 +286,7 @@ class DataDependenceAnalysis:
                 if self._pruned(guard):
                     continue
                 if entry.store is not None:
-                    self._add_edge(
+                    self.vfg.add_edge(
                         StoreNode(entry.store),
                         DefNode(inst.dst),
                         guard,
@@ -486,7 +305,7 @@ class DataDependenceAnalysis:
         summary: FunctionSummary,
         content: Dict[MemObject, List[ContentEntry]],
     ) -> None:
-        self._note_store(inst)
+        self.all_stores.append(inst)
         self._flow_value(inst.value, StoreNode(inst), inst.guard, inst)
         for obj, alias_guard in self.pts_of(inst.pointer).items():
             if obj.kind in ("formal", "global"):
@@ -494,7 +313,7 @@ class DataDependenceAnalysis:
             written = and_(inst.guard, alias_guard)
             if self._pruned(written):
                 continue
-            self._note_store_target(obj, inst, alias_guard)
+            self.store_targets.setdefault(obj, []).append((inst, alias_guard))
             entries = content.setdefault(obj, [])
             if len(entries) < self.max_content_entries:
                 # Path-sensitive strong update: survivors keep g ∧ ¬written.
@@ -517,12 +336,9 @@ class DataDependenceAnalysis:
         summary: FunctionSummary,
         content: Dict[MemObject, List[ContentEntry]],
     ) -> None:
-        for callee_name in self._resolve_callees(inst):
+        for callee_name in sorted(self.tcg.callees_at(inst)):
             callee = self.module.functions.get(callee_name)
             callee_summary = self.summaries.get(callee_name)
-            if self._journal is not None:
-                self._journal.dep_funcs[callee_name] = callee
-                self._journal.dep_summaries[callee_name] = callee_summary
             if callee is None or callee_summary is None:
                 continue  # recursion cut or unknown: no effects (soundy)
             binding = self._bind_formals(inst, callee, callee_summary)
@@ -563,7 +379,7 @@ class DataDependenceAnalysis:
                         else self._value_node(entry.value, inst)
                     )
                     if src is not None:
-                        self._add_edge(
+                        self.vfg.add_edge(
                             src,
                             DefNode(init_var),
                             guard,
@@ -598,7 +414,7 @@ class DataDependenceAnalysis:
                         continue
                     entries.append(ContentEntry(e.value, guard, e.store))
                     if e.store is not None:
-                        self._note_store_target(caller_obj, e.store, guard)
+                        self.store_targets.setdefault(caller_obj, []).append((e.store, guard))
                     self._pts_translate_into(caller_obj, e.value, guard, binding)
                 del entries[: max(0, len(entries) - self.max_content_entries)]
 
@@ -618,10 +434,8 @@ class DataDependenceAnalysis:
     def _transfer_fork(self, inst: ForkInst) -> None:
         """Fork: only the direct argument edge (Alg. 1 lines 23-24); the
         escaped objects seed the interference analysis."""
-        for callee_name in self._resolve_callees(inst):
+        for callee_name in sorted(self.tcg.callees_at(inst)):
             callee = self.module.functions.get(callee_name)
-            if self._journal is not None:
-                self._journal.dep_funcs[callee_name] = callee
             if callee is None:
                 continue
             for formal, actual in zip(callee.params, inst.args):
@@ -629,7 +443,7 @@ class DataDependenceAnalysis:
                     actual, DefNode(formal), inst.guard, inst, kind="forkarg", callsite=inst.label
                 )
                 for obj in self.pts_of(actual):
-                    self._note_fork_escape(obj)
+                    self.fork_escaped.append(obj)
 
     # ----- helpers -----------------------------------------------------------
 
@@ -654,13 +468,11 @@ class DataDependenceAnalysis:
             return
         if self._pruned(guard):
             return
-        self._add_edge(src, dst_node, guard, kind, callsite=callsite)
+        self.vfg.add_edge(src, dst_node, guard, kind, callsite=callsite)
 
     def _pts_add(self, var: Variable, obj: MemObject, guard: BoolTerm) -> None:
         if guard is FALSE:
             return
-        if self._journal is not None:
-            self._journal.ops.append(("pts", var, obj, guard))
         pset = self.pts.setdefault(var, {})
         existing = pset.get(obj)
         pset[obj] = or_(existing, guard) if existing is not None else guard

@@ -135,6 +135,21 @@ class TestConfigWiring:
         assert base.cache_key() != AnalysisConfig(solver_timeout_seconds=1.0).cache_key()
         assert base.cache_key() != AnalysisConfig(pass_timeout_seconds=1.0).cache_key()
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "timeout_seconds",
+            "solver_timeout_seconds",
+            "pass_timeout_seconds",
+            "solver_max_conflicts",
+        ],
+    )
+    def test_negative_budget_rejected(self, knob):
+        with pytest.raises(ValueError, match=f"{knob} must not be negative"):
+            AnalysisConfig(**{knob: -1})
+        # 0 stays legal: "expire immediately"
+        assert getattr(AnalysisConfig(**{knob: 0}), knob) == 0
+
 
 class TestCliFlags:
     def _write(self, tmp_path, source):
@@ -148,6 +163,14 @@ class TestCliFlags:
         out = capsys.readouterr().out
         assert "timed out — partial results" in out
         assert code == 0  # no findings in the partial report
+
+    @pytest.mark.parametrize("flag", ["--timeout", "--pass-timeout", "--solver-timeout"])
+    def test_negative_budget_flag_exits_2(self, tmp_path, capsys, flag):
+        path = self._write(tmp_path, SIMPLE_UAF)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([flag, "-1", path])
+        assert exc.value.code == 2
+        assert "must not be negative" in capsys.readouterr().err
 
     def test_generous_budgets_do_not_change_findings(self, tmp_path, capsys):
         path = self._write(tmp_path, SIMPLE_UAF)

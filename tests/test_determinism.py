@@ -17,12 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.frontend import parse_program
-from repro.frontend.fingerprint import ast_fingerprint
 from repro.ir.values import VariableNamer
-from repro.lowering import unroll_loops
 
-from programs import NESTED_LOOPS
 from test_corpus import CORPUS_FILES
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -83,34 +79,6 @@ class TestVariableNamer:
         # scoped names can never collide with user variables.
         v = VariableNamer("worker").fresh("tmp")
         assert "::" in v.name
-
-
-class TestAstFingerprintGolden:
-    """``ast_fingerprint`` keys the lowering cache.  These digests pin its
-    input bytes, locations (``@line:col``) included, so that an encoder
-    change is a deliberate one.  They were recorded when locations were
-    folded in, and checked against a plain recursive encoder."""
-
-    @pytest.mark.parametrize(
-        "stem, digest",
-        [
-            ("uaf_basic", "63697192633c13c8"),
-            ("mixed_all_checkers", "bd5bc686c22d49f1"),
-            ("uaf_loop_fork", "86f07c42bacb25ad"),
-        ],
-    )
-    def test_corpus_program(self, stem, digest):
-        path = next(p for p in CORPUS_FILES if p.stem == stem)
-        program = unroll_loops(parse_program(path.read_text()), depth=2)
-        assert ast_fingerprint(program) == digest
-
-    def test_nested_loops_at_depth_two(self):
-        program = unroll_loops(parse_program(NESTED_LOOPS), depth=2)
-        assert ast_fingerprint(program) == "08c4a8372c50917d"
-        assert {f.name: ast_fingerprint(f) for f in program.functions} == {
-            "main": "ce6dacfa545ee9a4",
-            "worker": "702b8fbc8f5d3464",
-        }
 
 
 class TestCrossProcess:

@@ -1,10 +1,10 @@
-"""The staged pass pipeline: pass accounting, the artifact cache, and
-cold/warm/incremental equivalence.
+"""The staged pass pipeline: pass accounting, the run cache, and
+cold/warm/edited equivalence.
 
-The load-bearing property is the last one: whatever the cache reuses,
-the reported bug keys must be exactly what a fresh cold run on the same
-source would produce — checked over the whole regression corpus, for
-identical re-runs and for single-function edits.
+The load-bearing property is the last one: a run-cache hit must report
+exactly what a fresh cold run on the same source produces, and an edited
+source re-analysed in the same driver exactly what a fresh driver
+reports — checked over the whole regression corpus.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class TestDriverConstruction:
         assert a.store is b.store
 
 
-# ----- warm and incremental runs --------------------------------------------
+# ----- warm and edited runs -------------------------------------------------
 
 
 class TestWarmRuns:
@@ -161,7 +161,7 @@ class TestWarmRuns:
         assert cold.passes_run()
         assert warm.passes_run() == []
         assert _keys(warm) == _keys(cold)
-        assert warm.bundle is not None  # memory hits keep the live bundle
+        assert warm.bundle is None  # hits rehydrate the portable record
         assert warm.vfg_summary == cold.vfg_summary
 
     def test_use_cache_false_always_reruns(self):
@@ -176,23 +176,6 @@ class TestWarmRuns:
         tracked = canary.analyze_source(UAF, filename="uaf.mcc", track_memory=True)
         assert tracked.passes_run() != []
         assert tracked.peak_memory_bytes > 0
-
-    def test_incremental_edit_skips_unaffected_passes(self):
-        canary = Canary()
-        cold = canary.analyze_source(UAF, filename="uaf.mcc")
-        edited = UAF.replace("return a + 1;", "return a + 7;")
-        incr = canary.analyze_source(edited, filename="uaf.mcc")
-        ran = incr.passes_run()
-        # The pointer/thread triple and the detection region are reusable
-        # (the edit is inside a function with no thread or sink relevance),
-        # and only the edited function's dataflow suffix re-runs.
-        for name in ("pointer", "tcg", "mhp", "dataflow:w_free", "dataflow:w_use"):
-            assert name not in ran
-        assert not any(name.startswith("detect:") for name in ran)
-        assert "dataflow:spin" in ran
-        assert _keys(incr) == _keys(cold)
-        fresh = Canary().analyze_source(edited, filename="uaf.mcc")
-        assert _keys(incr) == _keys(fresh)
 
     def test_explain_cache_collects_events(self):
         canary = Canary(AnalysisConfig(explain_cache=True))
@@ -313,9 +296,9 @@ def _described(report):
 )
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
 def test_corpus_line_moving_edit_matches_fresh(path, edit):
-    """An edit that moves lines or columns but no code: the incremental
-    re-analysis reports exactly what a fresh run does, locations included
-    (a reused function must not keep its old line numbers)."""
+    """An edit that moves lines or columns but no code: the re-analysis
+    in the same driver reports exactly what a fresh run does, locations
+    included."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
     config = AnalysisConfig(checkers=checkers, **overrides)
@@ -353,3 +336,49 @@ def test_corpus_disk_cache_round_trip(path, tmp_path):
     warm = Canary(config).analyze_source(text, filename=path.name)
     assert set(warm.passes_run()) == {"parse", "lower"}, path.name
     assert _rows(warm) == _rows(cold), path.name
+
+
+def _everything(report):
+    """A report's findings, refutations and statistics, field for field."""
+    return (
+        [
+            (
+                b.key,
+                b.describe(),
+                b.path,
+                b.inter_thread,
+                [s.label for s in b.statements],
+                b.witness_order,
+                b.witness_env,
+            )
+            for b in report.bugs
+        ],
+        [(s.kind, s.source.label, s.sink.label, s.reason) for s in report.suppressed],
+        report.vfg_summary,
+        report.solver_statistics,
+        report.checker_statistics,
+        report.search_statistics,
+        report.truncation_warnings,
+        report.degradation_warnings,
+        report.timed_out,
+    )
+
+
+@pytest.mark.parametrize("collect_suppressed", [False, True], ids=["default", "suppressed"])
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+def test_corpus_memory_hit_equals_cold(path, collect_suppressed):
+    """Over every corpus program: a memory hit rehydrates the portable
+    record against the stored module without running a pass, and
+    reports what the cold run did, suppressed candidates and statistics
+    included."""
+    text = path.read_text()
+    _expects, checkers, overrides = _parse_directives(text)
+    overrides["collect_suppressed"] = collect_suppressed
+    canary = Canary(AnalysisConfig(checkers=checkers, **overrides))
+    cold = canary.analyze_source(text, filename=path.name)
+    warm = canary.analyze_source(text, filename=path.name)
+    assert warm.passes_run() == [], path.name
+    assert warm.bundle is None
+    assert _everything(warm) == _everything(cold), path.name
+    again = canary.analyze_source(text, filename=path.name)
+    assert _everything(again) == _everything(cold), path.name

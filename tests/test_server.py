@@ -1,7 +1,8 @@
 """The analysis daemon: service lifecycle, HTTP endpoints, and the
 correctness bar — daemon-served reports are bug-key- and
-witness-identical to CLI one-shot runs, and re-submission of an edited
-file rides the function-level incremental path of the resident store.
+witness-identical to CLI one-shot runs, whether a request is answered
+from the run cache, re-submits an edited file, or runs concurrently with
+another request for the same filename.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.server import AnalysisService, ReportRegistry
 from repro.server.app import make_server
 from repro.server.service import ConfigError
 
-from test_corpus import _parse_directives
+from test_corpus import CORPUS_FILES, _parse_directives
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -82,26 +83,22 @@ class TestDaemonCliEquivalence:
         # the resident run cache serves the re-submission: zero passes run
         assert second.result["passes_run"] == []
 
-    def test_edited_resubmission_rides_incremental_path(self, service):
+    def test_edited_resubmission_equals_one_shot(self, service):
         text, overrides = _subject("mixed_all_checkers.mcc")
         cold = service.analyze(text, "mixed.mcc", overrides, timeout=120)
         total = len(cold.result["pass_statistics"])
         assert len(cold.result["passes_run"]) == total  # cold = everything
         edited = text.replace("print(", "print(0 + ", 1)
         warm = service.analyze(edited, "mixed.mcc", overrides, timeout=120)
-        cached = [
-            p["name"]
-            for p in warm.result["pass_statistics"]
-            if p["status"] == "cached"
-        ]
-        assert cached, "edited re-submission re-ran every pass"
-        assert len(warm.result["passes_run"]) < len(warm.result["pass_statistics"])
-        # the edit shifts statement numbering but not the findings:
-        # same bug kinds over the same value-flow paths
-        def identity(result):
-            return sorted((b["kind"], b["path"]) for b in result["bugs"])
-
-        assert identity(warm.result) == identity(cold.result)
+        assert warm.status == "done", warm.error
+        config = AnalysisConfig(
+            **{**overrides, "checkers": tuple(overrides["checkers"])}
+        )
+        one_shot = report_to_portable(
+            Canary(config).analyze_source(edited, filename="mixed.mcc")
+        )
+        assert warm.result["bugs"] == one_shot["bugs"]
+        assert warm.result["suppressed"] == one_shot["suppressed"]
 
 
 # ----- request isolation -----------------------------------------------------
@@ -136,6 +133,20 @@ class TestRequestIsolation:
     def test_out_of_range_value_rejected(self, service, overrides):
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             service.request_config(overrides)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "timeout_seconds",
+            "solver_timeout_seconds",
+            "pass_timeout_seconds",
+            "solver_max_conflicts",
+        ],
+    )
+    def test_negative_budget_rejected(self, service, knob):
+        with pytest.raises(ConfigError, match=knob):
+            service.submit("int main() { return 0; }", "n.mcc", {knob: -1})
+        assert getattr(service.request_config({knob: 0}), knob) == 0
 
     def test_server_owned_knob_rejected(self, service):
         with pytest.raises(ConfigError):
@@ -184,6 +195,45 @@ class TestConcurrentRequests:
         assert snapshot["server.analyze_seconds.count"] == 2
         assert snapshot["server.reports_done"] == 2
         assert snapshot["store.artifact_hits"] >= 0
+
+
+
+def _with_probe(text):
+    return text + "\nint probe() {\n  return 1;\n}\n"
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+def test_same_filename_concurrent_sources_match_one_shot(path):
+    """Two threads submit different sources under one filename to one
+    service at the same time.  Same-file requests share no live state,
+    so each result is its own one-shot report."""
+    text, overrides = _subject(path.name)
+    sources = [text, _with_probe(text)]
+    config = AnalysisConfig(**{**overrides, "checkers": tuple(overrides["checkers"])})
+    expected = [
+        report_to_portable(Canary(config).analyze_source(src, filename=path.name))
+        for src in sources
+    ]
+    svc = AnalysisService(workers=2, max_reports=8)
+    try:
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def submit(i):
+            barrier.wait()
+            results[i] = svc.analyze(sources[i], path.name, overrides, timeout=120)
+
+        threads = [threading.Thread(target=submit, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        svc.shutdown()
+    for record, reference in zip(results, expected):
+        assert record.status == "done", (path.name, record.error)
+        for field in ("bugs", "suppressed", "truncation_warnings"):
+            assert record.result[field] == reference[field], (path.name, field)
 
 
 # ----- report registry -------------------------------------------------------

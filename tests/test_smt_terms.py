@@ -1,5 +1,9 @@
 """Unit tests for the SMT term DSL."""
 
+import sys
+import threading
+import uuid
+
 from repro.smt import terms as T
 
 
@@ -16,6 +20,31 @@ class TestInterning:
         a, b = T.bool_var("a"), T.bool_var("b")
         assert T.and_(a, b) is T.and_(a, b)
         assert T.or_(a, b) is T.or_(a, b)
+
+    def test_concurrent_construction_yields_one_object(self):
+        # Concurrent runs intern into one process-wide table: threads that
+        # build the same fresh terms at once must all get the stored one.
+        names = [f"race_{uuid.uuid4().hex}" for _ in range(3000)]
+        results = [None] * 4
+        barrier = threading.Barrier(len(results))
+
+        def build(k):
+            barrier.wait()
+            results[k] = [T.int_var(name) for name in names]
+
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for built in results[1:]:
+            assert all(a is b for a, b in zip(results[0], built))
 
 
 class TestBooleanConstruction:
