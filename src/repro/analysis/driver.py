@@ -27,7 +27,10 @@ for a per-span timeline of the same run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import gc
+import threading
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..checkers import BugReport
 from ..frontend.ast_nodes import Program
@@ -48,6 +51,44 @@ _NS_VFG = "vfg"
 _NS_CHECKER = "checker"
 _NS_SEARCH = "search"
 _SERIES_PASSES = "passes"
+
+
+# ----- the collector during a run --------------------------------------------
+
+#: gen-0 threshold while a run is in flight.  A run allocates a graph
+#: that stays alive until it returns and is freed by refcount afterwards
+#: (runs leave no reference cycles), so frequent young collections only
+#: re-traverse live objects and promote them into ever larger gen-2 scans.
+_RUN_GEN0_THRESHOLD = 50_000
+
+_collector_lock = threading.Lock()
+_runs_in_flight = 0
+_caller_thresholds: Optional[tuple] = None
+
+
+@contextmanager
+def quiet_collector() -> Iterator[None]:
+    """Raise the gen-0 collection threshold while at least one analysis
+    runs in this process, and restore the caller's thresholds when the
+    last one exits (on exceptions too).  Runs on concurrent threads
+    (``repro serve`` workers) share one count; a caller that turned
+    automatic collection off with a zero threshold keeps it off."""
+    global _runs_in_flight, _caller_thresholds
+    with _collector_lock:
+        if _runs_in_flight == 0:
+            _caller_thresholds = gc.get_threshold()
+            gen0, *older = _caller_thresholds
+            if 0 < gen0 < _RUN_GEN0_THRESHOLD:
+                gc.set_threshold(_RUN_GEN0_THRESHOLD, *older)
+        _runs_in_flight += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _runs_in_flight -= 1
+            if _runs_in_flight == 0:
+                gc.set_threshold(*_caller_thresholds)
+                _caller_thresholds = None
 
 
 class AnalysisReport:
@@ -322,18 +363,25 @@ class Canary:
         return Canary(config, store=self.store, tracer=self.tracer)
 
     # ----- pipeline entry points ---------------------------------------------
+    #
+    # Each entry point runs under :func:`quiet_collector`, so the
+    # process-wide ``gc`` thresholds differ from the caller's while a run
+    # is in flight.
 
     def analyze_source(
         self, source: str, filename: str = "<input>", track_memory: bool = False
     ) -> AnalysisReport:
-        return self._pipeline().analyze_source(
-            source, filename, track_memory=track_memory
-        )
+        with quiet_collector():
+            return self._pipeline().analyze_source(
+                source, filename, track_memory=track_memory
+            )
 
     def analyze_ast(self, ast: Program, track_memory: bool = False) -> AnalysisReport:
-        return self._pipeline().analyze_ast(ast, track_memory=track_memory)
+        with quiet_collector():
+            return self._pipeline().analyze_ast(ast, track_memory=track_memory)
 
     def analyze_module(
         self, module: IRModule, track_memory: bool = False
     ) -> AnalysisReport:
-        return self._pipeline().analyze_module(module, track_memory=track_memory)
+        with quiet_collector():
+            return self._pipeline().analyze_module(module, track_memory=track_memory)

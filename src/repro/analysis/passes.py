@@ -99,9 +99,14 @@ class PassManager:
         """Run one pass; exceptions propagate (use :meth:`attempt` for
         passes the pipeline can survive losing)."""
         result, error = self.attempt(name, fn, detail, _warn_on_failure=False)
-        if error is not None:
+        if error is None:
+            return result
+        try:
             raise error
-        return result
+        finally:
+            # The traceback holds this frame: dropping the local keeps a
+            # failed run (e.g. a FrontendError) free of reference cycles.
+            error = None
 
     def attempt(
         self, name: str, fn, detail: str = "", _warn_on_failure: bool = True

@@ -66,7 +66,7 @@ _MASTER = re.compile(
 _WORD = re.compile(r"\w+")  # \w is exactly str.isalnum() or "_"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str
     text: str

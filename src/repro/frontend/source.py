@@ -7,7 +7,7 @@ from dataclasses import dataclass
 __all__ = ["Location", "FrontendError", "LexError", "ParseError"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """A position in a source file (1-based line and column)."""
 

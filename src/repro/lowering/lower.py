@@ -133,58 +133,60 @@ def lower_program_incremental(
     return lower_program(program, unroll_depth), ()
 
 
-def _collect_addr_taken(block: A.BlockStmt, acc: Set[str]) -> None:
-    """Names whose address is taken anywhere in the function body."""
+def _collect_addr_taken(s: A.Stmt, acc: Set[str]) -> None:
+    """Add to ``acc`` the names whose address is taken anywhere in ``s``.
 
-    def walk_expr(e: A.Expr) -> None:
-        if isinstance(e, A.AddrOfExpr):
-            acc.add(e.name)
-        elif isinstance(e, A.UnaryExpr):
-            walk_expr(e.operand)
-        elif isinstance(e, A.BinaryExpr):
-            walk_expr(e.lhs)
-            walk_expr(e.rhs)
-        elif isinstance(e, A.CallExpr):
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, A.DerefExpr):
-            walk_expr(e.operand)
-        elif isinstance(e, A.IndexExpr):
-            walk_expr(e.base)
-            walk_expr(e.index)
+    The walkers are module functions, not closures nested in one call: a
+    recursive closure refers to itself through its cell, so every call
+    would leave a reference cycle for the collector.
+    """
+    if isinstance(s, A.BlockStmt):
+        for inner in s.body:
+            _collect_addr_taken(inner, acc)
+    elif isinstance(s, A.IfStmt):
+        _collect_addr_taken_expr(s.cond, acc)
+        _collect_addr_taken(s.then_body, acc)
+        if s.else_body:
+            _collect_addr_taken(s.else_body, acc)
+    elif isinstance(s, A.WhileStmt):
+        _collect_addr_taken_expr(s.cond, acc)
+        _collect_addr_taken(s.body, acc)
+    elif isinstance(s, A.VarDeclStmt) and s.init is not None:
+        _collect_addr_taken_expr(s.init, acc)
+    elif isinstance(s, A.AssignStmt):
+        _collect_addr_taken_expr(s.value, acc)
+    elif isinstance(s, A.StoreStmt):
+        _collect_addr_taken_expr(s.pointer, acc)
+        _collect_addr_taken_expr(s.value, acc)
+    elif isinstance(s, A.IndexStoreStmt):
+        _collect_addr_taken_expr(s.base, acc)
+        _collect_addr_taken_expr(s.index, acc)
+        _collect_addr_taken_expr(s.value, acc)
+    elif isinstance(s, A.ReturnStmt) and s.value is not None:
+        _collect_addr_taken_expr(s.value, acc)
+    elif isinstance(s, A.ExprStmt):
+        _collect_addr_taken_expr(s.expr, acc)
+    elif isinstance(s, A.ForkStmt):
+        for a in s.args:
+            _collect_addr_taken_expr(a, acc)
 
-    def walk_stmt(s: A.Stmt) -> None:
-        if isinstance(s, A.BlockStmt):
-            for inner in s.body:
-                walk_stmt(inner)
-        elif isinstance(s, A.IfStmt):
-            walk_expr(s.cond)
-            walk_stmt(s.then_body)
-            if s.else_body:
-                walk_stmt(s.else_body)
-        elif isinstance(s, A.WhileStmt):
-            walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, A.VarDeclStmt) and s.init is not None:
-            walk_expr(s.init)
-        elif isinstance(s, A.AssignStmt):
-            walk_expr(s.value)
-        elif isinstance(s, A.StoreStmt):
-            walk_expr(s.pointer)
-            walk_expr(s.value)
-        elif isinstance(s, A.IndexStoreStmt):
-            walk_expr(s.base)
-            walk_expr(s.index)
-            walk_expr(s.value)
-        elif isinstance(s, A.ReturnStmt) and s.value is not None:
-            walk_expr(s.value)
-        elif isinstance(s, A.ExprStmt):
-            walk_expr(s.expr)
-        elif isinstance(s, A.ForkStmt):
-            for a in s.args:
-                walk_expr(a)
 
-    walk_stmt(block)
+def _collect_addr_taken_expr(e: A.Expr, acc: Set[str]) -> None:
+    if isinstance(e, A.AddrOfExpr):
+        acc.add(e.name)
+    elif isinstance(e, A.UnaryExpr):
+        _collect_addr_taken_expr(e.operand, acc)
+    elif isinstance(e, A.BinaryExpr):
+        _collect_addr_taken_expr(e.lhs, acc)
+        _collect_addr_taken_expr(e.rhs, acc)
+    elif isinstance(e, A.CallExpr):
+        for a in e.args:
+            _collect_addr_taken_expr(a, acc)
+    elif isinstance(e, A.DerefExpr):
+        _collect_addr_taken_expr(e.operand, acc)
+    elif isinstance(e, A.IndexExpr):
+        _collect_addr_taken_expr(e.base, acc)
+        _collect_addr_taken_expr(e.index, acc)
 
 
 class _FunctionLowerer:

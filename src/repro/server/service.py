@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional
 from ..analysis.artifacts import ArtifactStore
 from ..analysis.budget import Budget, BudgetExceededError
 from ..analysis.config import CACHE_ONLY_FIELDS, AnalysisConfig
+from ..analysis.driver import quiet_collector
 from ..analysis.fingerprint import report_to_portable
 from ..analysis.passes import AnalysisPipeline
 from ..checkers import resolve_checker_names
@@ -181,7 +182,8 @@ class AnalysisService:
             with self._lock:
                 self._budgets[report_id] = pipeline.budget
             try:
-                report = pipeline.analyze_source(source, filename=filename)
+                with quiet_collector():
+                    report = pipeline.analyze_source(source, filename=filename)
             except FrontendError as exc:
                 self.registry.set_failed(report_id, f"frontend error: {exc}")
                 self.metrics.inc("server.failed")

@@ -364,6 +364,11 @@ def not_(a) -> BoolTerm:
 
 def and_(*parts) -> BoolTerm:
     """N-ary conjunction with flattening, deduplication and constant folding."""
+    rest = [p for p in parts if p is not TRUE]
+    if len(rest) == 1 and isinstance(rest[0], BoolTerm):
+        # Conjoining with TRUE (the usual guard on straight-line code):
+        # every term built here is already flat and contradiction-free.
+        return rest[0]
     flat: list = []
     seen = set()
     for p in parts:
@@ -382,7 +387,7 @@ def and_(*parts) -> BoolTerm:
                 seen.add(t)
                 flat.append(t)
     for t in flat:
-        if not_(t) in seen:
+        if isinstance(t, Not) and t.arg in seen:
             return FALSE
     if not flat:
         return TRUE
@@ -411,7 +416,7 @@ def or_(*parts) -> BoolTerm:
                 seen.add(t)
                 flat.append(t)
     for t in flat:
-        if not_(t) in seen:
+        if isinstance(t, Not) and t.arg in seen:
             return TRUE
     if not flat:
         return FALSE

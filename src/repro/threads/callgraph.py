@@ -89,20 +89,23 @@ class ThreadCallGraph:
         the bottom-up order of the paper's Alg. 1."""
         visited: Set[str] = set()
         order: List[str] = []
-
-        def visit(name: str, stack: Set[str]) -> None:
-            if name in visited or name in stack:
-                return
-            stack.add(name)
-            for _label, callee in sorted(self.call_edges.get(name, ())):
-                visit(callee, stack)
-            stack.discard(name)
-            visited.add(name)
-            order.append(name)
-
         for name in self.module.functions:
-            visit(name, set())
+            self._visit(name, set(), visited, order)
         return order
+
+    def _visit(
+        self, name: str, stack: Set[str], visited: Set[str], order: List[str]
+    ) -> None:
+        # A method, not a nested closure: a recursive closure refers to
+        # itself through its cell and leaves a cycle behind every call.
+        if name in visited or name in stack:
+            return
+        stack.add(name)
+        for _label, callee in sorted(self.call_edges.get(name, ())):
+            self._visit(callee, stack, visited, order)
+        stack.discard(name)
+        visited.add(name)
+        order.append(name)
 
 
 def build_thread_call_graph(

@@ -76,7 +76,7 @@ __all__ = [
 PtsSet = Dict[MemObject, BoolTerm]
 
 
-@dataclass
+@dataclass(slots=True)
 class ContentEntry:
     """One candidate value held by a memory object: the value, the
     condition under which it is the current content, and the store that
@@ -87,7 +87,7 @@ class ContentEntry:
     store: Optional[StoreInst]
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionSummary:
     """The procedural transfer function of Alg. 1 lines 21-22."""
 

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefNode:
     """``v@ℓ`` — the SSA definition of ``var`` (``inst`` may be None for
     parameters and synthetic initial values)."""
@@ -56,7 +56,7 @@ class DefNode:
         return f"def({self.var!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoreNode:
     """The stored value entering memory at a store instruction."""
 
@@ -66,7 +66,7 @@ class StoreNode:
         return f"store@ℓ{self.inst.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjNode:
     """A memory object; origin for pointed-to-by reachability."""
 
@@ -76,7 +76,7 @@ class ObjNode:
         return f"obj({self.obj!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullNode:
     """A ``null`` constant occurrence at an instruction."""
 
@@ -89,7 +89,7 @@ class NullNode:
 VFGNode = object  # union of the four node classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VFGEdge:
     src: VFGNode
     dst: VFGNode
@@ -140,25 +140,25 @@ class ValueFlowGraph:
         """
         if guard is FALSE or src == dst:
             return None
-        key = (src, dst, kind, callsite, obj, id(store), id(load), interthread)
-        if key in self._edge_keys:
+        # One hash of the key: ``add`` and a size check, not ``in`` + ``add``.
+        keys = self._edge_keys
+        seen = len(keys)
+        keys.add((src, dst, kind, callsite, obj, id(store), id(load), interthread))
+        if len(keys) == seen:
             return None
-        self._edge_keys.add(key)
-        edge = VFGEdge(
-            src=src,
-            dst=dst,
-            guard=guard,
-            kind=kind,
-            callsite=callsite,
-            obj=obj,
-            store=store,
-            load=load,
-            interthread=interthread,
-        )
-        self._out.setdefault(src, []).append(edge)
-        self._in.setdefault(dst, []).append(edge)
-        self._out.setdefault(dst, [])
-        self._in.setdefault(src, [])
+        edge = VFGEdge(src, dst, guard, kind, callsite, obj, store, load, interthread)
+        # Every node is a key of both maps, so one lookup per side tells
+        # whether the node is new; ``_out`` keeps first-seen node order.
+        succ = self._out.get(src)
+        if succ is None:
+            succ = self._out[src] = []
+            self._in[src] = []
+        pred = self._in.get(dst)
+        if pred is None:
+            pred = self._in[dst] = []
+            self._out[dst] = []
+        succ.append(edge)
+        pred.append(edge)
         self._edges.append(edge)
         self.num_edges += 1
         return edge

@@ -71,8 +71,17 @@ class SummaryGraphView:
     without re-sorting.
     """
 
-    def __init__(self, index: "SummaryIndex") -> None:
-        self.index = index
+    def __init__(
+        self,
+        vfg: ValueFlowGraph,
+        summaries: Dict[str, FunctionVFSummary],
+        out_owners: Dict[Any, Tuple[str, ...]],
+    ) -> None:
+        # The view holds what it reads, not the index that owns it: a
+        # back-pointer would make every run's VFG and IR cyclic garbage.
+        self.vfg = vfg
+        self.summaries = summaries
+        self.out_owners = out_owners
         self._loaded: Set[str] = set()
         #: pending per-node (ordinal, edge) entries for loaded shards
         self._entries: Dict[Any, List[Tuple[int, VFGEdge]]] = {}
@@ -87,7 +96,7 @@ class SummaryGraphView:
         if ready is not None:
             return ready
         self.demand_queries += 1
-        for name in self.index.out_owners.get(node, ()):
+        for name in self.out_owners.get(node, ()):
             self._load(name)
         entries = self._entries.pop(node, None)
         if entries is None:
@@ -101,7 +110,7 @@ class SummaryGraphView:
     def in_edges(self, node: Any) -> List[VFGEdge]:
         # Backward queries (escape seeding, explanation) go straight to
         # the real VFG; demand loading only pays off on the forward side.
-        return self.index.vfg.in_edges(node)
+        return self.vfg.in_edges(node)
 
     def add_overlay(self, edge: VFGEdge, ordinal: int) -> None:
         """Register an interference edge added to the VFG at ``ordinal``
@@ -117,9 +126,9 @@ class SummaryGraphView:
         if name in self._loaded:
             return
         self._loaded.add(name)
-        summary = self.index.summaries[name]
+        summary = self.summaries[name]
         start, end = summary.edge_span
-        for ordinal, edge in enumerate(self.index.vfg.edge_slice(start, end), start):
+        for ordinal, edge in enumerate(self.vfg.edge_slice(start, end), start):
             # A node's finalized list never misses shard edges: owners
             # are computed up front, and a node is finalized only after
             # all its owner shards have loaded.
@@ -140,7 +149,7 @@ class SummaryGraphView:
         """Every materialized adjacency list must equal the real VFG's
         (same edge objects, same order) — the exactness invariant."""
         for node, ready in self._ready.items():
-            real = self.index.vfg.out_edges(node)
+            real = self.vfg.out_edges(node)
             if ready != real:
                 raise AssertionError(
                     f"summary view diverged at {node!r}: "
@@ -150,7 +159,7 @@ class SummaryGraphView:
     def statistics(self) -> Dict[str, int]:
         return {
             "shards_loaded": self.shards_loaded,
-            "shards_total": len(self.index.summaries),
+            "shards_total": len(self.summaries),
             "edges_materialized": self.edges_materialized,
             "demand_queries": self.demand_queries,
         }
@@ -191,7 +200,7 @@ class SummaryIndex:
                     names.append(name)
         for node, names in owners.items():
             self.out_owners[node] = tuple(dict.fromkeys(names))
-        self.view = SummaryGraphView(self)
+        self.view = SummaryGraphView(self.vfg, summaries, self.out_owners)
 
     def store_positions(self, var: Variable) -> Sequence[int]:
         return self.ptr_stores.get(var, ())

@@ -90,6 +90,38 @@ class TestBooleanConstruction:
         assert T.and_(a, T.not_(a)) is T.FALSE
         assert T.or_(a, T.not_(a)) is T.TRUE
 
+    def test_complement_found_in_either_order_and_through_nesting(self):
+        a, b, c = (T.bool_var(n) for n in "abc")
+        assert T.and_(T.not_(a), a) is T.FALSE
+        assert T.or_(T.not_(a), b, a) is T.TRUE
+        assert T.and_(T.and_(a, b), T.not_(b)) is T.FALSE
+        assert T.or_(T.or_(a, T.not_(c)), c) is T.TRUE
+        # Negated compounds are complements too, not only literals.
+        a_or_b = T.or_(a, b)
+        assert T.and_(c, T.not_(a_or_b), a_or_b) is T.FALSE
+
+    def test_contradiction_check_interns_no_negations(self):
+        # The process-wide intern table never shrinks: a conjunction or
+        # disjunction must add nothing to it beyond its own result.
+        a = T.bool_var(f"fresh_{uuid.uuid4().hex}")
+        b = T.bool_var(f"fresh_{uuid.uuid4().hex}")
+        conj = T._intern(T.And, a, b)
+        disj = T._intern(T.Or, a, b)
+        size = len(T._interned)
+        assert T.and_(a, b) is conj
+        assert T.or_(a, b) is disj
+        assert len(T._interned) == size
+        assert (T.Not, (a,)) not in T._interned
+        assert (T.Not, (b,)) not in T._interned
+
+    def test_and_with_all_but_one_operand_true(self):
+        a, b = T.bool_var("a"), T.bool_var("b")
+        ab = T.and_(a, b)
+        assert T.and_(T.TRUE, a) is a
+        assert T.and_(T.TRUE, ab, T.TRUE) is ab
+        assert T.and_(T.TRUE, T.FALSE) is T.FALSE
+        assert T.and_(T.TRUE, True) is T.TRUE
+
     def test_implies_iff(self):
         a, b = T.bool_var("a"), T.bool_var("b")
         assert T.implies(T.FALSE, a) is T.TRUE
