@@ -9,8 +9,7 @@ source/sink operations used by the checkers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from .source import LexError, Location
 
@@ -66,8 +65,10 @@ _MASTER = re.compile(
 _WORD = re.compile(r"\w+")  # \w is exactly str.isalnum() or "_"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One token.  :func:`tokenize` builds it with ``tuple.__new__``,
+    which skips the Python-level ``NamedTuple`` constructor."""
+
     kind: str
     text: str
     location: Location
@@ -89,6 +90,7 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     tokens: List[Token] = []
     append = tokens.append
     match = _MASTER.match
+    new = tuple.__new__
     n = len(source)
     pos = 0
     line = 1
@@ -102,10 +104,10 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
         if group == "word":
             text = source[start:pos]
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            append(Token(kind, text, Location(line, start - line_start + 1, filename)))
+            append(new(Token, (kind, text, Location(line, start - line_start + 1, filename))))
         elif group == "punct":
             text = source[start:pos]
-            append(Token(TokenKind.PUNCT, text, Location(line, start - line_start + 1, filename)))
+            append(new(Token, (TokenKind.PUNCT, text, Location(line, start - line_start + 1, filename))))
         elif group == "newline" or group == "block_comment":
             newlines = source.count("\n", start, pos)
             if newlines:
@@ -113,10 +115,10 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
                 line_start = source.rindex("\n", start, pos) + 1
         elif group == "number":
             text = source[start:pos]
-            append(Token(TokenKind.NUMBER, text, Location(line, start - line_start + 1, filename)))
+            append(new(Token, (TokenKind.NUMBER, text, Location(line, start - line_start + 1, filename))))
         elif group == "string":
             text = source[start + 1 : pos - 1]
-            append(Token(TokenKind.STRING, text, Location(line, start - line_start + 1, filename)))
+            append(new(Token, (TokenKind.STRING, text, Location(line, start - line_start + 1, filename))))
         elif group == "line_comment":
             if pos == n:
                 eof_column = start - line_start + 1

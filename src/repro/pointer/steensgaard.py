@@ -12,7 +12,7 @@ store/load unifies through the successor.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, List, Set
 
 from ..ir.instructions import (
     AddrOfInst,
@@ -20,6 +20,7 @@ from ..ir.instructions import (
     CallInst,
     CopyInst,
     ForkInst,
+    Instruction,
     LoadInst,
     PhiInst,
     StoreInst,
@@ -40,6 +41,8 @@ class _UnionFind:
         self.pointee: Dict[int, int] = {}
         # class representative -> contents (objects / function refs in the class)
         self.contents: Dict[int, Set[object]] = {}
+        #: number of unions that merged two distinct classes so far
+        self.merges = 0
 
     def node(self, item: object) -> int:
         idx = self._of.get(item)
@@ -65,6 +68,7 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
+        self.merges += 1
         self._parent[rb] = ra
         self.contents[ra] |= self.contents.pop(rb, set())
         pa, pb = self.pointee.get(ra), self.pointee.pop(rb, None)
@@ -126,12 +130,16 @@ def steensgaard(module: IRModule) -> SteensgaardResult:
     """Run Steensgaard's analysis over a lowered module.
 
     One pass over all instructions with union-find; inter-procedural
-    assignments (arguments, returns, fork parameters) unify directly,
-    which is what makes the result sound for call-graph construction
-    even before call targets are known (a second pass closes over
-    indirect calls discovered in the first).
+    assignments (arguments, returns, fork parameters) unify directly.
+    Unification never undoes a constraint it has enforced, so only call
+    and fork sites whose callee is not a :class:`FunctionRef` need
+    another look: their targets grow as classes merge.  Those sites are
+    revisited until a round merges no class, a true fixpoint.  Every
+    round but the last merges at least one of finitely many classes, so
+    the loop ends.
     """
     uf = _UnionFind()
+    result = SteensgaardResult(uf)
 
     def assign(dst: Value, src: Value) -> None:
         """``dst = src``: a FunctionRef behaves like ``&f`` (dst points to
@@ -142,37 +150,8 @@ def steensgaard(module: IRModule) -> SteensgaardResult:
         elif isinstance(src, Variable):
             uf.union(uf.node(dst), uf.node(src))
 
-    def process_instructions() -> None:
-        for func in module.functions.values():
-            for inst in func.body:
-                if isinstance(inst, (AllocInst, AddrOfInst)):
-                    # dst points to obj: obj joins dst's pointee class.
-                    pointee = uf.points_to_class(uf.node(inst.dst))
-                    uf.union(pointee, uf.node(inst.obj))
-                elif isinstance(inst, CopyInst):
-                    assign(inst.dst, inst.src)
-                elif isinstance(inst, PhiInst):
-                    for value, _guard in inst.incomings:
-                        assign(inst.dst, value)
-                elif isinstance(inst, LoadInst):
-                    # dst = *p:  pt([dst]) ∪= pt(pt([p]))
-                    cell = uf.points_to_class(uf.points_to_class(uf.node(inst.pointer)))
-                    uf.union(uf.points_to_class(uf.node(inst.dst)), cell)
-                elif isinstance(inst, StoreInst):
-                    # *p = v:  pt(pt([p])) ∪= pt([v]); a FunctionRef value
-                    # lands *inside* the cell class (like storing &f).
-                    cell = uf.points_to_class(uf.points_to_class(uf.node(inst.pointer)))
-                    if isinstance(inst.value, FunctionRef):
-                        uf.union(cell, uf.node(inst.value))
-                    elif isinstance(inst.value, Variable):
-                        uf.union(cell, uf.points_to_class(uf.node(inst.value)))
-                elif isinstance(inst, (CallInst, ForkInst)):
-                    _process_call(inst)
-
-    def _process_call(inst) -> None:
-        result = SteensgaardResult(uf)
-        callee_names = result.callees(inst.callee)
-        for name in callee_names:
+    def process_call(inst) -> None:
+        for name in result.callees(inst.callee):
             callee = module.functions.get(name)
             if callee is None:
                 continue
@@ -182,16 +161,40 @@ def steensgaard(module: IRModule) -> SteensgaardResult:
                 for value, _guard in callee.returns:
                     assign(inst.dst, value)
 
-    # Iterate to a fixed point: resolving indirect calls can expose new
-    # parameter unifications (bounded by the number of classes, so this
-    # terminates quickly in practice).
-    for _ in range(4):
-        before = uf._next, len(uf._parent), _class_signature(uf)
-        process_instructions()
-        if (uf._next, len(uf._parent), _class_signature(uf)) == before:
-            break
-    return SteensgaardResult(uf)
+    indirect: List[Instruction] = []
+    for func in module.functions.values():
+        for inst in func.body:
+            if isinstance(inst, (AllocInst, AddrOfInst)):
+                # dst points to obj: obj joins dst's pointee class.
+                pointee = uf.points_to_class(uf.node(inst.dst))
+                uf.union(pointee, uf.node(inst.obj))
+            elif isinstance(inst, CopyInst):
+                assign(inst.dst, inst.src)
+            elif isinstance(inst, PhiInst):
+                for value, _guard in inst.incomings:
+                    assign(inst.dst, value)
+            elif isinstance(inst, LoadInst):
+                # dst = *p:  pt([dst]) ∪= pt(pt([p]))
+                cell = uf.points_to_class(uf.points_to_class(uf.node(inst.pointer)))
+                uf.union(uf.points_to_class(uf.node(inst.dst)), cell)
+            elif isinstance(inst, StoreInst):
+                # *p = v:  pt(pt([p])) ∪= pt([v]); a FunctionRef value
+                # lands *inside* the cell class (like storing &f).
+                cell = uf.points_to_class(uf.points_to_class(uf.node(inst.pointer)))
+                if isinstance(inst.value, FunctionRef):
+                    uf.union(cell, uf.node(inst.value))
+                elif isinstance(inst.value, Variable):
+                    uf.union(cell, uf.points_to_class(uf.node(inst.value)))
+            elif isinstance(inst, (CallInst, ForkInst)):
+                process_call(inst)
+                if not isinstance(inst.callee, FunctionRef):
+                    indirect.append(inst)
 
-
-def _class_signature(uf: _UnionFind) -> int:
-    return hash(tuple(sorted(uf.find(i) for i in range(uf._next))))
+    # Resolving an indirect site can bind new parameters, which can widen
+    # the targets of another indirect site: iterate to the fixpoint.
+    merges = None
+    while indirect and merges != uf.merges:
+        merges = uf.merges
+        for inst in indirect:
+            process_call(inst)
+    return result

@@ -365,6 +365,8 @@ def not_(a) -> BoolTerm:
 def and_(*parts) -> BoolTerm:
     """N-ary conjunction with flattening, deduplication and constant folding."""
     rest = [p for p in parts if p is not TRUE]
+    if not rest:
+        return TRUE
     if len(rest) == 1 and isinstance(rest[0], BoolTerm):
         # Conjoining with TRUE (the usual guard on straight-line code):
         # every term built here is already flat and contradiction-free.

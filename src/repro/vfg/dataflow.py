@@ -150,12 +150,16 @@ class DataDependenceAnalysis:
 
     def run(self) -> ValueFlowGraph:
         """Analyze the module, one pass per function in the thread call
-        graph's reverse-topological order (callees before callers)."""
+        graph's reverse-topological order (callees before callers).
+
+        The ``function_trace`` rows tile the run: each row's seconds run
+        from the end of the previous row (the first from the start of the
+        run, so it carries the ordering), and the rows sum to the pass."""
+        t0 = time.perf_counter()
         for name in self.tcg.reverse_topological_functions():
             func = self.module.functions.get(name)
             if func is None:
                 continue
-            t0 = time.perf_counter()
             marks = (
                 self.vfg.num_edges,
                 len(self.all_stores),
@@ -164,7 +168,6 @@ class DataDependenceAnalysis:
             )
             with self.tracer.span(f"dataflow:{name}"):
                 self._analyze_function(func)
-            self.function_trace.append((name, "run", time.perf_counter() - t0))
             self.function_extents[name] = (
                 marks[0],
                 self.vfg.num_edges,
@@ -175,6 +178,9 @@ class DataDependenceAnalysis:
                 marks[3],
                 len(self.fork_escaped),
             )
+            now = time.perf_counter()
+            self.function_trace.append((name, "run", now - t0))
+            t0 = now
         return self.vfg
 
     def _bump(self, key: str) -> None:
@@ -514,6 +520,8 @@ class DataDependenceAnalysis:
             self._pts_add(value, obj, and_(guard, g))
 
     def _pruned(self, guard: BoolTerm) -> bool:
+        if guard is TRUE:
+            return False
         if guard is FALSE:
             self._bump("edges_pruned")
             return True

@@ -27,11 +27,11 @@ Edges whose guard is syntactically FALSE are never added.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..ir.instructions import Instruction, LoadInst, StoreInst
-from ..ir.values import MemObject, Variable
+from ..ir.instructions import LoadInst, StoreInst
+from ..ir.values import MemObject
 from ..smt.terms import FALSE, BoolTerm
 
 __all__ = [
@@ -45,42 +45,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class DefNode:
+class _Node(tuple):
+    """A VFG node: the immutable pair ``(cls, payload)``.
+
+    Hash and equality are the tuple's, so they run in C; the class tag
+    keeps nodes of different kinds apart on the same payload (a
+    ``*p = null`` store has both ``NullNode(st)`` and ``StoreNode(st)``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, payload):
+        return tuple.__new__(cls, (cls, payload))
+
+    def __getnewargs__(self):
+        return (self[1],)
+
+
+class DefNode(_Node):
     """``v@ℓ`` — the SSA definition of ``var`` (``inst`` may be None for
     parameters and synthetic initial values)."""
 
-    var: Variable
+    __slots__ = ()
+    var = property(itemgetter(1))
 
     def __repr__(self) -> str:
         return f"def({self.var!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class StoreNode:
+class StoreNode(_Node):
     """The stored value entering memory at a store instruction."""
 
-    inst: StoreInst
+    __slots__ = ()
+    inst = property(itemgetter(1))
 
     def __repr__(self) -> str:
         return f"store@ℓ{self.inst.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class ObjNode:
+class ObjNode(_Node):
     """A memory object; origin for pointed-to-by reachability."""
 
-    obj: MemObject
+    __slots__ = ()
+    obj = property(itemgetter(1))
 
     def __repr__(self) -> str:
         return f"obj({self.obj!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class NullNode:
+class NullNode(_Node):
     """A ``null`` constant occurrence at an instruction."""
 
-    inst: Instruction
+    __slots__ = ()
+    inst = property(itemgetter(1))
 
     def __repr__(self) -> str:
         return f"null@ℓ{self.inst.label}"
@@ -89,8 +106,7 @@ class NullNode:
 VFGNode = object  # union of the four node classes
 
 
-@dataclass(frozen=True, slots=True)
-class VFGEdge:
+class VFGEdge(NamedTuple):
     src: VFGNode
     dst: VFGNode
     guard: BoolTerm
@@ -110,13 +126,16 @@ class ValueFlowGraph:
     """Mutable guarded VFG with forward/backward adjacency."""
 
     def __init__(self) -> None:
-        self._out: Dict[VFGNode, List[VFGEdge]] = {}
-        self._in: Dict[VFGNode, List[VFGEdge]] = {}
+        #: node -> (canonical node, out-edges, in-edges), in first-seen
+        #: node order.  Edges and dedup keys hold the canonical node, so
+        #: the graph keeps one node object per node however many equal
+        #: copies its callers pass in.
+        self._nodes: Dict[VFGNode, Tuple[VFGNode, List[VFGEdge], List[VFGEdge]]] = {}
         self._edge_keys: set = set()
         #: every edge in insertion order — an edge's index here is its
-        #: global *ordinal*.  Per-node ``_out``/``_in`` lists are ordinal-
-        #: sorted by construction, which is what lets the summary layer
-        #: rebuild any adjacency list exactly from per-function spans.
+        #: global *ordinal*.  Per-node out/in lists are ordinal-sorted by
+        #: construction, which is what lets the summary layer rebuild any
+        #: adjacency list exactly from per-function spans.
         self._edges: List[VFGEdge] = []
         self.num_edges = 0
 
@@ -140,25 +159,28 @@ class ValueFlowGraph:
         """
         if guard is FALSE or src == dst:
             return None
+        # A node new to the graph makes the edge new too, so registering
+        # it before the duplicate check never leaves an edgeless node.
+        nodes = self._nodes
+        s = nodes.get(src)
+        if s is None:
+            s = nodes[src] = (src, [], [])
+        d = nodes.get(dst)
+        if d is None:
+            d = nodes[dst] = (dst, [], [])
+        src = s[0]
+        dst = d[0]
         # One hash of the key: ``add`` and a size check, not ``in`` + ``add``.
         keys = self._edge_keys
         seen = len(keys)
         keys.add((src, dst, kind, callsite, obj, id(store), id(load), interthread))
         if len(keys) == seen:
             return None
-        edge = VFGEdge(src, dst, guard, kind, callsite, obj, store, load, interthread)
-        # Every node is a key of both maps, so one lookup per side tells
-        # whether the node is new; ``_out`` keeps first-seen node order.
-        succ = self._out.get(src)
-        if succ is None:
-            succ = self._out[src] = []
-            self._in[src] = []
-        pred = self._in.get(dst)
-        if pred is None:
-            pred = self._in[dst] = []
-            self._out[dst] = []
-        succ.append(edge)
-        pred.append(edge)
+        edge = tuple.__new__(
+            VFGEdge, (src, dst, guard, kind, callsite, obj, store, load, interthread)
+        )
+        s[1].append(edge)
+        d[2].append(edge)
         self._edges.append(edge)
         self.num_edges += 1
         return edge
@@ -166,13 +188,15 @@ class ValueFlowGraph:
     # ----- queries -----------------------------------------------------------
 
     def out_edges(self, node: VFGNode) -> List[VFGEdge]:
-        return self._out.get(node, [])
+        entry = self._nodes.get(node)
+        return entry[1] if entry is not None else []
 
     def in_edges(self, node: VFGNode) -> List[VFGEdge]:
-        return self._in.get(node, [])
+        entry = self._nodes.get(node)
+        return entry[2] if entry is not None else []
 
     def nodes(self) -> Iterator[VFGNode]:
-        return iter(self._out.keys())
+        return iter(self._nodes.keys())
 
     def edge_slice(self, start: int, end: int) -> List[VFGEdge]:
         """The edges with ordinals ``start <= i < end`` (insertion order);
@@ -180,12 +204,12 @@ class ValueFlowGraph:
         return self._edges[start:end]
 
     def edges(self) -> Iterator[VFGEdge]:
-        for edges in self._out.values():
-            yield from edges
+        for _node, out, _in in self._nodes.values():
+            yield from out
 
     @property
     def num_nodes(self) -> int:
-        return len(self._out)
+        return len(self._nodes)
 
     def interference_edges(self) -> List[VFGEdge]:
         return [e for e in self.edges() if e.interthread]

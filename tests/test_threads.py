@@ -1,5 +1,8 @@
 """Tests for Steensgaard points-to, thread call graph, happens-before/MHP."""
 
+import pytest
+
+from repro import AnalysisConfig, Canary
 from repro.frontend import parse_program
 from repro.ir import ForkInst, FreeInst, JoinInst, LoadInst, SinkInst, StoreInst
 from repro.lowering import lower_program
@@ -75,6 +78,41 @@ class TestSteensgaard:
         main = module.functions["main"]
         p, q = main.body[0].dst, main.body[2].dst
         assert not pts.may_alias(p, q)
+
+    @pytest.mark.parametrize("depth", range(3, 9))
+    def test_indirect_call_chain_reaches_fixpoint(self, depth):
+        # Each level of the chain resolves only once the level above has
+        # bound its parameters, so the fork target needs ``depth`` rounds.
+        module = lower(indirect_chain(depth))
+        pts = steensgaard(module)
+        fork = find(module, "f1", ForkInst)
+        assert pts.callees(fork.callee) == {"w"}
+
+    def test_uaf_in_thread_forked_through_deep_chain(self):
+        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(indirect_chain(6))
+        functions = report.bundle.module.functions
+        assert [
+            (b.kind, b.source in functions["main"].body, b.sink in functions["w"].body)
+            for b in report.bugs
+        ] == [("use-after-free", True, True)]
+
+
+def indirect_chain(depth):
+    """``main`` calls ``f<depth>`` through a pointer; each ``f<k>`` calls
+    its first parameter with the rest, down to ``f1``, which forks ``w``.
+    ``w`` reads the global that ``main`` frees after the chain returns."""
+    lines = [
+        "int* g;",
+        "void w() { int* q = g; print(*q); }",
+        "void f1(int* p0) { fork(t, p0); }",
+    ]
+    for k in range(2, depth + 1):
+        params = ", ".join(f"int* p{i}" for i in range(k))
+        args = ", ".join(f"p{i}" for i in range(1, k))
+        lines.append(f"void f{k}({params}) {{ p0({args}); }}")
+    args = ", ".join([f"f{k}" for k in range(depth - 1, 0, -1)] + ["w"])
+    lines.append(f"void main() {{ g = malloc(); int* x = f{depth}; x({args}); free(g); }}")
+    return "\n".join(lines)
 
 
 class TestThreadCallGraph:

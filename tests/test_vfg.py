@@ -1,5 +1,8 @@
 """Tests for VFG construction: Alg. 1 data dependence, Alg. 2 interference."""
 
+import pytest
+
+from repro import AnalysisConfig, Canary
 from repro.frontend import parse_program
 from repro.ir import FreeInst, LoadInst, StoreInst
 from repro.lowering import lower_program
@@ -194,6 +197,38 @@ class TestInterference:
         assert s["vfg_nodes"] > 0
         assert s["vfg_edges"] > 0
         assert s["threads"] == 2
+
+
+#: ``use`` reads the global ``g`` that ``worker`` frees; ``mid`` and
+#: ``main`` fill in how the read is reached from ``main``.
+GLOBAL_READ_THROUGH_CALLS = """
+int* g;
+void use() { int* q = g; print(*q); }
+void mid() { %s }
+void worker() { free(g); }
+void main() { g = malloc(); fork(t, worker); %s }
+"""
+
+
+def _uaf_count(mid_body, main_tail):
+    source = GLOBAL_READ_THROUGH_CALLS % (mid_body, main_tail)
+    return len(Canary(AnalysisConfig(use_cache=False)).analyze_source(source).bugs)
+
+
+class TestGlobalReadsThroughCalls:
+    def test_read_one_call_deep(self):
+        assert _uaf_count("use();", "use();") == 1
+
+    def test_read_two_calls_deep_when_middle_reads_too(self):
+        assert _uaf_count("int* r = g; use();", "mid();") == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known unsoundness: _apply_initial_reads binds a callee's "
+        "initial global content only from globals the caller touches itself",
+    )
+    def test_read_two_calls_deep(self):
+        assert _uaf_count("use();", "mid();") == 1
 
 
 def _forward_nodes(bundle, origin):
