@@ -17,16 +17,19 @@ the solver.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ir.instructions import Instruction, StoreInst
 from ..ir.values import MemObject
-from ..smt.terms import TRUE, BoolTerm, IntTerm, and_, implies, int_var, lt, or_
+from ..smt.terms import TRUE, BoolTerm, IntTerm, and_, int_var, lt, not_, or_
 from ..threads.mhp import MhpAnalysis
 from ..vfg.builder import VFGBundle
 from ..vfg.graph import VFGEdge
 
 __all__ = ["order_var", "OrderConstraintBuilder"]
+
+#: (other store, ¬ its write guard, ``O_load < O_other``, ``PO(other, load)``)
+_SinkEntry = Tuple[StoreInst, BoolTerm, BoolTerm, BoolTerm]
 
 
 def order_var(inst: Instruction) -> IntTerm:
@@ -55,6 +58,8 @@ class OrderConstraintBuilder:
         self.lock_analysis = lock_analysis
         self.memory_model = memory_model
         self._condvars = None
+        # (load label, object) -> the sink's Φ_ls skeleton (``_skeleton``)
+        self._sinks: Dict[Tuple[int, MemObject], Tuple[_SinkEntry, ...]] = {}
 
     @property
     def condvars(self):
@@ -138,40 +143,65 @@ class OrderConstraintBuilder:
         guarded by the condition under which ``s'`` actually writes the
         object, which keeps the encoding path-sensitive.
         """
-        store, load, obj = edge.store, edge.load, edge.obj
-        if store is None or load is None or obj is None:
-            return TRUE
-        parts: List[BoolTerm] = []
-        if not self.mhp.happens_before(store, load):
-            parts.append(lt(order_var(store), order_var(load)))
-        for other, alias_guard in self.bundle.object_stores.get(obj, ()):  # S(l)
-            if other is store:
-                continue
-            if not self._may_intervene(other, store, load):
-                continue
-            no_overwrite = or_(
-                lt(order_var(other), order_var(store)),
-                lt(order_var(load), order_var(other)),
-            )
-            parts.append(implies(and_(other.guard, alias_guard), no_overwrite))
-            # Pin the intervening store with its statically-known order
-            # relative to both endpoints, otherwise the solver may place
-            # it anywhere and the disjunction above loses its teeth.
-            parts.append(self.program_order_pair(other, store))
-            parts.append(self.program_order_pair(other, load))
-        return and_(*parts)
+        return self.load_store(edge)[0]
 
     def interfering_stores(self, edge: VFGEdge) -> List[StoreInst]:
         """The S(l) stores whose order variables Φ_ls mentions — needed by
         callers that add further constraints about them (e.g. mutexes)."""
+        return self.load_store(edge)[1]
+
+    def load_store(self, edge: VFGEdge) -> Tuple[BoolTerm, List[StoreInst]]:
+        """:meth:`load_store_order` and :meth:`interfering_stores` of one
+        edge, from one pass over the sink's skeleton.
+
+        The interfering stores are the S(l) stores other than ``s`` that
+        may execute between ``s`` and ``l``: those ordered before ``s``
+        or after ``l`` are skipped statically.
+        """
         store, load, obj = edge.store, edge.load, edge.obj
         if store is None or load is None or obj is None:
-            return []
-        return [
-            other
-            for other, _g in self.bundle.object_stores.get(obj, ())
-            if other is not store and self._may_intervene(other, store, load)
-        ]
+            return TRUE, []
+        hb = self.mhp.happens_before
+        o_store = order_var(store)
+        parts: List[BoolTerm] = []
+        if not hb(store, load):
+            parts.append(lt(o_store, order_var(load)))
+        stores: List[StoreInst] = []
+        for other, skips, after_load, po_load in self._skeleton(load, obj):
+            if other is store or hb(other, store):
+                continue
+            stores.append(other)
+            # writes ⇒ (O_other < O_store ∨ O_load < O_other), built flat.
+            parts.append(or_(skips, lt(order_var(other), o_store), after_load))
+            # Pin the intervening store with its statically-known order
+            # relative to both endpoints, otherwise the solver may place
+            # it anywhere and the disjunction above loses its teeth.
+            parts.append(self.program_order_pair(other, store))
+            parts.append(po_load)
+        return and_(*parts), stores
+
+    def _skeleton(self, load: Instruction, obj: MemObject) -> Tuple[_SinkEntry, ...]:
+        """The store-independent part of Φ_ls for every edge into ``load``
+        through ``obj``, built once per run: for each S(l) store that is
+        not statically ordered after the load, the negation of its write
+        guard, its ``O_load < O_other`` disjunct and ``PO(other, load)``,
+        in S(l) order."""
+        key = (load.label, obj)
+        entries = self._sinks.get(key)
+        if entries is None:
+            hb = self.mhp.happens_before
+            o_load = order_var(load)
+            entries = self._sinks[key] = tuple(
+                (
+                    other,
+                    not_(and_(other.guard, alias_guard)),
+                    lt(o_load, order_var(other)),
+                    self.program_order_pair(other, load),
+                )
+                for other, alias_guard in self.bundle.object_stores.get(obj, ())
+                if not hb(load, other)
+            )
+        return entries
 
     # ----- mutual exclusion (lock/unlock extension) --------------------------
 
@@ -274,26 +304,3 @@ class OrderConstraintBuilder:
             for st in unique:
                 parts.append(self.program_order_pair(s, st))
         return and_(*parts)
-
-    def _may_intervene(
-        self, other: StoreInst, store: StoreInst, load: Instruction
-    ) -> bool:
-        """Can ``other`` possibly execute between ``store`` and ``load``?
-
-        Statically-ordered stores (happens-before the store, or after the
-        load) cannot; everything else — in particular stores that may
-        happen in parallel with either endpoint — can.
-        """
-        if self.mhp.happens_before(other, store):
-            return False
-        if self.mhp.happens_before(load, other):
-            return False
-        mhp_any = self.mhp.may_happen_in_parallel(
-            other, store
-        ) or self.mhp.may_happen_in_parallel(other, load)
-        if mhp_any:
-            return True
-        # Same-thread store strictly between the two endpoints: the
-        # intra-procedural kill analysis already refined the edge guard,
-        # but cross-function same-thread stores still need the constraint.
-        return True

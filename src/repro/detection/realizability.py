@@ -161,8 +161,9 @@ class RealizabilityChecker:
         for edge in query.path.edges:
             parts.append(edge.guard)
             if edge.kind == "load" and self.order_constraints:
-                parts.append(self.orders.load_store_order(edge))  # Φ_ls
-                mentioned.extend(self.orders.interfering_stores(edge))
+                phi_ls, stores = self.orders.load_store(edge)
+                parts.append(phi_ls)
+                mentioned.extend(stores)
         if query.source_inst is not None:
             parts.append(query.source_inst.guard)
         if query.sink_inst is not None:

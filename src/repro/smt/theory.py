@@ -87,6 +87,12 @@ def normalize_atom(atom: BoolTerm) -> Optional[List[DifferenceBound]]:
     """
     if isinstance(atom, Not):
         raise ValueError("normalize_atom expects a positive atom")
+    cls = type(atom)
+    if cls is Lt or cls is Le:
+        lhs, rhs = atom.args
+        if type(lhs) is IntVar and type(rhs) is IntVar and lhs is not rhs:
+            # The order atoms O_a < O_b: no linearization needed.
+            return [DifferenceBound(lhs.name, rhs.name, -1 if cls is Lt else 0)]
     if isinstance(atom, Le):
         return [_bound_from(atom.lhs, atom.rhs, slack=0)]
     if isinstance(atom, Lt):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..ir.instructions import CallInst, ForkInst, Instruction, JoinInst
+from ..ir.instructions import CallInst, ForkInst, Instruction
 from ..ir.module import IRModule
 from ..ir.values import FunctionRef, Variable
 from ..pointer.steensgaard import SteensgaardResult, steensgaard
@@ -20,6 +20,8 @@ from ..pointer.steensgaard import SteensgaardResult, steensgaard
 __all__ = ["Thread", "ThreadCallGraph", "build_thread_call_graph", "MAIN_THREAD"]
 
 MAIN_THREAD = "main"
+
+_NO_THREADS: FrozenSet[str] = frozenset()
 
 
 @dataclass(eq=False)
@@ -49,13 +51,11 @@ class ThreadCallGraph:
         self.module = module
         self.pointsto = pointsto
         self.threads: Dict[str, Thread] = {}
-        # function -> set of tids that may execute it
-        self.threads_of_function: Dict[str, Set[str]] = {}
+        # function -> tids that may execute it (sets while the graph is
+        # built, frozen once it is complete)
+        self.threads_of_function: Dict[str, FrozenSet[str]] = {}
         # caller function -> set of (callsite label, callee function)
         self.call_edges: Dict[str, Set[Tuple[int, str]]] = {}
-        # join instruction -> tids it joins (by source thread name, scoped
-        # to the forking function)
-        self.joins_of: Dict[int, Set[str]] = {}
 
     # ----- queries ---------------------------------------------------------
 
@@ -66,9 +66,8 @@ class ThreadCallGraph:
         return list(self.threads)
 
     def threads_of(self, inst: Instruction) -> FrozenSet[str]:
-        """The threads that may execute ``inst``."""
-        func = self.module.function_of(inst)
-        return frozenset(self.threads_of_function.get(func, ()))
+        """The threads that may execute ``inst`` (the stored set itself)."""
+        return self.threads_of_function.get(self.module.function_of(inst), _NO_THREADS)
 
     def callees_at(self, inst: Instruction) -> FrozenSet[str]:
         """Possible callee functions at a call or fork instruction."""
@@ -157,8 +156,9 @@ def build_thread_call_graph(
                         )
                         graph.threads[tid] = child
                         worklist.append(child)
-                elif isinstance(inst, JoinInst):
-                    graph.joins_of.setdefault(inst.label, set()).add(inst.thread)
+    graph.threads_of_function = {
+        func: frozenset(tids) for func, tids in graph.threads_of_function.items()
+    }
     return graph
 
 

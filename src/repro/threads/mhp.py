@@ -16,112 +16,118 @@ hooks are in place for the future-work extension.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..ir.instructions import ForkInst, Instruction, JoinInst
-from ..ir.module import IRModule
-from .callgraph import MAIN_THREAD, ThreadCallGraph
+from ..ir.instructions import Instruction, JoinInst
+from .callgraph import ThreadCallGraph
 
 __all__ = ["MhpAnalysis"]
 
 
 class MhpAnalysis:
-    """Structural happens-before and MHP queries over a thread call graph."""
+    """Structural happens-before and MHP queries over a thread call graph.
+
+    Everything a query needs is indexed once per run: each thread's fork
+    chain (as ancestor -> fork site) and, per joined thread, the first
+    join label in each function that joins it.
+    """
 
     def __init__(self, graph: ThreadCallGraph) -> None:
         self.graph = graph
         self.module = graph.module
-        # tid -> (function name of fork site, fork label)
-        self._fork_site: Dict[str, Tuple[str, int]] = {}
-        # tid -> list of (function name, join label) joining it
-        self._join_sites: Dict[str, List[Tuple[str, int]]] = {}
+        # tid -> {ancestor tid: (function of the fork on the chain from
+        # the ancestor, fork label)}, from tid's own fork up to main
+        self._forked_under: Dict[str, Dict[str, Tuple[str, int]]] = {}
+        # tid -> {function: lowest label of a join of tid in it}
+        self._joined_in: Dict[str, Dict[str, int]] = {}
         self._index()
 
     def _index(self) -> None:
-        for tid, thread in self.graph.threads.items():
+        function_of = self.module.function_of
+        threads = self.graph.threads
+        # (forking function, source name) -> [(fork label, tid)]
+        forked_here: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
+        for tid, thread in threads.items():
             if thread.fork is not None:
-                self._fork_site[tid] = (
-                    self.module.function_of(thread.fork),
-                    thread.fork.label,
-                )
-        # Match joins to threads by source-level thread name within the
-        # functions of the parent thread.
+                key = (function_of(thread.fork), thread.name_in_source)
+                forked_here.setdefault(key, []).append((thread.fork.label, tid))
+            chain: Dict[str, Tuple[str, int]] = {}
+            while thread.fork is not None and thread.parent is not None:
+                chain[thread.parent] = (function_of(thread.fork), thread.fork.label)
+                thread = threads[thread.parent]
+            self._forked_under[tid] = chain
+        # A join(t) joins the threads that its own function forked under
+        # the source name t at an earlier label, and no others: a handle
+        # named t in another function is a different variable.
         for func_name, func in self.module.functions.items():
             for inst in func.body:
                 if isinstance(inst, JoinInst):
-                    for tid, thread in self.graph.threads.items():
-                        if thread.name_in_source == inst.thread:
-                            self._join_sites.setdefault(tid, []).append(
-                                (func_name, inst.label)
-                            )
+                    for fork_label, tid in forked_here.get((func_name, inst.thread), ()):
+                        if fork_label < inst.label:
+                            joined = self._joined_in.setdefault(tid, {})
+                            first = joined.get(func_name)
+                            if first is None or inst.label < first:
+                                joined[func_name] = inst.label
 
     # ----- happens-before -------------------------------------------------
 
     def happens_before(self, a: Instruction, b: Instruction) -> bool:
         """True when ``a`` structurally happens before ``b`` under *every*
         thread assignment (sound for use as a pruning relation)."""
-        threads_a = self.graph.threads_of(a)
-        threads_b = self.graph.threads_of(b)
+        func_a = self.module.function_of(a)
+        func_b = self.module.function_of(b)
+        threads_a = self.graph.threads_of_function.get(func_a)
+        threads_b = self.graph.threads_of_function.get(func_b)
         if not threads_a or not threads_b:
             return False
-        return all(
-            self._hb_under(a, ta, b, tb) for ta in threads_a for tb in threads_b
-        )
+        hb = self._hb_under
+        for ta in threads_a:
+            for tb in threads_b:
+                if not hb(func_a, a.label, ta, func_b, b.label, tb):
+                    return False
+        return True
 
-    def _hb_under(self, a: Instruction, ta: str, b: Instruction, tb: str) -> bool:
+    def _hb_under(
+        self, func_a: str, label_a: int, ta: str, func_b: str, label_b: int, tb: str
+    ) -> bool:
+        """Does statement ``label_a`` of ``func_a`` run in thread ``ta``
+        before statement ``label_b`` of ``func_b`` runs in thread ``tb``?"""
         if ta == tb:
-            func_a = self.module.function_of(a)
-            func_b = self.module.function_of(b)
-            if func_a == func_b:
-                return a.label < b.label
-            return False  # cross-function same-thread order unresolved here
+            # Cross-function same-thread order is unresolved here.
+            return func_a == func_b and label_a < label_b
         # a's thread is an ancestor of b's: a hb b iff a precedes the fork
         # (in the fork's function) on the ancestry chain.
-        chain = self._fork_chain(tb)
-        for parent_tid, fork_func, fork_label in chain:
-            if parent_tid == ta:
-                return (
-                    self.module.function_of(a) == fork_func and a.label <= fork_label
-                )
+        fork_site = self._forked_under[tb].get(ta)
+        if fork_site is not None:
+            return func_a == fork_site[0] and label_a <= fork_site[1]
         # b's thread joined a's thread: a hb b iff a join of ta precedes b
         # in b's function and b's thread can execute that join.
-        func_b = self.module.function_of(b)
-        for join_func, join_label in self._join_sites.get(ta, ()):
-            if (
-                join_func == func_b
-                and join_label < b.label
-                and tb in self.graph.threads_of_function.get(join_func, ())
-            ):
-                return True
-        return False
-
-    def _fork_chain(self, tid: str) -> List[Tuple[str, str, int]]:
-        """[(parent tid, fork function, fork label)] from tid up to main."""
-        out: List[Tuple[str, str, int]] = []
-        cur = tid
-        while True:
-            thread = self.graph.threads[cur]
-            if thread.fork is None or thread.parent is None:
-                break
-            out.append(
-                (thread.parent, self.module.function_of(thread.fork), thread.fork.label)
-            )
-            cur = thread.parent
-        return out
+        join_label = self._joined_in.get(ta, _NO_JOINS).get(func_b)
+        return (
+            join_label is not None
+            and join_label < label_b
+            and tb in self.graph.threads_of_function[func_b]
+        )
 
     # ----- MHP --------------------------------------------------------------
 
     def may_happen_in_parallel(self, a: Instruction, b: Instruction) -> bool:
         """True when some thread assignment runs ``a`` and ``b`` in
         different threads with neither ordered before the other."""
-        threads_a = self.graph.threads_of(a)
-        threads_b = self.graph.threads_of(b)
+        func_a = self.module.function_of(a)
+        func_b = self.module.function_of(b)
+        threads_a = self.graph.threads_of_function.get(func_a, ())
+        threads_b = self.graph.threads_of_function.get(func_b, ())
+        hb = self._hb_under
         for ta in threads_a:
             for tb in threads_b:
                 if ta == tb:
                     continue
-                if not self._hb_under(a, ta, b, tb) and not self._hb_under(
-                    b, tb, a, ta
+                if not hb(func_a, a.label, ta, func_b, b.label, tb) and not hb(
+                    func_b, b.label, tb, func_a, a.label, ta
                 ):
                     return True
         return False
+
+
+_NO_JOINS: Dict[str, int] = {}

@@ -14,10 +14,13 @@ from repro.detection import (
 from repro.frontend import parse_program
 from repro.ir import CallInst, ForkInst, FreeInst, LoadInst, SinkInst, StoreInst
 from repro.lowering import lower_program
-from repro.smt import SAT, Solver, TRUE, is_satisfiable
+from repro import AnalysisConfig, Canary
+from repro.smt import SAT, TRUE, Solver, and_, implies, is_satisfiable, lt, or_
+from repro.smt.terms import Lt, Or, conjuncts
 from repro.vfg import DefNode, ObjNode, StoreNode, build_vfg
 
 from programs import FIG2_BUGGY, JOIN_PROTECTED, SIMPLE_UAF, THROUGH_CALL
+from test_corpus import CORPUS_FILES, _parse_directives
 
 
 def bundle_for(src):
@@ -116,6 +119,76 @@ class TestLoadStoreOrder:
         assert edges
         phi = builder.load_store_order(edges[0])
         assert not is_satisfiable(phi)  # the child's store always intervenes
+
+
+def reference_load_store_order(builder, edge):
+    """Φ_ls of one load edge built afresh, straight from Eq. 2."""
+    hb = builder.mhp.happens_before
+    store, load = edge.store, edge.load
+    parts = []
+    if not hb(store, load):
+        parts.append(lt(order_var(store), order_var(load)))
+    for other, alias_guard in builder.bundle.object_stores.get(edge.obj, ()):
+        if other is store or hb(other, store) or hb(load, other):
+            continue
+        no_overwrite = or_(
+            lt(order_var(other), order_var(store)),
+            lt(order_var(load), order_var(other)),
+        )
+        parts.append(implies(and_(other.guard, alias_guard), no_overwrite))
+        parts.append(builder.program_order_pair(other, store))
+        parts.append(builder.program_order_pair(other, load))
+    return and_(*parts)
+
+
+def no_overwrite_stores(phi_ls, edge):
+    """The labels of the stores s' that a no-overwrite clause
+    ``... ∨ O_s' < O_s ∨ O_l < O_s'`` of ``phi_ls`` mentions."""
+    before_store, after_load = set(), set()
+    for clause in conjuncts(phi_ls):
+        if not isinstance(clause, Or):
+            continue
+        for atom in clause.args:
+            if isinstance(atom, Lt) and atom.rhs is order_var(edge.store):
+                before_store.add(atom.lhs.name)
+            if isinstance(atom, Lt) and atom.lhs is order_var(edge.load):
+                after_load.add(atom.rhs.name)
+    return before_store & after_load
+
+
+CORPUS_MODELS = [
+    (path, model) for path in CORPUS_FILES for model in ("sc", "tso", "pso")
+]
+
+
+@pytest.mark.parametrize(
+    "path,model",
+    CORPUS_MODELS,
+    ids=[f"{path.stem}-{model}" for path, model in CORPUS_MODELS],
+)
+def test_load_store_order_matches_reference_on_every_load_edge(path, model):
+    text = path.read_text()
+    _expects, checkers, overrides = _parse_directives(text)
+    config = AnalysisConfig(
+        checkers=checkers, **{**overrides, "memory_model": model, "use_cache": False}
+    )
+    bundle = Canary(config).analyze_source(text).bundle
+    builder = OrderConstraintBuilder(bundle, memory_model=model)
+    edges = [
+        e
+        for e in bundle.vfg.edges()
+        if e.kind == "load" and None not in (e.store, e.load, e.obj)
+    ]
+    for _round in range(2):  # a cold and a warm skeleton
+        for edge in edges:
+            phi_ls = builder.load_store_order(edge)
+            assert phi_ls is reference_load_store_order(builder, edge), edge
+            stores = builder.interfering_stores(edge)
+            assert len({s.label for s in stores}) == len(stores)
+            assert {order_var(s).name for s in stores} == no_overwrite_stores(
+                phi_ls, edge
+            ), edge
+            assert builder.load_store(edge) == (phi_ls, stores)
 
 
 class TestPathSearch:

@@ -10,10 +10,11 @@ from repro.smt.theory import (
     DifferenceBound,
     DifferenceLogicSolver,
     ZERO_NAME,
+    _bound_from,
     negate_bound,
     normalize_atom,
 )
-from repro.smt.terms import FALSE, TRUE, eq, le
+from repro.smt.terms import FALSE, TRUE, Eq, Le, Lt, _intern, eq, int_const, le
 
 
 class TestCnfEncoder:
@@ -142,6 +143,40 @@ class TestDifferenceLogicUnit:
 
     def test_normalize_boolean_atom_is_none(self):
         assert normalize_atom(bool_var("a")) is None
+
+    @staticmethod
+    def _general(atom):
+        """normalize_atom through linearization only."""
+        if isinstance(atom, Eq):
+            return [
+                _bound_from(atom.lhs, atom.rhs, slack=0),
+                _bound_from(atom.rhs, atom.lhs, slack=0),
+            ]
+        return [_bound_from(atom.lhs, atom.rhs, slack=-1 if isinstance(atom, Lt) else 0)]
+
+    def test_direct_path_matches_linearization(self):
+        x, y = int_var("x"), int_var("y")
+        operands = [x, y, int_const(0), int_const(7), int_const(-3), x + 2, x - y, y - 1]
+        atoms = [
+            _intern(cls, a, b)  # built raw: no folding of x < x or 7 <= 7
+            for cls in (Lt, Le, Eq)
+            for a in operands
+            for b in operands
+        ]
+        checked = 0
+        for atom in atoms:
+            try:
+                want = self._general(atom)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    normalize_atom(atom)
+                continue
+            assert normalize_atom(atom) == want, atom.pretty()
+            checked += 1
+        assert checked > 100
+        assert normalize_atom(_intern(Lt, x, x)) == [DifferenceBound(ZERO_NAME, ZERO_NAME, -1)]
+        assert normalize_atom(lt(x, y)) == [DifferenceBound("x", "y", -1)]
+        assert normalize_atom(le(y, x)) == [DifferenceBound("y", "x", 0)]
 
     def test_negate_bound(self):
         b = DifferenceBound("x", "y", 3)

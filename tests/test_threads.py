@@ -10,6 +10,7 @@ from repro.pointer import steensgaard
 from repro.threads import MhpAnalysis, build_thread_call_graph
 
 from programs import FIG2_BUG_FREE, FORK_IN_LOOP, JOIN_PROTECTED, SIMPLE_UAF
+from test_corpus import CORPUS_FILES
 
 
 def lower(src):
@@ -210,11 +211,58 @@ class TestHappensBefore:
         print_sink = find(module, "main", SinkInst)  # after join(t)
         assert mhp.happens_before(child_store, print_sink)
 
+    def test_join_matches_only_threads_its_own_function_forked(self):
+        # main joins its own t; spawn() forks the worker under the same
+        # source name t but never joins it.
+        module, _tcg, mhp = setup(JOIN_NAME_REUSED)
+        use = find(module, "worker", SinkInst)
+        free_main = find(module, "main", FreeInst)
+        assert not mhp.happens_before(use, free_main)
+        assert mhp.may_happen_in_parallel(use, free_main)
+        # main's own t is still joined before the free.
+        assert mhp.happens_before(find(module, "noop", SinkInst), free_main)
+
+    def test_join_before_the_fork_does_not_join_it(self):
+        module, _tcg, mhp = setup(
+            """
+            void w() { print(1); }
+            void main() { join(t); fork(t, w); print(2); }
+            """
+        )
+        child = find(module, "w", SinkInst)
+        after = find(module, "main", SinkInst)
+        assert not mhp.happens_before(child, after)
+        assert mhp.may_happen_in_parallel(child, after)
+
+    def test_reused_join_name_reports_the_use_after_free(self):
+        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(JOIN_NAME_REUSED)
+        assert [b.kind for b in report.bugs] == ["use-after-free"]
+
     def test_join_does_not_order_statements_before_it(self):
         module, _tcg, mhp = setup(JOIN_PROTECTED)
         child_store = find(module, "worker", StoreInst)
         load_main = find(module, "main", LoadInst, nth=0)  # c = *x, before join
         assert not mhp.happens_before(child_store, load_main)
+
+
+JOIN_NAME_REUSED = """
+void worker(int** s) {
+    int* q = *s;
+    print(*q);
+}
+void noop(int x) { print(x); }
+void spawn(int** s) { fork(t, worker, s); }
+void main() {
+    int** slot = malloc();
+    int* buf = malloc();
+    *slot = buf;
+    fork(t, noop, 1);
+    join(t);
+    spawn(slot);
+    int* p = *slot;
+    free(p);
+}
+"""
 
 
 class TestMhp:
@@ -252,3 +300,78 @@ class TestMhp:
         free_a = find(module, "a", FreeInst)
         free_b = find(module, "b", FreeInst)
         assert mhp.may_happen_in_parallel(free_a, free_b)
+
+
+class ReferenceOrder:
+    """Structural happens-before written straight from its definition:
+    the fork chain walked and the joins scanned again for every query.
+
+    A join(t) joins the threads that its own function forked under the
+    source name t at an earlier label.
+    """
+
+    def __init__(self, tcg):
+        self.tcg = tcg
+        self.module = tcg.module
+
+    def threads(self, inst):
+        func = self.module.function_of(inst)
+        return [t.tid for t in self.tcg.threads.values() if func in t.functions]
+
+    def hb_under(self, a, ta, b, tb):
+        func_of = self.module.function_of
+        if ta == tb:
+            return func_of(a) == func_of(b) and a.label < b.label
+        thread = self.tcg.threads[tb]
+        while thread.fork is not None and thread.parent is not None:
+            if thread.parent == ta:
+                return func_of(a) == func_of(thread.fork) and a.label <= thread.fork.label
+            thread = self.tcg.threads[thread.parent]
+        joined = self.tcg.threads[ta]
+        func_b = func_of(b)
+        if joined.fork is None or func_of(joined.fork) != func_b:
+            return False
+        if func_b not in self.tcg.threads[tb].functions:
+            return False
+        return any(
+            isinstance(inst, JoinInst)
+            and inst.thread == joined.name_in_source
+            and joined.fork.label < inst.label < b.label
+            for inst in self.module.functions[func_b].body
+        )
+
+    def happens_before(self, a, b):
+        ts_a, ts_b = self.threads(a), self.threads(b)
+        if not ts_a or not ts_b:
+            return False
+        return all(self.hb_under(a, ta, b, tb) for ta in ts_a for tb in ts_b)
+
+    def may_happen_in_parallel(self, a, b):
+        return any(
+            ta != tb and not self.hb_under(a, ta, b, tb) and not self.hb_under(b, tb, a, ta)
+            for ta in self.threads(a)
+            for tb in self.threads(b)
+        )
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+def test_mhp_matches_reference_on_every_instruction_pair(path):
+    module, tcg, mhp = setup(path.read_text())
+    ref = ReferenceOrder(tcg)
+    insts = list(module.all_instructions())
+    for a in insts:
+        for b in insts:
+            assert mhp.happens_before(a, b) == ref.happens_before(a, b), (a, b)
+            assert mhp.may_happen_in_parallel(a, b) == ref.may_happen_in_parallel(a, b), (a, b)
+
+
+def test_threads_of_returns_the_stored_frozenset():
+    module, tcg, _ = setup(FIG2_BUG_FREE)
+    ref = ReferenceOrder(tcg)
+    for func in module.functions.values():
+        for inst in func.body:
+            got = tcg.threads_of(inst)
+            assert type(got) is frozenset
+            assert got is tcg.threads_of(inst)
+            assert got is tcg.threads_of_function.get(func.name, got)
+            assert got == frozenset(ref.threads(inst))
