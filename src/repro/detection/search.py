@@ -185,10 +185,7 @@ class PathSearcher:
         sink_nodes: Optional[Set[VFGNode]] = None,
     ) -> None:
         self.bundle = bundle
-        #: forward adjacency — the summary layer's demand-loading view
-        #: when the run built one (identical lists, loaded per function
-        #: span as the DFS reaches them), else the VFG itself
-        self.graph = bundle.graph_view()
+        self.graph = bundle.vfg
         self.limits = limits
         self.reach_index = reach_index
         self.guard_pruning = guard_pruning

@@ -34,12 +34,12 @@ __all__ = ["SteensgaardResult", "steensgaard"]
 class _UnionFind:
     def __init__(self) -> None:
         self._parent: Dict[int, int] = {}
-        self._items: Dict[int, object] = {}
         self._next = 0
         self._of: Dict[object, int] = {}
         # class representative -> pointee class (the single Steensgaard successor)
         self.pointee: Dict[int, int] = {}
-        # class representative -> contents (objects / function refs in the class)
+        # class representative -> contents (objects / function refs in the
+        # class); a class with none has no entry
         self.contents: Dict[int, Set[object]] = {}
         #: number of unions that merged two distinct classes so far
         self.merges = 0
@@ -51,9 +51,8 @@ class _UnionFind:
             self._next += 1
             self._of[item] = idx
             self._parent[idx] = idx
-            self.contents[idx] = set()
             if isinstance(item, (MemObject, FunctionRef)):
-                self.contents[idx].add(item)
+                self.contents[idx] = {item}
         return idx
 
     def find(self, idx: int) -> int:
@@ -70,7 +69,15 @@ class _UnionFind:
             return ra
         self.merges += 1
         self._parent[rb] = ra
-        self.contents[ra] |= self.contents.pop(rb, set())
+        moved = self.contents.pop(rb, None)
+        if moved is not None:
+            kept = self.contents.get(ra)
+            if kept is None:
+                # A copy, as a union into an empty set makes: the same
+                # iteration order as when every class had a set.
+                self.contents[ra] = set(moved)
+            else:
+                kept |= moved
         pa, pb = self.pointee.get(ra), self.pointee.pop(rb, None)
         if pa is not None and pb is not None:
             merged = self.union(pa, pb)

@@ -38,8 +38,8 @@ class VFGBundle:
     interference: InterferenceAnalysis
     pointsto: SteensgaardResult
     build_seconds: float = 0.0
-    #: per-function summary layer (:class:`repro.vfg.summaries.SummaryIndex`)
-    #: when the run computed one; detection walks its demand-loading view
+    #: per-function summaries (:class:`repro.vfg.summaries.SummaryIndex`)
+    #: when the run computed them
     summary_index: Optional[object] = None
 
     _def_index: Optional[Dict] = None
@@ -47,14 +47,6 @@ class VFGBundle:
     @property
     def object_stores(self) -> Dict[MemObject, List[Tuple[StoreInst, BoolTerm]]]:
         return self.interference.object_stores
-
-    def graph_view(self):
-        """The forward-adjacency view detection should walk: the
-        summary view when present (identical lists, demand-loaded per
-        function span), else the VFG itself."""
-        if self.summary_index is not None:
-            return self.summary_index.view
-        return self.vfg
 
     @property
     def def_index(self) -> Dict:

@@ -132,11 +132,8 @@ class ValueFlowGraph:
         #: copies its callers pass in.
         self._nodes: Dict[VFGNode, Tuple[VFGNode, List[VFGEdge], List[VFGEdge]]] = {}
         self._edge_keys: set = set()
-        #: every edge in insertion order — an edge's index here is its
-        #: global *ordinal*.  Per-node out/in lists are ordinal-sorted by
-        #: construction, which is what lets the summary layer rebuild any
-        #: adjacency list exactly from per-function spans.
-        self._edges: List[VFGEdge] = []
+        #: edges added so far; an edge's *ordinal* is the value this had
+        #: when it was added, so per-node out/in lists are ordinal-sorted
         self.num_edges = 0
 
     # ----- construction ---------------------------------------------------
@@ -170,10 +167,23 @@ class ValueFlowGraph:
             d = nodes[dst] = (dst, [], [])
         src = s[0]
         dst = d[0]
-        # One hash of the key: ``add`` and a size check, not ``in`` + ``add``.
+        # Most edges set only src, dst and kind, and a 3-tuple never
+        # equals an 8-tuple, so the short key cannot collide with a long
+        # one.  Instructions hash by identity (``eq=False``), so they key
+        # an edge as they are.  One hash of the key: ``add`` and a size
+        # check, not ``in`` + ``add``.
         keys = self._edge_keys
         seen = len(keys)
-        keys.add((src, dst, kind, callsite, obj, id(store), id(load), interthread))
+        if (
+            callsite is None
+            and obj is None
+            and store is None
+            and load is None
+            and not interthread
+        ):
+            keys.add((src, dst, kind))
+        else:
+            keys.add((src, dst, kind, callsite, obj, store, load, interthread))
         if len(keys) == seen:
             return None
         edge = tuple.__new__(
@@ -181,7 +191,6 @@ class ValueFlowGraph:
         )
         s[1].append(edge)
         d[2].append(edge)
-        self._edges.append(edge)
         self.num_edges += 1
         return edge
 
@@ -197,11 +206,6 @@ class ValueFlowGraph:
 
     def nodes(self) -> Iterator[VFGNode]:
         return iter(self._nodes.keys())
-
-    def edge_slice(self, start: int, end: int) -> List[VFGEdge]:
-        """The edges with ordinals ``start <= i < end`` (insertion order);
-        the summary layer's view of one function's owned edge span."""
-        return self._edges[start:end]
 
     def edges(self) -> Iterator[VFGEdge]:
         for _node, out, _in in self._nodes.values():

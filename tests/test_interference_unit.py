@@ -1,7 +1,10 @@
 """Unit tests for Alg. 2 internals: escape closure, Pted guards, widening."""
 
+import pathlib
+
 import pytest
 
+from repro import AnalysisConfig, Canary
 from repro.frontend import parse_program
 from repro.ir import AllocInst, LoadInst, StoreInst
 from repro.lowering import lower_program
@@ -9,6 +12,8 @@ from repro.smt.terms import TRUE
 from repro.vfg import DefNode, ObjNode, build_vfg
 
 from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
 def bundle_for(src, **kw):
@@ -106,6 +111,25 @@ class TestFixpointBehavior:
         edges_before = a.vfg.num_edges
         a.interference.run()  # second run over the same graph
         assert a.vfg.num_edges == edges_before
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, None])
+    def test_truncated_fixpoint_warns(self, cap):
+        # The inner object escapes only in round 2, and its interference
+        # edge lands in round 2; round 3 adds nothing.  A cap that stops
+        # a round still adding edges must say so.
+        text = (CORPUS / "uaf_summary_chained_escape.mcc").read_text()
+        config = AnalysisConfig(use_cache=False)
+        if cap is not None:
+            config = AnalysisConfig(use_cache=False, max_interference_rounds=cap)
+        report = Canary(config).analyze_source(text)
+        cut = cap is not None and cap < 3
+        warnings = [w for w in report.truncation_warnings if w.startswith("interference")]
+        assert len(warnings) == cut
+        assert report.metrics.snapshot().get("interference.truncated", 0) == cut
+        assert report.bundle.interference.truncated == cut
+        if not cut:
+            lines = [(b.source.location.line, b.sink.location.line) for b in report.bugs]
+            assert lines == [(22, 34)]
 
     def test_no_mhp_more_or_equal_edges(self):
         precise = bundle_for(SIMPLE_UAF)

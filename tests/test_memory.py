@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -35,7 +36,7 @@ from repro.frontend.lexer import tokenize
 from repro.lowering import lower_program
 from repro.server import AnalysisService
 from repro.testing.faults import FaultPlan, inject
-from repro.vfg.dataflow import ContentEntry, FunctionSummary
+from repro.vfg.dataflow import ContentEntry, DataDependenceAnalysis, FunctionSummary
 from repro.vfg.graph import DefNode, NullNode, ObjNode, StoreNode, VFGEdge
 
 from test_corpus import CORPUS_FILES, _parse_directives
@@ -288,6 +289,38 @@ class TestCollectorPolicy:
                     event.set()
                 for thread in threads.values():
                     thread.join(timeout=30)
+
+
+# ----- what a run holds -------------------------------------------------------
+
+
+def test_ast_is_freed_before_alg1(monkeypatch):
+    # The IR shares only Locations with the AST, so the tree must be gone
+    # (by refcount: collection is off) before the passes that follow
+    # lowering start.
+    text = (CORPUS_FILES[0].parent / "mixed_all_checkers.mcc").read_text()
+    programs, alive = [], []
+    parse, run = passes.parse_program, DataDependenceAnalysis.run
+
+    def parse_and_watch(source, filename="<input>"):
+        program = parse(source, filename)
+        programs.append(weakref.ref(program))
+        return program
+
+    def run_and_check(self):
+        alive.append(programs[-1]() is not None)
+        return run(self)
+
+    monkeypatch.setattr(passes, "parse_program", parse_and_watch)
+    monkeypatch.setattr(DataDependenceAnalysis, "run", run_and_check)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        Canary(AnalysisConfig(use_cache=False, checkers=ALL)).analyze_source(text)
+    finally:
+        if enabled:
+            gc.enable()
+    assert alive == [False]
 
 
 # ----- small per-fact records -----------------------------------------------

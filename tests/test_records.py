@@ -14,9 +14,9 @@ import pytest
 from repro.frontend import parse_program
 from repro.frontend.lexer import Token, TokenKind, tokenize
 from repro.frontend.source import Location
-from repro.ir import StoreInst
+from repro.ir import AllocInst, LoadInst, StoreInst
 from repro.lowering import lower_program
-from repro.smt.terms import TRUE
+from repro.smt.terms import TRUE, bool_var
 from repro.vfg import DefNode, NullNode, ObjNode, StoreNode, ValueFlowGraph, VFGEdge, build_vfg
 
 from programs import SIMPLE_UAF
@@ -111,6 +111,55 @@ class TestGraph:
         assert repr(edge) == f"{src!r} → {dst!r} [alloc]"
         interference = VFGEdge(src, dst, TRUE, "alloc", interthread=True)
         assert repr(interference) == f"{src!r} ⇢ {dst!r} [alloc]"
+
+
+class TestEdgeIdentity:
+    """An edge is dropped only as a duplicate of its identity fields:
+    ``(src, dst, kind, callsite, obj, store, load, interthread)``."""
+
+    @pytest.fixture()
+    def parts(self):
+        b = bundle_for(
+            "void main() { int** p = malloc(); int* a = malloc(); int* q = malloc();"
+            " *p = a; *p = q; int* c = *p; print(*c); }"
+        )
+        main = b.module.functions["main"]
+        s1, s2 = [i for i in main.body if isinstance(i, StoreInst)]
+        load = next(i for i in main.body if isinstance(i, LoadInst))
+        objs = [i.obj for i in main.body if isinstance(i, AllocInst)]
+        return StoreNode(s1), DefNode(load.dst), s1, s2, load, objs
+
+    def test_edges_differing_in_one_field_are_both_kept(self, parts):
+        src, dst, s1, s2, load, objs = parts
+        bare = dict(callsite=None, obj=None, store=None, load=None, interthread=False)
+        full = dict(bare, obj=objs[0], store=s1, load=load)
+        changes = dict(callsite=7, obj=objs[1], store=s2, load=load, interthread=True)
+        for base in (bare, full):
+            for field, other in changes.items():
+                if base[field] is other:
+                    other = None
+                vfg = ValueFlowGraph()
+                first = vfg.add_edge(src, dst, TRUE, "load", **base)
+                second = vfg.add_edge(src, dst, TRUE, "load", **{**base, field: other})
+                assert first is not None and second is not None, field
+                assert vfg.out_edges(src) == [first, second]
+
+    def test_same_identity_other_guard_is_dropped(self, parts):
+        src, dst, s1, _s2, load, objs = parts
+        guard = bool_var("theta")
+        for fields in ({}, dict(obj=objs[0], store=s1, load=load, interthread=True)):
+            vfg = ValueFlowGraph()
+            first = vfg.add_edge(src, dst, TRUE, "load", **fields)
+            assert vfg.add_edge(src, dst, guard, "load", **fields) is None
+            assert vfg.out_edges(src) == [first] and vfg.num_edges == 1
+
+    def test_short_and_long_keys_between_the_same_nodes(self, parts):
+        src, dst, s1, _s2, load, objs = parts
+        vfg = ValueFlowGraph()
+        short = vfg.add_edge(src, dst, TRUE, "load")
+        long = vfg.add_edge(src, dst, TRUE, "load", obj=objs[0], store=s1, load=load)
+        assert short is not None and long is not None
+        assert vfg.in_edges(dst) == [short, long]
 
 
 def _records(bundle):
