@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-file timings, solver counters and cache hit rate",
+        help="print per-file timings, solver counters and cached passes",
     )
     parser.add_argument(
         "--cache-dir",

@@ -17,8 +17,6 @@ filename and config hash):
   rehydrates the record against its own module.
 
 Nothing a run computes is shared with a later run except these records.
-This module also defines :class:`VerdictCache`, the per-run Φ_all →
-verdict memo.
 
 Thread-safety: all counters, the event log and the memory layer are
 guarded by one reentrant lock, so concurrent pipelines (the daemon's
@@ -35,58 +33,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..smt.terms import BoolTerm
-
-__all__ = ["ArtifactStore", "VerdictCache"]
-
-
-#: a cached verdict: (verdict, ints, bool atoms, unknown reason)
-_CacheEntry = Tuple[str, Dict[str, int], Dict[str, bool], str]
-
-
-class VerdictCache:
-    """Structural Φ_all → verdict memo, shared by the checkers of one run.
-
-    Keys are the formula terms themselves: the term DSL hash-conses, so
-    two structurally identical Φ_all are the same object and repeated
-    queries (the common case when many paths share guards and order
-    skeletons, cf. DFI's reuse of solved sub-queries) hit the cache.
-    Entries store only plain data, materialized into a fresh
-    :class:`~repro.detection.realizability.RealizabilityResult` per hit.
-    Thread-safe; hit/miss counters are exact.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[BoolTerm, _CacheEntry] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def peek(self, formula: BoolTerm) -> Optional[_CacheEntry]:
-        """Look up without touching the hit/miss counters (callers count
-        via :meth:`record` once they commit to using the answer)."""
-        with self._lock:
-            return self._entries.get(formula)
-
-    def record(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-
-    def store(self, formula: BoolTerm, entry: _CacheEntry) -> None:
-        with self._lock:
-            self._entries[formula] = entry
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+__all__ = ["ArtifactStore"]
 
 
 class ArtifactStore:

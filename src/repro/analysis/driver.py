@@ -239,13 +239,6 @@ class AnalysisReport:
     def num_reports(self) -> int:
         return len(self.bugs)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        s = self.solver_statistics
-        hits = s.get("cache_hits", 0)
-        misses = s.get("cache_misses", 0)
-        return hits / (hits + misses) if hits + misses else 0.0
-
     def passes_run(self) -> List[str]:
         """Names of the passes that actually executed (not cached)."""
         return [p["name"] for p in self.pass_statistics if p["status"] == "run"]
@@ -264,9 +257,7 @@ class AnalysisReport:
             f"solver: {s.get('queries', 0)} queries"
             f" (sat {s.get('sat', 0)} / unsat {s.get('unsat', 0)}"
             f" / unknown {s.get('unknown', 0)}),"
-            f" {s.get('solve_seconds', 0.0):.3f}s solving,"
-            f" cache {s.get('cache_hits', 0)}/{s.get('cache_hits', 0) + s.get('cache_misses', 0)}"
-            f" hits ({100.0 * self.cache_hit_rate:.0f}%)",
+            f" {s.get('solve_seconds', 0.0):.3f}s solving",
         ]
         if self.pass_statistics:
             run = len(self.passes_run())

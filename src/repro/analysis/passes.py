@@ -44,7 +44,7 @@ from ..vfg.interference import InterferenceAnalysis
 from ..vfg.summaries import compute_summaries
 from ..frontend import FrontendError
 from ..testing.faults import fault_point
-from .artifacts import ArtifactStore, VerdictCache
+from .artifacts import ArtifactStore
 from .budget import Budget, BudgetExceededError
 from .config import AnalysisConfig
 from .driver import AnalysisReport
@@ -491,7 +491,6 @@ class AnalysisPipeline:
             order_constraints=cfg.order_constraints,
             lock_analysis=lock_analysis,
             memory_model=cfg.memory_model,
-            cache=VerdictCache(),
             solver_timeout=cfg.solver_timeout_seconds,
             budget=budget,
             metrics=self.registry,

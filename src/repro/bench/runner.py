@@ -87,7 +87,7 @@ def run_subject(
     run = SubjectRun(subject=subject, lines=lines)
 
     if "canary" in tools:
-        # Caching off: the driver's cross-run artifact/verdict caches would
+        # Caching off: the driver's cross-run artifact cache would
         # otherwise make repeated measurements of one subject meaningless.
         # ``canary_timeout_seconds`` (None = unlimited, the default) maps
         # to the run's wall budget; an expired run comes back as a partial

@@ -9,10 +9,8 @@ and decide it with the SMT solver.  SAT means the path corresponds to a
 feasible sequentially-consistent interleaving and the bug is reported,
 together with a *witness order* extracted from the model.
 
-Verdicts are memoized in a :class:`~repro.analysis.artifacts.VerdictCache`
-keyed on the canonicalized Φ_all (interning makes structural equality
-identity, so the formula object itself is the key), shared across all
-checkers of one ``Canary`` run.  Per-query budgets (``solver_timeout``
+Every Φ_all is solved; a run rarely builds the same Φ_all twice, so
+verdicts are not memoized.  Per-query budgets (``solver_timeout``
 seconds, optionally clipped by the run's
 :class:`~repro.analysis.budget.Budget`) bound every solve: an exhausted
 budget is an UNKNOWN verdict, never a refutation.
@@ -89,7 +87,6 @@ class RealizabilityChecker:
         order_constraints: bool = True,
         lock_analysis=None,
         memory_model: str = "sc",
-        cache=None,
         solver_timeout: Optional[float] = None,
         budget=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -106,9 +103,6 @@ class RealizabilityChecker:
         #: timeouts to the run's remaining wall budget
         self.budget = budget
         self.order_constraints = order_constraints
-        #: optional Φ_all → verdict memo
-        #: (:class:`~repro.analysis.artifacts.VerdictCache`)
-        self.cache = cache
         #: the single home of the solver counters; shared with the run's
         #: AnalysisReport when the pipeline constructs the checker
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -123,8 +117,6 @@ class RealizabilityChecker:
             "unknown",
             "unknown_conflicts",
             "unknown_deadline",
-            "cache_hits",
-            "cache_misses",
         ):
             self._counter(key)
         self._counter("solve_seconds").add(0.0)  # promote to float
@@ -219,23 +211,13 @@ class RealizabilityChecker:
 
     # ----- deciding ---------------------------------------------------------
 
-    def _bump(
-        self,
-        verdict: str,
-        cache_hit: Optional[bool],
-        seconds: float,
-        reason: str = "",
-    ) -> None:
+    def _bump(self, verdict: str, seconds: float, reason: str = "") -> None:
         """Merge one query's counters."""
         self._counter("queries").add(1)
         self._counter(verdict).add(1)
         if verdict == UNKNOWN and reason:
             self._counter(f"unknown_{reason.replace('-', '_')}").add(1)
-        if cache_hit is not None:
-            self._counter("cache_hits" if cache_hit else "cache_misses").add(1)
         self._counter("solve_seconds").add(seconds)
-        if self.cache is not None and cache_hit is not None:
-            self.cache.record(cache_hit)
 
     def degradation_summary(self) -> List[str]:
         """Human-readable degradation warnings for the analysis report:
@@ -257,7 +239,7 @@ class RealizabilityChecker:
         bools: Dict[str, bool],
         reason: str = "",
     ) -> RealizabilityResult:
-        """Rebuild a result from plain (cacheable) solve data."""
+        """Build a result from the plain data ``solve_formula`` returns."""
         if verdict != SAT:
             # UNSAT: refuted.  UNKNOWN: budget exhausted — soundy choice,
             # do not report (low FP bias), but carry the reason so callers
@@ -277,18 +259,10 @@ class RealizabilityChecker:
         return self.check_formula(self.formula_for(query))
 
     def check_formula(self, formula: BoolTerm) -> RealizabilityResult:
-        """Decide one assembled Φ_all, consulting the verdict cache."""
+        """Decide one assembled Φ_all."""
         tracer = self.tracer
-        if self.cache is not None:
-            entry = self.cache.peek(formula)
-            if entry is not None:
-                verdict, ints, bools, reason = entry
-                with tracer.span("solver.query", cached=True) as span:
-                    span.set("verdict", verdict)
-                self._bump(verdict, cache_hit=True, seconds=0.0, reason=reason)
-                return self._materialize(formula, verdict, ints, bools, reason)
         recorder = None
-        with tracer.span("solver.query", cached=False) as span:
+        with tracer.span("solver.query") as span:
             if tracer.enabled:
                 recorder = tracer.recorder(span.context())
             verdict, ints, bools, seconds, reason = solve_formula(
@@ -303,9 +277,5 @@ class RealizabilityChecker:
                 span.set("unknown_reason", reason)
         if recorder is not None:
             tracer.ingest(recorder.records)
-        if self.cache is not None:
-            self.cache.store(formula, (verdict, ints, bools, reason))
-            self._bump(verdict, cache_hit=False, seconds=seconds, reason=reason)
-        else:
-            self._bump(verdict, cache_hit=None, seconds=seconds, reason=reason)
+        self._bump(verdict, seconds, reason)
         return self._materialize(formula, verdict, ints, bools, reason)

@@ -5,6 +5,12 @@ variables; every internal And/Or gate gets an auxiliary variable with the
 standard defining clauses.  The encoder keeps the atom <-> SAT-variable
 correspondence so the DPLL(T) loop in :mod:`repro.smt.solver` can hand the
 comparison atoms to the difference-logic theory.
+
+No emitted clause holds a duplicate or a complementary literal: every
+atom and gate has exactly one variable, and ``and_``/``or_`` dedupe
+their arguments and fold contradictions.  The solver relies on this to
+load the clauses without checking them
+(:meth:`~repro.smt.sat.SatSolver.add_fresh_clauses`).
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ class CnfEncoder:
         self._var_of_atom: Dict[BoolTerm, int] = {}
         self._gate_cache: Dict[BoolTerm, int] = {}
         self._next_var = 1
+        #: True once an ``Eq`` atom has been encoded
+        self.saw_eq = False
 
     @property
     def num_vars(self) -> int:
@@ -61,7 +69,10 @@ class CnfEncoder:
 
     def _encode(self, term: BoolTerm) -> int:
         """Return a literal equisatisfiably representing ``term``."""
-        if isinstance(term, (BoolVar, Le, Lt, Eq)):
+        if isinstance(term, (BoolVar, Le, Lt)):
+            return self.var_for_atom(term)
+        if isinstance(term, Eq):
+            self.saw_eq = True
             return self.var_for_atom(term)
         if isinstance(term, BoolConst):
             # Encode constants via a dedicated always-true variable.

@@ -3,13 +3,13 @@
 For complex realizability queries Canary splits the formula on a few
 high-impact atoms into *cubes* (partial assignments) and solves the cubes
 independently — the paper cites Heule et al.'s cube-and-conquer strategy.
-Cubes are embarrassingly parallel; here they run on a thread pool.
+The cubes are solved one after another, in cube order: they are
+CPU-bound Python, which threads cannot run in parallel under the GIL.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .solver import SAT, UNKNOWN, UNSAT, Model, Result, Solver
@@ -59,17 +59,17 @@ def _cubes(atoms: Sequence[BoolTerm]) -> Iterable[List[BoolTerm]]:
 def cube_solve_model(
     term: BoolTerm,
     split_atoms: Optional[Sequence[BoolTerm]] = None,
-    max_workers: int = 4,
     solver_factory: Optional[Callable[[], Solver]] = None,
     max_conflicts: Optional[int] = None,
     timeout: Optional[float] = None,
     recorder=None,
 ) -> Tuple[Result, Optional[Model], str]:
-    """Decide ``term`` by splitting into cubes solved in parallel.
+    """Decide ``term`` by splitting it into cubes, solved in cube order.
 
-    SAT if any cube is SAT; UNSAT only if *every* cube is UNSAT; UNKNOWN
-    if any cube exhausted its budget and no cube was SAT — an undecided
-    cube could hide a model, so UNKNOWN is never collapsed into UNSAT.
+    SAT as soon as a cube is SAT; UNSAT only if *every* cube is UNSAT;
+    UNKNOWN if any cube exhausted its budget and no cube was SAT — an
+    undecided cube could hide a model, so UNKNOWN is never collapsed
+    into UNSAT.
     On SAT the *winning cube's* model comes back too — it satisfies the
     original formula (the cube only fixes a few atoms), so realizability
     checking can extract a witness interleaving from it exactly as in
@@ -80,17 +80,20 @@ def cube_solve_model(
     ``'deadline'``, ...), empty otherwise.
 
     ``max_conflicts`` is the per-cube conflict budget and ``timeout``
-    the per-cube wall budget in seconds; both are ignored when an
-    explicit ``solver_factory`` is supplied (the factory then owns the
-    budgets).
+    the wall budget in seconds of the whole query, shared by the cubes
+    in turn; both are ignored when an explicit ``solver_factory`` is
+    supplied (the factory then owns the budgets).
 
     ``recorder`` is an optional :class:`~repro.obs.tracer.SpanRecorder`:
-    each decided cube is recorded as a ``solver.cube`` span with the
-    helper thread's timing (recorded from the coordinating thread —
-    cube workers never touch the recorder, which is single-threaded).
+    each decided cube is recorded as a ``solver.cube`` span.
     """
     if solver_factory is None:
-        solver_factory = lambda: Solver(max_conflicts=max_conflicts, timeout=timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def solver_factory() -> Solver:
+            left = None if deadline is None else max(0.0, deadline - time.monotonic())
+            return Solver(max_conflicts=max_conflicts, timeout=left)
+
     if split_atoms is None:
         split_atoms = pick_split_atoms(term)
     if not split_atoms:
@@ -98,31 +101,19 @@ def cube_solve_model(
         solver.add(term)
         return solver.check(), solver.model(), solver.unknown_reason or ""
 
-    def solve_cube(indexed) -> Tuple[int, Result, Optional[Model], str, float, float]:
-        index, cube = indexed
+    unknown_reason = ""
+    for index, cube in enumerate(_cubes(list(split_atoms))):
         t0 = time.time()
         solver = solver_factory()
         solver.add(term, *cube)
         result = solver.check()
-        return index, result, solver.model(), solver.unknown_reason or "", t0, time.time()
-
-    results: List[Result] = []
-    unknown_reason = ""
-    cubes = list(_cubes(list(split_atoms)))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for index, result, model, reason, t0, t1 in pool.map(
-            solve_cube, enumerate(cubes)
-        ):
-            if recorder is not None:
-                recorder.record_span(
-                    "solver.cube", t0, t1, index=index, verdict=result
-                )
-            if result is SAT:
-                return SAT, model, ""
-            if result is UNKNOWN and not unknown_reason:
-                unknown_reason = reason or "conflicts"
-            results.append(result)
-    if any(r is UNKNOWN for r in results):
+        if recorder is not None:
+            recorder.record_span("solver.cube", t0, time.time(), index=index, verdict=result)
+        if result is SAT:
+            return SAT, solver.model(), ""
+        if result is UNKNOWN and not unknown_reason:
+            unknown_reason = solver.unknown_reason or "conflicts"
+    if unknown_reason:
         return UNKNOWN, None, unknown_reason
     return UNSAT, None, ""
 
@@ -130,7 +121,6 @@ def cube_solve_model(
 def cube_solve(
     term: BoolTerm,
     split_atoms: Optional[Sequence[BoolTerm]] = None,
-    max_workers: int = 4,
     solver_factory: Optional[Callable[[], Solver]] = None,
     max_conflicts: Optional[int] = None,
     timeout: Optional[float] = None,
@@ -139,7 +129,6 @@ def cube_solve(
     verdict, _model, _reason = cube_solve_model(
         term,
         split_atoms=split_atoms,
-        max_workers=max_workers,
         solver_factory=solver_factory,
         max_conflicts=max_conflicts,
         timeout=timeout,

@@ -237,6 +237,55 @@ class SatSolver:
         self._num_clauses += 1
         return True
 
+    def add_fresh_clauses(self, clauses: Iterable[List[int]], num_vars: int) -> bool:
+        """Load a batch of clauses over variables ``1..num_vars`` in one
+        pass; returns False if the instance is now (or already) UNSAT.
+
+        The result is exactly that of :meth:`add_clause` on each clause
+        in turn, provided no clause holds a duplicate or a complementary
+        literal (Tseitin output never does), so those checks are
+        skipped.  Root-level simplification is the same: a clause
+        satisfied at the root is dropped, a literal false at the root is
+        removed, and a unit is enqueued and propagated at once."""
+        assert not self._trail_lim, "clauses must be added at level 0"
+        if not self._ok:
+            return False
+        grow = num_vars - self._num_vars
+        if grow > 0:
+            self._num_vars = num_vars
+            self._assign.extend([0] * grow)
+            self._level.extend([-1] * grow)
+            self._reason.extend([None] * grow)
+            self._activity.extend([0.0] * grow)
+            self._phase.extend([False] * grow)
+            self._seen.extend([False] * grow)
+            self._watches.extend([] for _ in range(2 * grow))
+            self._heap_pos.extend([-1] * grow)
+        assign, watches = self._assign, self._watches
+        attached = 0
+        for lits in clauses:
+            out: List[int] = []
+            for lit in lits:
+                val = assign[abs(lit) - 1]
+                if val == 0:
+                    out.append(lit)
+                elif (val > 0) == (lit > 0):
+                    break  # satisfied at root
+            else:
+                if len(out) > 1:
+                    clause = _Clause(out)
+                    lit = out[0]
+                    watches[(abs(lit) - 1) * 2 + (lit > 0)].append(clause)
+                    lit = out[1]
+                    watches[(abs(lit) - 1) * 2 + (lit > 0)].append(clause)
+                    attached += 1
+                elif not out or not self._enqueue(out[0], None) or self._propagate() is not None:
+                    self._num_clauses += attached
+                    self._ok = False
+                    return False
+        self._num_clauses += attached
+        return True
+
     def _attach(self, clause: _Clause) -> None:
         lits = clause.lits
         lit = lits[0]
@@ -254,12 +303,10 @@ class SatSolver:
         return len(self._trail_lim)
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        val = self._value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
         idx = abs(lit) - 1
+        val = self._assign[idx]
+        if val:
+            return (val > 0) == (lit > 0)  # already true, or a conflict
         self._assign[idx] = 1 if lit > 0 else -1
         level = len(self._trail_lim)
         self._level[idx] = level
@@ -272,6 +319,7 @@ class SatSolver:
         """Unit propagation; returns a conflicting clause or None."""
         watches = self._watches
         trail = self._trail
+        assign = self._assign
         while self._prop_head < len(trail):
             lit = trail[self._prop_head]
             self._prop_head += 1
@@ -288,12 +336,16 @@ class SatSolver:
                 lits = clause.lits
                 if lits[0] == -lit:
                     lits[0], lits[1] = lits[1], lits[0]
-                if self._value(lits[0]) == 1:
+                first = lits[0]
+                val = assign[abs(first) - 1]
+                if (val if first > 0 else -val) == 1:
                     i += 1
                     continue
                 moved = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != -1:
+                    other = lits[k]
+                    val = assign[abs(other) - 1]
+                    if (val if other > 0 else -val) != -1:
                         lits[1], lits[k] = lits[k], lits[1]
                         w = lits[1]
                         watches[(abs(w) - 1) * 2 + (w > 0)].append(clause)
@@ -406,7 +458,10 @@ class SatSolver:
             seen[v] = False
         return out
 
-    def _backtrack(self, level: int) -> None:
+    def _backtrack(self, level: int, reinsert: bool = True) -> None:
+        """Undo every assignment above ``level``.  Exits of :meth:`solve`
+        pass ``reinsert=False``: the decision heap is rebuilt on entry to
+        the next call, so unassigned variables need not rejoin it."""
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
@@ -414,7 +469,8 @@ class SatSolver:
             idx = abs(lit) - 1
             self._assign[idx] = 0
             self._reason[idx] = None
-            self._heap_insert(idx + 1)
+            if reinsert:
+                self._heap_insert(idx + 1)
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._prop_head = min(self._prop_head, len(self._trail))
@@ -506,7 +562,7 @@ class SatSolver:
                 if ticks >= 16:
                     ticks = 0
                     if time.monotonic() >= deadline:
-                        self._backtrack(0)
+                        self._backtrack(0, reinsert=False)
                         self.unknown_reason = "deadline"
                         return UNKNOWN
             conflict = self._propagate()
@@ -522,7 +578,7 @@ class SatSolver:
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
                         self._ok = False
-                        self._backtrack(0)
+                        self._backtrack(0, reinsert=False)
                         return UNSAT
                 else:
                     clause = _Clause(learnt, learnt=True)
@@ -532,11 +588,11 @@ class SatSolver:
                 self._var_inc /= self._var_decay
                 self._cla_inc /= self._cla_decay
                 if max_conflicts is not None and conflicts_here >= max_conflicts:
-                    self._backtrack(0)
+                    self._backtrack(0, reinsert=False)
                     self.unknown_reason = "conflicts"
                     return UNKNOWN
                 if deadline is not None and time.monotonic() >= deadline:
-                    self._backtrack(0)
+                    self._backtrack(0, reinsert=False)
                     self.unknown_reason = "deadline"
                     return UNKNOWN
                 if conflicts_here >= restart_budget:
@@ -560,7 +616,7 @@ class SatSolver:
                     continue
                 if val == -1:
                     self.failed_assumptions = self._analyze_final(p)
-                    self._backtrack(0)
+                    self._backtrack(0, reinsert=False)
                     return UNSAT
                 next_lit = p
                 break
@@ -571,7 +627,7 @@ class SatSolver:
                         v: self._assign[v - 1] == 1
                         for v in range(1, self._num_vars + 1)
                     }
-                    self._backtrack(0)
+                    self._backtrack(0, reinsert=False)
                     return SAT
                 next_lit = var if self._phase[var - 1] else -var
             self._trail_lim.append(len(self._trail))

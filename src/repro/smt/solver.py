@@ -40,9 +40,16 @@ from .terms import (
     Or,
     TRUE,
     and_,
-    int_var,
+    le,
+    or_,
 )
-from .theory import DifferenceLogicSolver, ZERO_NAME, negate_bound, normalize_atom
+from .theory import (
+    DifferenceBound,
+    DifferenceLogicSolver,
+    ZERO_NAME,
+    negate_bound,
+    normalize_atom,
+)
 
 __all__ = [
     "Solver",
@@ -57,34 +64,34 @@ __all__ = [
 
 Result = str
 
-_eq_cache: Dict[BoolTerm, BoolTerm] = {}
 
-
-def _eliminate_eq(term: BoolTerm) -> BoolTerm:
+def _eliminate_eq(term: BoolTerm, memo: Dict[BoolTerm, BoolTerm]) -> BoolTerm:
     """Rewrite every ``Eq(a, b)`` atom as ``Le(a, b) and Le(b, a)``.
 
     After this pass every arithmetic atom is a single difference bound
     whose negation is again a single difference bound, so the lazy theory
-    loop never needs to case-split on disequalities.
+    loop never needs to case-split on disequalities.  A term none of
+    whose arguments changed is returned as is: ``and_``/``or_`` built it
+    flat, deduplicated and contradiction-free, so rebuilding it would
+    give back the same interned object.
     """
-    cached = _eq_cache.get(term)
-    if cached is not None:
-        return cached
+    out = memo.get(term)
+    if out is not None:
+        return out
     if isinstance(term, Eq):
-        from .terms import le
-
         out = and_(le(term.lhs, term.rhs), le(term.rhs, term.lhs))
     elif isinstance(term, Not):
-        out = ~_eliminate_eq(term.arg)
-    elif isinstance(term, And):
-        out = and_(*(_eliminate_eq(a) for a in term.args))
-    elif isinstance(term, Or):
-        from .terms import or_
-
-        out = or_(*(_eliminate_eq(a) for a in term.args))
+        arg = _eliminate_eq(term.arg, memo)
+        out = term if arg is term.arg else ~arg
+    elif isinstance(term, (And, Or)):
+        args = [_eliminate_eq(a, memo) for a in term.args]
+        if all(new is old for new, old in zip(args, term.args)):
+            out = term
+        else:
+            out = and_(*args) if isinstance(term, And) else or_(*args)
     else:
         out = term
-    _eq_cache[term] = out
+    memo[term] = out
     return out
 
 
@@ -224,19 +231,30 @@ class Solver:
         if formula is FALSE or quick_unsat(formula):
             self.statistics["quick_refuted"] += 1
             return UNSAT
-        formula = _eliminate_eq(formula)
-        if formula is FALSE:
-            return UNSAT
-        if formula is TRUE:
-            self._model = Model({}, {})
-            return SAT
         encoder = CnfEncoder()
         encoder.add_assertion(formula)
-        sat = SatSolver()
-        for clause in encoder.clauses:
-            if not sat.add_clause(clause):
+        if encoder.saw_eq:
+            formula = _eliminate_eq(formula, {})
+            if formula is FALSE:
                 return UNSAT
-        theory_vars = encoder.theory_atoms()
+            if formula is TRUE:
+                self._model = Model({}, {})
+                return SAT
+            encoder = CnfEncoder()
+            encoder.add_assertion(formula)
+        sat = SatSolver()
+        if not sat.add_fresh_clauses(encoder.clauses, encoder.num_vars):
+            return UNSAT
+        # (var, bounds when true, the bound when false) per theory atom,
+        # normalised once for every theory round.
+        theory_atoms: List[Tuple[int, List[DifferenceBound], DifferenceBound]] = []
+        for var, atom in encoder.theory_atoms().items():
+            try:
+                bounds = normalize_atom(atom)
+            except ValueError:
+                continue  # outside the fragment: treated as free boolean
+            if bounds is not None:
+                theory_atoms.append((var, bounds, negate_bound(bounds[0])))
         for _ in range(self._max_theory_rounds):
             if deadline is not None and time.monotonic() >= deadline:
                 self.unknown_reason = "deadline"
@@ -251,22 +269,15 @@ class Solver:
                 return UNKNOWN
             model = sat.model
             theory = DifferenceLogicSolver()
-            for var, atom in theory_vars.items():
+            for var, bounds, negated in theory_atoms:
                 value = model.get(var)
                 if value is None:
                     continue
-                try:
-                    bounds = normalize_atom(atom)
-                except ValueError:
-                    continue  # outside the fragment: treated as free boolean
-                if bounds is None:
-                    continue
-                lit = var if value else -var
                 if value:
                     for b in bounds:
-                        theory.assert_bound(b, lit)
+                        theory.assert_bound(b, var)
                 else:
-                    theory.assert_bound(negate_bound(bounds[0]), lit)
+                    theory.assert_bound(negated, -var)
             core = theory.check()
             if core is None:
                 self._model = self._build_model(encoder, model, theory)
@@ -306,7 +317,7 @@ def solve_formula(
     """Decide one formula and return only plain data:
     ``(verdict, int_assignment, bool_atom_assignment, solve_seconds,
     unknown_reason)``.  The result contains no ``Model`` or term objects,
-    so the verdict cache can store it as is.  ``timeout`` is the
+    so it pickles as is.  ``timeout`` is the
     per-query wall budget in seconds; an exhausted budget yields
     ``UNKNOWN`` with ``unknown_reason`` set (``''`` on decided verdicts).
 

@@ -543,7 +543,7 @@ def structural_key(term: Term) -> str:
     string is the *process-independent* equivalent: two terms built in
     different processes (or across pickle boundaries, where hash
     randomization reseeds ``hash(str)``) have the same key iff they are
-    structurally identical.  Used by the verdict cache tests and for
+    structurally identical.  Used by the term pickling tests and for
     cross-process deduplication.
 
     Iterative (explicit stack) so arbitrarily deep formulas cannot hit

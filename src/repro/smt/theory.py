@@ -13,8 +13,7 @@ the Z3 backend the paper uses for its order constraints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from .terms import (
     Add,
@@ -42,9 +41,11 @@ __all__ = [
 ZERO_NAME = "$zero"
 
 
-@dataclass(frozen=True)
-class DifferenceBound:
-    """The constraint ``x - y <= c`` over integer variables ``x`` and ``y``."""
+class DifferenceBound(NamedTuple):
+    """The constraint ``x - y <= c`` over integer variables ``x`` and ``y``.
+
+    A named tuple: the solver builds one per theory atom per query, and
+    tuples are cheap to construct."""
 
     x: str
     y: str
@@ -234,6 +235,10 @@ class DifferenceLogicSolver:
         self._edges: Dict[str, List[Tuple[str, int, Hashable]]] = {}
         self._nodes: List[str] = []
         self._trail: List[Tuple[str, str]] = []
+        #: the potentials of the last check() that found no negative
+        #: cycle, while no bound has been asserted or popped since; the
+        #: model is read from them
+        self._potentials: Optional[Dict[str, int]] = None
 
     def _node(self, name: str) -> None:
         if name not in self._edges:
@@ -242,6 +247,7 @@ class DifferenceLogicSolver:
 
     def assert_bound(self, bound: DifferenceBound, tag: Hashable) -> None:
         """Assert ``x - y <= c``: graph edge ``y -> x`` with weight ``c``."""
+        self._potentials = None
         self._node(bound.x)
         self._node(bound.y)
         self._edges[bound.y].append((bound.x, bound.c, tag))
@@ -251,6 +257,7 @@ class DifferenceLogicSolver:
         return len(self._trail)
 
     def pop(self, mark: int) -> None:
+        self._potentials = None
         while len(self._trail) > mark:
             src, _dst = self._trail.pop()
             self._edges[src].pop()
@@ -264,6 +271,7 @@ class DifferenceLogicSolver:
         """
         nodes = self._nodes
         if not nodes:
+            self._potentials = {}
             return None
         dist: Dict[str, int] = {v: 0 for v in nodes}
         parent: Dict[str, Optional[Tuple[str, Hashable]]] = {v: None for v in nodes}
@@ -278,6 +286,7 @@ class DifferenceLogicSolver:
                         parent[v] = (u, tag)
                         last_updated = v
             if last_updated is None:
+                self._potentials = dist
                 return None
         # Walk back |V| steps to land inside the cycle, then collect it.
         node = last_updated
@@ -294,19 +303,11 @@ class DifferenceLogicSolver:
         return cycle_tags
 
     def model(self) -> Dict[str, int]:
-        """A satisfying assignment (shortest-path potentials), assuming
-        :meth:`check` returned ``None``.  The zero variable maps to 0."""
-        nodes = self._nodes
-        dist: Dict[str, int] = {v: 0 for v in nodes}
-        for _ in range(len(nodes)):
-            changed = False
-            for u in nodes:
-                du = dist[u]
-                for v, w, _tag in self._edges[u]:
-                    if du + w < dist[v]:
-                        dist[v] = du + w
-                        changed = True
-            if not changed:
-                break
+        """A satisfying assignment: the shortest-path potentials of the
+        last :meth:`check`, which must have returned ``None`` with no
+        bound asserted or popped since.  The zero variable maps to 0."""
+        dist = self._potentials
+        if dist is None:
+            raise ValueError("model() needs a consistent check() first")
         shift = dist.get(ZERO_NAME, 0)
         return {v: d - shift for v, d in dist.items()}

@@ -145,7 +145,7 @@ class TestMemoryLayerBounds:
 
 
 class TestConcurrentSharedStore:
-    """Two threads analyzing through one ArtifactStore / verdict cache:
+    """Two threads analyzing through one ArtifactStore:
     no torn state, and bug keys equal the serial reference — the
     invariant the daemon's worker pool relies on."""
 

@@ -3,8 +3,8 @@
 Two contracts over the *entire* corpus, with every file's directive
 checkers unioned with the three concurrency families:
 
-* **isolation** — the checkers of one run share a realizability checker
-  and its verdict cache, and that sharing must be invisible: each
+* **isolation** — the checkers of one run share a realizability checker,
+  and that sharing must be invisible: each
   checker run alone reports exactly its own slice of the combined run
   (same bug keys, witness paths and witness interleavings);
 * **replay** — every realizable report must confirm dynamically via

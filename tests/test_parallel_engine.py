@@ -1,6 +1,5 @@
-"""Realizability engine: term pickling, the verdict cache,
-cube-and-conquer budget/witness fixes and corpus equivalence, and the
-driver's solver surface."""
+"""Realizability engine: term pickling, cube-and-conquer budget/witness
+fixes and corpus equivalence, and the driver's solver surface."""
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -8,7 +7,6 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro import AnalysisConfig, Canary
-from repro.analysis.artifacts import VerdictCache
 from repro.detection import PathQuery, RealizabilityChecker, ValueFlowPath
 from repro.frontend import parse_program
 from repro.lowering import lower_program
@@ -32,7 +30,7 @@ from repro.smt import (
     structural_key,
 )
 from repro.smt import portfolio
-from repro.vfg import ObjNode, build_vfg
+from repro.vfg import build_vfg
 
 from programs import FIG2_BUGGY, SIMPLE_UAF
 from test_corpus import CORPUS_FILES, _parse_directives
@@ -40,20 +38,6 @@ from test_corpus import CORPUS_FILES, _parse_directives
 
 def bundle_for(src):
     return build_vfg(lower_program(parse_program(src)))
-
-
-def empty_query(bundle):
-    alloc = next(
-        inst
-        for func in bundle.module.functions.values()
-        for inst in func.body
-        if hasattr(inst, "obj")
-    )
-    return PathQuery(
-        path=ValueFlowPath(origin=ObjNode(alloc.obj)),
-        source_inst=None,
-        sink_inst=None,
-    )
 
 
 def interference_query(bundle):
@@ -116,34 +100,6 @@ class TestTermPickling:
         assert local[0] == remote[0] == SAT
         # The worker's model satisfies the formula in the parent too.
         assert remote[1]["x"] < remote[1]["y"]
-
-
-class TestVerdictCache:
-    def test_repeat_query_hits(self):
-        bundle = bundle_for(SIMPLE_UAF)
-        cache = VerdictCache()
-        checker = RealizabilityChecker(bundle, cache=cache)
-        query = empty_query(bundle)
-        first = checker.check(query)
-        second = checker.check(query)
-        assert first.realizable and second.realizable
-        assert first.witness_order == second.witness_order
-        assert checker.statistics["cache_misses"] == 1
-        assert checker.statistics["cache_hits"] == 1
-        assert cache.hits == 1 and cache.misses == 1
-        assert 0.0 < cache.hit_rate < 1.0
-        assert len(cache) == 1
-
-    def test_cache_shared_across_checkers(self):
-        bundle = bundle_for(SIMPLE_UAF)
-        cache = VerdictCache()
-        first = RealizabilityChecker(bundle, cache=cache)
-        second = RealizabilityChecker(bundle, cache=cache)
-        query = empty_query(bundle)
-        first.check(query)
-        second.check(query)
-        assert second.statistics["cache_hits"] == 1
-        assert cache.hits == 1
 
 
 class TestCubeAndConquer:
@@ -225,13 +181,6 @@ class TestDriverSurface:
         report = Canary(AnalysisConfig()).analyze_source(SIMPLE_UAF)
         assert report.timings["parse"] >= 0.0
         assert report.timings["solving"] >= 0.0
-
-    def test_solver_statistics_include_cache(self):
-        report = Canary(AnalysisConfig()).analyze_source(SIMPLE_UAF)
-        s = report.solver_statistics
-        assert "cache_hits" in s and "cache_misses" in s
-        assert s["cache_hits"] + s["cache_misses"] == s["queries"]
-        assert 0.0 <= report.cache_hit_rate <= 1.0
 
     def test_checker_statistics_surfaced(self):
         report = Canary(AnalysisConfig()).analyze_source(SIMPLE_UAF)

@@ -1,8 +1,6 @@
 """Cube-and-conquer portfolio: split-atom selection and SAT/UNSAT/UNKNOWN
 propagation across cubes (an undecided cube must never collapse to UNSAT)."""
 
-import threading
-
 import pytest
 
 from repro.smt import (
@@ -33,18 +31,13 @@ FOUR_CLAUSE_UNSAT = and_(or_(a, b), or_(a, not_(b)), or_(not_(a), b), or_(not_(a
 
 
 def scripted_factory(outcomes):
-    """A solver factory replaying (verdict, reason) pairs, one per cube.
-
-    Used with ``max_workers=1`` so cube evaluation order is the cube
-    enumeration order and the script is deterministic.
-    """
+    """A solver factory replaying (verdict, reason) pairs, one per cube,
+    in cube enumeration order (the order cubes are solved in)."""
     remaining = list(outcomes)
-    lock = threading.Lock()
 
     class Scripted:
         def __init__(self):
-            with lock:
-                self.verdict, reason = remaining.pop(0)
+            self.verdict, reason = remaining.pop(0)
             self.unknown_reason = reason or None
 
         def add(self, *terms):
@@ -106,7 +99,6 @@ class TestUnknownPropagation:
         verdict, model, reason = cube_solve_model(
             FOUR_CLAUSE_UNSAT,
             split_atoms=[a],
-            max_workers=1,
             solver_factory=scripted_factory([(UNSAT, ""), (UNKNOWN, "conflicts")]),
         )
         assert verdict is UNKNOWN
@@ -117,7 +109,6 @@ class TestUnknownPropagation:
         verdict, _model, reason = cube_solve_model(
             FOUR_CLAUSE_UNSAT,
             split_atoms=[a, b],
-            max_workers=1,
             solver_factory=scripted_factory(
                 [(UNKNOWN, "deadline"), (UNSAT, ""), (UNKNOWN, "conflicts"), (UNSAT, "")]
             ),
@@ -129,7 +120,6 @@ class TestUnknownPropagation:
         verdict, model, reason = cube_solve_model(
             FOUR_CLAUSE_UNSAT,  # any formula with atoms; the script decides
             split_atoms=[a],
-            max_workers=1,
             solver_factory=scripted_factory([(UNKNOWN, "conflicts"), (SAT, "")]),
         )
         assert verdict is SAT
@@ -140,7 +130,6 @@ class TestUnknownPropagation:
         verdict, _model, reason = cube_solve_model(
             FOUR_CLAUSE_UNSAT,
             split_atoms=[a],
-            max_workers=1,
             solver_factory=scripted_factory([(UNKNOWN, ""), (UNSAT, "")]),
         )
         assert verdict is UNKNOWN

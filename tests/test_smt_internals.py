@@ -1,11 +1,17 @@
-"""Unit tests for SMT internals: CNF encoding, difference logic, cubes."""
+"""Unit tests for SMT internals: CNF encoding, clause loading, difference
+logic, cubes."""
+
+import random
 
 import pytest
 
+from repro import AnalysisConfig, Canary
+from repro.detection.realizability import RealizabilityChecker
 from repro.smt import SAT, UNSAT, Solver, and_, bool_var, implies, int_var, lt, not_, or_
 from repro.smt.cnf import CnfEncoder
 from repro.smt.portfolio import cube_solve, pick_split_atoms
 from repro.smt.sat import SatSolver, SAT as SAT_RES, UNSAT as UNSAT_RES, UNKNOWN
+from repro.smt.solver import _eliminate_eq
 from repro.smt.theory import (
     DifferenceBound,
     DifferenceLogicSolver,
@@ -15,6 +21,8 @@ from repro.smt.theory import (
     normalize_atom,
 )
 from repro.smt.terms import FALSE, TRUE, Eq, Le, Lt, _intern, eq, int_const, le
+
+from test_corpus import CORPUS_FILES, _parse_directives
 
 
 class TestCnfEncoder:
@@ -115,6 +123,162 @@ class TestSatSolverDirect:
         assert s.solve() is UNSAT_RES
 
 
+def _random_formula(rng, depth):
+    x, y, z = int_var("lx"), int_var("ly"), int_var("lz")
+    leaves = (
+        bool_var("la"),
+        bool_var("lb"),
+        bool_var("lc"),
+        lt(x, y),
+        le(y, z),
+        lt(z, int_const(2)),
+        eq(x, z),
+        TRUE,
+        FALSE,
+    )
+    if depth == 0 or rng.random() < 0.3:
+        leaf = rng.choice(leaves)
+        return not_(leaf) if rng.random() < 0.4 else leaf
+    op = rng.choice((and_, or_))
+    return op(*(_random_formula(rng, depth - 1) for _ in range(rng.randint(2, 4))))
+
+
+def _loaded_state(sat, num_vars):
+    """Everything clause loading decides about variables ``1..num_vars``,
+    watch lists as clause literals."""
+    return (
+        sat._ok,
+        list(sat._trail),
+        sat._assign[:num_vars],
+        sat._num_clauses,
+        [[list(clause.lits) for clause in watchers] for watchers in sat._watches[: 2 * num_vars]],
+    )
+
+
+def _corpus_phi_all():
+    """Every Φ_all detection solves on the corpus, under SC, TSO and PSO."""
+    formulas = []
+    original = RealizabilityChecker.check_formula
+
+    def recording(self, formula):
+        formulas.append(formula)
+        return original(self, formula)
+
+    RealizabilityChecker.check_formula = recording
+    try:
+        for path in CORPUS_FILES:
+            text = path.read_text()
+            _expects, checkers, overrides = _parse_directives(text)
+            for model in ("sc", "tso", "pso"):
+                config = AnalysisConfig(
+                    checkers=tuple(checkers),
+                    **{**overrides, "memory_model": model, "use_cache": False},
+                )
+                Canary(config).analyze_source(text)
+    finally:
+        RealizabilityChecker.check_formula = original
+    return formulas
+
+
+class TestClauseLoading:
+    def test_bulk_load_matches_clause_by_clause(self):
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(400):
+            formula = and_(*(_random_formula(rng, 3) for _ in range(rng.randint(1, 5))))
+            enc = CnfEncoder()
+            enc.add_assertion(formula)
+            ref = SatSolver()
+            for clause in enc.clauses:
+                ref.add_clause(clause)
+            bulk = SatSolver()
+            assert bulk.add_fresh_clauses(enc.clauses, enc.num_vars) == ref.ok
+            n = ref._num_vars
+            assert _loaded_state(bulk, n) == _loaded_state(ref, n), formula.pretty()
+            # Clause-by-clause loading stops growing at a root conflict;
+            # the bulk loader sized every array up front and left the
+            # rest untouched.
+            assert not any(bulk._assign[n:]) and not any(bulk._watches[2 * n :])
+            if ref.ok:
+                assert bulk._num_vars == n == enc.num_vars
+                assert bulk.solve() == ref.solve()
+                assert bulk.model == ref.model
+            outcomes.add(ref.ok)
+        assert outcomes == {True, False}  # root-UNSAT formulas were covered
+
+    def test_load_after_root_unsat_is_refused(self):
+        sat = SatSolver()
+        assert not sat.add_fresh_clauses([[1], [-1]], 1)
+        assert not sat.add_fresh_clauses([[2, 3]], 3)
+        assert sat.solve() is UNSAT_RES
+
+    def test_corpus_clauses_have_no_duplicate_or_complementary_literal(self):
+        formulas = _corpus_phi_all()
+        assert formulas
+        for formula in formulas:
+            enc = CnfEncoder()
+            enc.add_assertion(formula)
+            if enc.saw_eq:
+                enc = CnfEncoder()
+                enc.add_assertion(_eliminate_eq(formula, {}))
+            for clause in enc.clauses:
+                lits = set(clause)
+                assert len(lits) == len(clause), clause
+                assert not any(-lit in lits for lit in lits), clause
+
+    def test_eq_fallback_matches_eager_rewrite(self):
+        # An Eq under an And and under an Or: the encoder meets it, so
+        # check() rewrites and re-encodes.  Verdict and model must be
+        # those of the formula rewritten up front, and those the eager
+        # rewrite of every formula produced before the fallback existed.
+        x, y, z = int_var("x"), int_var("y"), int_var("z")
+        a = bool_var("a")
+        with_eq = and_(
+            eq(x, y + 1), or_(eq(y, z + 2), a), lt(z, x), or_(not_(a), le(z, int_const(-3)))
+        )
+        rewritten = and_(
+            le(x, y + 1),
+            le(y + 1, x),
+            or_(and_(le(y, z + 2), le(z + 2, y)), a),
+            lt(z, x),
+            or_(not_(a), le(z, int_const(-3))),
+        )
+        enc = CnfEncoder()
+        enc.add_assertion(with_eq)
+        assert enc.saw_eq
+        answers = []
+        for formula in (with_eq, rewritten):
+            solver = Solver()
+            solver.add(formula)
+            assert solver.check() is SAT
+            model = solver.model()
+            bools = {atom.pretty(): value for atom, value in model.bool_assignments().items()}
+            answers.append((model.order(), bools))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == {"x": 0, "y": -1, "z": -4}
+        assert answers[0][1] == {
+            "(< z x)": True,
+            "(<= (+ y 1) x)": True,
+            "(<= (+ z 2) y)": True,
+            "(<= x (+ y 1))": True,
+            "(<= y (+ z 2))": False,
+            "(<= z -3)": True,
+            "a": True,
+        }
+
+    def test_no_eq_means_one_encoding(self):
+        x, y = int_var("x"), int_var("y")
+        enc = CnfEncoder()
+        enc.add_assertion(or_(lt(x, y), bool_var("a")))
+        assert not enc.saw_eq
+
+    def test_eq_rewrite_returns_unchanged_terms_as_is(self):
+        x, y = int_var("x"), int_var("y")
+        a, b = bool_var("a"), bool_var("b")
+        term = and_(or_(a, lt(x, y)), not_(or_(b, le(y, x))))
+        assert _eliminate_eq(term, {}) is term
+
+
 class TestDifferenceLogicUnit:
     def test_normalize_le(self):
         x, y = int_var("x"), int_var("y")
@@ -209,6 +373,32 @@ class TestDifferenceLogicUnit:
         assert solver.check() is None
         model = solver.model()
         assert model["x"] - model["y"] <= -2
+
+    def test_model_reads_the_potentials_of_check(self):
+        solver = DifferenceLogicSolver()
+        bounds = [
+            DifferenceBound("a", "b", -1),
+            DifferenceBound("b", "c", -2),
+            DifferenceBound("c", ZERO_NAME, 3),
+            DifferenceBound("d", "a", 0),
+        ]
+        for b in bounds:
+            solver.assert_bound(b, b)
+        assert solver.check() is None
+        model = solver.model()
+        assert model[ZERO_NAME] == 0
+        assert all(model[b.x] - model[b.y] <= b.c for b in bounds)
+        # Bellman-Ford from all-zero distances, shifted so $zero is 0.
+        assert model == {"a": -3, "b": -2, "c": 0, "d": -3, ZERO_NAME: 0}
+        solver.assert_bound(DifferenceBound("a", "d", -5), "late")
+        with pytest.raises(ValueError):
+            solver.model()  # a new bound invalidates the potentials
+        assert solver.check() is not None
+
+    def test_empty_graph_model(self):
+        solver = DifferenceLogicSolver()
+        assert solver.check() is None
+        assert solver.model() == {}
 
 
 class TestCubeAndConquer:
