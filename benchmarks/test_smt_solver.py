@@ -1,9 +1,9 @@
 """Microbenchmarks for the SMT substrate (supporting §5.2 claims).
 
 Not a paper table, but the constraint-solving optimizations (semi-
-decision filtering, small blocking clauses from negative cycles,
-cube-and-conquer) are explicit contributions of §5.2 — these benches
-keep their costs visible.
+decision filtering, small blocking clauses from negative cycles) are
+explicit contributions of §5.2 — these benches keep their costs visible.
+§5.2's cube-and-conquer is not kept (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.smt import (
     Solver,
     and_,
     bool_var,
-    cube_solve,
     implies,
     int_var,
     lt,
@@ -71,14 +70,3 @@ def test_quick_unsat_filter(benchmark):
     ]
     formula = and_(*parts)
     assert benchmark(lambda: quick_unsat(formula)) is True
-
-
-def test_cube_and_conquer(benchmark):
-    g1, g2 = bool_var("g1"), bool_var("g2")
-    x, y, z = int_var("x"), int_var("y"), int_var("z")
-    formula = and_(
-        or_(g1, g2),
-        implies(g1, and_(lt(x, y), lt(y, z), lt(z, x))),
-        implies(g2, and_(lt(x, y), lt(y, z))),
-    )
-    assert benchmark(lambda: cube_solve(formula, max_workers=2)) == "sat"

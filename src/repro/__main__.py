@@ -62,11 +62,6 @@ def main(argv=None) -> int:
         "--show-vfg", action="store_true", help="dump the guarded value-flow graph"
     )
     parser.add_argument(
-        "--cube",
-        action="store_true",
-        help="decide path queries by cube-and-conquer splitting",
-    )
-    parser.add_argument(
         "--max-depth",
         type=int,
         default=None,
@@ -172,7 +167,6 @@ def main(argv=None) -> int:
             memory_model=args.memory_model,
             unroll_depth=args.unroll,
             context_depth=args.context_depth,
-            cube_and_conquer=args.cube,
             max_path_depth=args.max_depth
             if args.max_depth is not None
             else defaults.max_path_depth,

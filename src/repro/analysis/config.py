@@ -51,8 +51,6 @@ class AnalysisConfig:
     max_paths_per_source: int = 512
     max_search_visits: int = 200_000
     max_reports_per_source: int = 8
-    #: use cube-and-conquer splitting for path queries (paper §5.2)
-    cube_and_conquer: bool = False
     #: ablation: apply the semi-decision guard filter during construction
     prune_guards: bool = True
     #: ablation: prune non-MHP store/load pairs before Alg. 2 (paper §6)
@@ -89,6 +87,13 @@ class AnalysisConfig:
     explain_cache: bool = False
 
     def __post_init__(self) -> None:
+        from ..checkers import ALL_CHECKERS
+
+        unknown = [name for name in self.checkers if name not in ALL_CHECKERS]
+        if unknown:
+            # the message of checkers.resolve_checker_names, which the CLI
+            # and the server use to expand aliases before they get here
+            raise ValueError(f"unknown checker(s): {', '.join(unknown)}")
         if self.memory_model not in ("sc", "tso", "pso"):
             raise ValueError(
                 f"memory_model must be one of sc, tso, pso, not {self.memory_model!r}"

@@ -486,7 +486,6 @@ class AnalysisPipeline:
             lock_analysis = LockAnalysis(module)
         realizability = RealizabilityChecker(
             bundle,
-            use_cube_and_conquer=cfg.cube_and_conquer,
             solver_max_conflicts=cfg.solver_max_conflicts,
             order_constraints=cfg.order_constraints,
             lock_analysis=lock_analysis,

@@ -9,7 +9,6 @@ or via pytest-benchmark targets in ``benchmarks/``.
 """
 
 from .artifacts import ascii_time_chart, fig7_csv, fig8_csv, table1_csv, write_artifacts
-from .baseline import load_bench_results, write_bench_results
 from .codegen import GroundTruth, ProjectSpec, generate_project
 from .curvefit import LinearFit, linear_fit
 from .metering import Measurement, measure
@@ -29,8 +28,6 @@ __all__ = [
     "fig8_csv",
     "table1_csv",
     "write_artifacts",
-    "load_bench_results",
-    "write_bench_results",
     "GroundTruth",
     "ProjectSpec",
     "generate_project",

@@ -82,7 +82,6 @@ class RealizabilityChecker:
     def __init__(
         self,
         bundle: VFGBundle,
-        use_cube_and_conquer: bool = False,
         solver_max_conflicts: Optional[int] = 100_000,
         order_constraints: bool = True,
         lock_analysis=None,
@@ -96,7 +95,6 @@ class RealizabilityChecker:
         self.orders = OrderConstraintBuilder(
             bundle, lock_analysis=lock_analysis, memory_model=memory_model
         )
-        self.use_cube_and_conquer = use_cube_and_conquer
         self.solver_max_conflicts = solver_max_conflicts
         self.solver_timeout = solver_timeout
         #: optional repro.analysis.budget.Budget — clips per-query
@@ -260,22 +258,15 @@ class RealizabilityChecker:
 
     def check_formula(self, formula: BoolTerm) -> RealizabilityResult:
         """Decide one assembled Φ_all."""
-        tracer = self.tracer
-        recorder = None
-        with tracer.span("solver.query") as span:
-            if tracer.enabled:
-                recorder = tracer.recorder(span.context())
+        with self.tracer.span("solver.query") as span:
             verdict, ints, bools, seconds, reason = solve_formula(
                 formula,
                 max_conflicts=self.solver_max_conflicts,
-                use_cube=self.use_cube_and_conquer,
                 timeout=self.query_timeout(),
-                recorder=recorder,
+                tracer=self.tracer,
             )
             span.set("verdict", verdict)
             if reason:
                 span.set("unknown_reason", reason)
-        if recorder is not None:
-            tracer.ingest(recorder.records)
         self._bump(verdict, seconds, reason)
         return self._materialize(formula, verdict, ints, bools, reason)

@@ -22,7 +22,7 @@ from .schema import (
     validate_metrics_file,
     validate_trace_file,
 )
-from .tracer import NULL_TRACER, Span, SpanContext, SpanRecorder, Tracer
+from .tracer import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -32,8 +32,6 @@ __all__ = [
     "NULL_TRACER",
     "SchemaError",
     "Span",
-    "SpanContext",
-    "SpanRecorder",
     "Tracer",
     "read_trace_ndjson",
     "run_meta",

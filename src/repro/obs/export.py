@@ -13,9 +13,11 @@ Three formats, one schema family (validated by :mod:`repro.obs.schema`):
   ``metrics`` is a flat :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
 
 :func:`run_meta` builds the uniform ``meta`` block (git sha, python
-version, platform, UTC timestamp, config digest) that the bench runner
-also stamps into every ``BENCH_*.json``, making artifacts from different
-CI matrix entries distinguishable.
+version, platform, UTC timestamp, config digest) stamped into every
+trace and metrics file, and into the ``meta.json`` that
+``python -m repro.bench --artifacts DIR`` writes next to the evaluation
+artifacts, so artifacts from different commits and CI matrix entries
+stay distinguishable.
 """
 
 from __future__ import annotations

@@ -8,11 +8,7 @@ in order:
 1. **zero overhead when off** — the default tracer is disabled; its
    ``span()`` returns a shared no-op singleton (no allocation, no lock),
    so instrumented code pays one attribute check per site;
-2. **detached spans** — a :class:`SpanContext` (trace id + span id)
-   parents a :class:`SpanRecorder` (plain dicts, picklable) that the
-   solver records into without touching the tracer; the tracer then
-   :meth:`Tracer.ingest`\\ s the records under the submitting span;
-3. **exporter-agnostic** — finished spans are plain data; the exporters
+2. **exporter-agnostic** — finished spans are plain data; the exporters
    in :mod:`repro.obs.export` turn them into newline-delimited JSON or
    Chrome trace events.
 
@@ -27,17 +23,9 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, Optional
 
-__all__ = ["NULL_TRACER", "Span", "SpanContext", "SpanRecorder", "Tracer"]
-
-
-class SpanContext(NamedTuple):
-    """The picklable coordinates of a live span — everything a worker
-    process needs to parent its own spans under it."""
-
-    trace_id: str
-    span_id: str
+__all__ = ["NULL_TRACER", "Span", "Tracer"]
 
 
 class Span:
@@ -86,9 +74,6 @@ class Span:
     def seconds(self) -> float:
         return (self.end if self.end is not None else time.time()) - self.start
 
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -124,9 +109,6 @@ class _NullSpan:
 
     def set(self, key: str, value: Any) -> "_NullSpan":
         return self
-
-    def context(self) -> None:
-        return None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -167,27 +149,17 @@ class Tracer:
         with self._lock:
             return f"s{next(self._ids)}"
 
-    def span(self, name: str, parent: Optional[SpanContext] = None, **attrs):
-        """Open a span as a context manager.
-
-        Parentage defaults to the innermost open span *of this thread*;
-        pass ``parent`` explicitly to attach work running on a helper
-        thread (e.g. enumeration producers) under its logical parent.
-        """
+    def span(self, name: str, **attrs):
+        """Open a span as a context manager, parented under the innermost
+        open span of the calling thread."""
         if not self.enabled:
             return NULL_SPAN
         stack = self._stack()
-        if parent is not None:
-            parent_id: Optional[str] = parent.span_id
-        else:
-            parent_id = stack[-1].span_id if stack else None
+        parent_id = stack[-1].span_id if stack else None
         span = Span(name, self.trace_id, self._next_id(), parent_id, tracer=self)
         for key, value in attrs.items():
             span.set(key, value)
-        # Only thread-default-parented spans join the ambient stack: a
-        # span explicitly parented elsewhere is not "current" here.
-        if parent is None:
-            stack.append(span)
+        stack.append(span)
         return span
 
     def _finish(self, span: Span) -> None:
@@ -197,57 +169,6 @@ class Tracer:
             stack.pop()
         with self._lock:
             self.finished.append(span)
-
-    def current_context(self) -> Optional[SpanContext]:
-        """The innermost open span of the calling thread (for injection
-        into worker payloads); ``None`` when disabled or at top level."""
-        if not self.enabled:
-            return None
-        stack = self._stack()
-        return stack[-1].context() if stack else None
-
-    # ----- cross-process ingestion -------------------------------------------
-
-    def recorder(self, parent: Optional[SpanContext] = None) -> Optional["SpanRecorder"]:
-        """A picklable recorder parented under the current span (or the
-        given context); ``None`` when tracing is off."""
-        if not self.enabled:
-            return None
-        return SpanRecorder(parent if parent is not None else self.current_context())
-
-    def ingest(self, records: List[Dict[str, Any]]) -> int:
-        """Adopt spans recorded elsewhere (worker process or recorder).
-
-        Each record is re-identified with this tracer's ids; records keep
-        their own parent linkage (``parent`` indices into the batch) and
-        fall back to the record's ``parent_ctx`` span id, so a worker's
-        nested spans arrive as a correctly shaped subtree."""
-        if not self.enabled or not records:
-            return 0
-        assigned: Dict[int, str] = {}
-        adopted: List[Span] = []
-        for i, rec in enumerate(records):
-            span = Span.__new__(Span)
-            span.name = rec["name"]
-            span.trace_id = self.trace_id
-            span.span_id = self._next_id()
-            parent_idx = rec.get("parent_index")
-            if parent_idx is not None and parent_idx in assigned:
-                span.parent_id = assigned[parent_idx]
-            else:
-                ctx = rec.get("parent_ctx")
-                span.parent_id = ctx[1] if ctx else None
-            span.start = rec["start"]
-            span.end = rec["end"]
-            span.attrs = dict(rec.get("attrs", {}))
-            span.pid = rec.get("pid", os.getpid())
-            span.tid = rec.get("tid", 0)
-            span._tracer = None
-            assigned[i] = span.span_id
-            adopted.append(span)
-        with self._lock:
-            self.finished.extend(adopted)
-        return len(adopted)
 
     # ----- convenience -------------------------------------------------------
 
@@ -263,89 +184,3 @@ class Tracer:
 #: the module-wide disabled tracer every instrumented component defaults
 #: to — sharing one instance keeps the off-path allocation-free.
 NULL_TRACER = Tracer(enabled=False)
-
-
-class _RecorderSpan:
-    """One in-flight recorder span (worker-side)."""
-
-    __slots__ = ("recorder", "index")
-
-    def __init__(self, recorder: "SpanRecorder", index: int) -> None:
-        self.recorder = recorder
-        self.index = index
-
-    def set(self, key: str, value: Any) -> "_RecorderSpan":
-        if not isinstance(value, (str, int, float, bool, type(None))):
-            value = repr(value)
-        self.recorder.records[self.index]["attrs"][key] = value
-        return self
-
-    def __enter__(self) -> "_RecorderSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, _tb) -> None:
-        rec = self.recorder.records[self.index]
-        if exc_type is not None:
-            rec["attrs"]["error"] = f"{exc_type.__name__}: {exc}"
-        rec["end"] = time.time()
-        stack = self.recorder._stack
-        if stack and stack[-1] == self.index:
-            stack.pop()
-
-
-class SpanRecorder:
-    """Worker-side span collection: plain dicts, picklable both ways.
-
-    Constructed in the parent from a :class:`SpanContext`, shipped with
-    the payload, used in the worker, and the resulting ``records`` ride
-    back with the result for :meth:`Tracer.ingest`.  Single-threaded by
-    design (one recorder per payload)."""
-
-    def __init__(self, parent_ctx: Optional[SpanContext]) -> None:
-        self.parent_ctx = tuple(parent_ctx) if parent_ctx is not None else None
-        self.records: List[Dict[str, Any]] = []
-        self._stack: List[int] = []
-
-    def span(self, name: str, **attrs) -> _RecorderSpan:
-        record = {
-            "name": name,
-            "parent_index": self._stack[-1] if self._stack else None,
-            "parent_ctx": self.parent_ctx,
-            "start": time.time(),
-            "end": None,
-            "attrs": {},
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-        }
-        self.records.append(record)
-        index = len(self.records) - 1
-        self._stack.append(index)
-        span = _RecorderSpan(self, index)
-        for key, value in attrs.items():
-            span.set(key, value)
-        return span
-
-    def record_span(self, name: str, start: float, end: float, **attrs) -> None:
-        """Append an already-timed span without touching the stack.
-
-        For work measured on helper threads (e.g. portfolio cubes) and
-        reported back to the recorder's owning thread: the span parents
-        under the owning thread's current span, but its timing is the
-        helper's."""
-        span_attrs: Dict[str, Any] = {}
-        for key, value in attrs.items():
-            if not isinstance(value, (str, int, float, bool, type(None))):
-                value = repr(value)
-            span_attrs[key] = value
-        self.records.append(
-            {
-                "name": name,
-                "parent_index": self._stack[-1] if self._stack else None,
-                "parent_ctx": self.parent_ctx,
-                "start": start,
-                "end": end,
-                "attrs": span_attrs,
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-            }
-        )

@@ -7,8 +7,7 @@ orders).  Public surface:
 
 * :mod:`repro.smt.terms` — the term DSL used for guards everywhere else,
 * :class:`repro.smt.solver.Solver` — ``add``/``check``/``model``,
-* :func:`repro.smt.simplify.quick_unsat` — the paper's semi-decision filter,
-* :func:`repro.smt.portfolio.cube_solve` — cube-and-conquer splitting.
+* :func:`repro.smt.simplify.quick_unsat` — the paper's semi-decision filter.
 """
 
 from .terms import (
@@ -33,12 +32,10 @@ from .terms import (
     ne,
     not_,
     or_,
-    structural_key,
     true,
 )
 from .simplify import GuardPrefix, quick_unsat, simplify_conjunction
 from .solver import SAT, UNKNOWN, UNSAT, Model, Solver, is_satisfiable, solve_formula
-from .portfolio import cube_solve, cube_solve_model, pick_split_atoms
 
 __all__ = [
     "TRUE",
@@ -73,8 +70,4 @@ __all__ = [
     "Solver",
     "is_satisfiable",
     "solve_formula",
-    "structural_key",
-    "cube_solve",
-    "cube_solve_model",
-    "pick_split_atoms",
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.tracer import NULL_TRACER, Tracer
 from .cnf import CnfEncoder
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .simplify import quick_unsat
@@ -310,60 +311,45 @@ def is_satisfiable(*terms: BoolTerm) -> bool:
 def solve_formula(
     formula: BoolTerm,
     max_conflicts: Optional[int] = None,
-    use_cube: bool = False,
     timeout: Optional[float] = None,
-    recorder=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> Tuple[Result, Dict[str, int], Dict[str, bool], float, str]:
     """Decide one formula and return only plain data:
     ``(verdict, int_assignment, bool_atom_assignment, solve_seconds,
-    unknown_reason)``.  The result contains no ``Model`` or term objects,
-    so it pickles as is.  ``timeout`` is the
-    per-query wall budget in seconds; an exhausted budget yields
-    ``UNKNOWN`` with ``unknown_reason`` set (``''`` on decided verdicts).
+    unknown_reason)``.  ``timeout`` is the per-query wall budget in
+    seconds; an exhausted budget yields ``UNKNOWN`` with
+    ``unknown_reason`` set (``''`` on decided verdicts).
 
-    ``recorder`` is an optional :class:`~repro.obs.tracer.SpanRecorder`;
-    when given, the solve is wrapped in a ``solver.solve`` span carrying
-    the verdict and the solver's own counters (theory rounds, SAT
-    conflicts).
+    The solve runs in a ``solver.solve`` span of ``tracer``, opened under
+    the caller's innermost open span and carrying the verdict and the
+    solver's own counters (theory rounds, SAT conflicts).
     """
     from ..testing.faults import fault_point
 
-    span = recorder.span("solver.solve", cube=use_cube) if recorder is not None else None
-    t0 = time.perf_counter()
-    t0_mono = time.monotonic()
-    fault_point("solver:solve")
-    if timeout is not None:
-        # The budget is anchored at query entry: time lost before the
-        # solver proper starts (e.g. an injected stall) counts against it.
-        timeout = max(0.0, timeout - (time.monotonic() - t0_mono))
-    reason = ""
-    if use_cube:
-        from .portfolio import cube_solve_model
-
-        verdict, model, reason = cube_solve_model(
-            formula, max_conflicts=max_conflicts, timeout=timeout, recorder=recorder
-        )
-    else:
+    with tracer.span("solver.solve") as span:
+        t0 = time.perf_counter()
+        t0_mono = time.monotonic()
+        fault_point("solver:solve")
+        if timeout is not None:
+            # The budget is anchored at query entry: time lost before the
+            # solver proper starts (e.g. an injected stall) counts against it.
+            timeout = max(0.0, timeout - (time.monotonic() - t0_mono))
         solver = Solver(max_conflicts=max_conflicts, timeout=timeout)
         solver.add(formula)
         verdict = solver.check()
         model = solver.model()
-        reason = solver.unknown_reason or ""
-        if span is not None:
+        reason = (solver.unknown_reason or "") if verdict is UNKNOWN else ""
+        ints: Dict[str, int] = {}
+        bools: Dict[str, bool] = {}
+        if verdict is SAT and model is not None:
+            ints = model.order()
+            for atom, truth in model.bool_assignments().items():
+                if isinstance(atom, BoolVar):
+                    bools[atom.name] = truth
+        if tracer.enabled:
             for key, value in solver.statistics.items():
                 span.set(key, value)
-    ints: Dict[str, int] = {}
-    bools: Dict[str, bool] = {}
-    if verdict is SAT and model is not None:
-        ints = model.order()
-        for atom, truth in model.bool_assignments().items():
-            if isinstance(atom, BoolVar):
-                bools[atom.name] = truth
-    if verdict is not UNKNOWN:
-        reason = ""
-    if span is not None:
-        span.set("verdict", verdict)
-        if reason:
-            span.set("unknown_reason", reason)
-        span.__exit__(None, None, None)
-    return verdict, ints, bools, time.perf_counter() - t0, reason
+            span.set("verdict", verdict)
+            if reason:
+                span.set("unknown_reason", reason)
+        return verdict, ints, bools, time.perf_counter() - t0, reason

@@ -60,7 +60,6 @@ __all__ = [
     "is_literal",
     "literal_atom",
     "conjuncts",
-    "structural_key",
 ]
 
 _interned: dict = {}
@@ -95,12 +94,12 @@ class Term:
         return self is not other
 
     def __reduce__(self):
-        # Pickle by structure and re-intern on load.  Unpickling in the
-        # *same* process returns the identical object (``loads(dumps(t))
-        # is t``); in a worker process it rebuilds the term in that
-        # process's intern table, so identity-based ``__eq__`` and the
-        # stored hash stay correct there too.  This is what lets whole
-        # Φ_all formulas cross a ``ProcessPoolExecutor`` boundary.
+        # ``__eq__`` is identity, so a term that is not the interned
+        # object compares unequal to its structural twin.  The default
+        # reduction would make exactly such a copy; rebuilding through
+        # ``_intern`` instead makes ``pickle.loads(pickle.dumps(t))``,
+        # ``copy.copy(t)`` and ``copy.deepcopy(t)`` return ``t`` itself
+        # (or, in a fresh process, the term of that process's table).
         return (_intern, (type(self),) + self._args)
 
     @property
@@ -533,34 +532,3 @@ def conjuncts(t: BoolTerm) -> Iterable[BoolTerm]:
     if isinstance(t, And):
         return t.args
     return (t,)
-
-
-def structural_key(term: Term) -> str:
-    """A stable structural serialization of a term.
-
-    Within one process, interning already makes structurally-equal terms
-    reference-equal, so the term object itself is a valid dict key.  This
-    string is the *process-independent* equivalent: two terms built in
-    different processes (or across pickle boundaries, where hash
-    randomization reseeds ``hash(str)``) have the same key iff they are
-    structurally identical.  Used by the term pickling tests and for
-    cross-process deduplication.
-
-    Iterative (explicit stack) so arbitrarily deep formulas cannot hit
-    the recursion limit.
-    """
-    parts: list = []
-    stack: list = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            parts.append(t)
-        elif isinstance(t, (BoolConst, IntConst)):
-            parts.append(f"{type(t).__name__}:{t.value};")
-        elif isinstance(t, (BoolVar, IntVar)):
-            parts.append(f"{type(t).__name__}:{t.name};")
-        else:
-            parts.append(f"{type(t).__name__}(")
-            stack.append(")")
-            stack.extend(reversed(t.args))
-    return "".join(parts)

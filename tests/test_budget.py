@@ -150,6 +150,11 @@ class TestConfigWiring:
         # 0 stays legal: "expire immediately"
         assert getattr(AnalysisConfig(**{knob: 0}), knob) == 0
 
+    def test_unknown_checker_rejected(self):
+        # Rejected at construction, not as a KeyError after every pass ran.
+        with pytest.raises(ValueError, match="unknown checker\\(s\\): nope"):
+            AnalysisConfig(checkers=("use-after-free", "nope"))
+
 
 class TestCliFlags:
     def _write(self, tmp_path, source):

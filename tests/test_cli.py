@@ -58,13 +58,6 @@ class TestAnalyzerCli:
         out = capsys.readouterr().out
         assert "VFG:" in out
 
-    def test_cube_flag(self, capsys):
-        rc = repro_main([str(CORPUS / "uaf_basic.mcc"), "--cube"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        # The cube backend must still produce a witness interleaving.
-        assert "witness interleaving" in out
-
     def test_stats_flag(self, capsys):
         rc = repro_main([str(CORPUS / "uaf_basic.mcc"), "--stats"])
         out = capsys.readouterr().out

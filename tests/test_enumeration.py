@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 from repro.analysis import AnalysisConfig, Canary
-from repro.checkers import ALL_CHECKERS
+from repro.checkers import ALL_CHECKERS, UseAfterFreeChecker
 from repro.detection import (
     PathSearcher,
     RealizabilityChecker,
@@ -353,6 +353,83 @@ class TestPrunedEquivalence:
                     totals[key] += st.get(key, 0)
         assert totals["pruned_unreachable"] > 0
         assert totals["pruned_guard"] > 0
+
+
+def _dead_fanout_program(width: int, depth: int) -> str:
+    """One real UAF plus ``width`` copy chains of ``depth`` hops whose
+    ends are never dereferenced: only sink reachability keeps the DFS
+    out of them."""
+    lines = [
+        "void main() {",
+        "    int** slot = malloc();",
+        "    int* init = malloc();",
+        "    *slot = init;",
+        "    fork(t, w, slot);",
+        "    int* live = *slot;",
+        "    print(*live);",
+    ]
+    for i in range(width):
+        lines.append(f"    int* d{i}_0 = *slot;")
+        for j in range(depth):
+            lines.append(f"    int* d{i}_{j + 1} = d{i}_{j};")
+    lines.append("}")
+    lines.append("void w(int** s) { int* b = malloc(); *s = b; free(b); }")
+    return "\n".join(lines)
+
+
+def _guard_diamond_program(n_arms: int) -> str:
+    """The free happens under ``n >= 3`` and every reader arm is guarded
+    by ``n < 3``: the guard prefix refutes each arm at its first edge."""
+    lines = [
+        "extern int n;",
+        "void main() {",
+        "    int** slot = malloc();",
+        "    int* init = malloc();",
+        "    *slot = init;",
+        "    fork(t, w, slot);",
+    ]
+    for i in range(n_arms):
+        lines.append(f"    if (n < 3) {{ int* v{i} = *slot; print(*v{i}); }}")
+    lines.append("}")
+    lines.append(
+        "void w(int** s) { int* b = malloc();"
+        " if (n >= 3) { *s = b; free(b); } }"
+    )
+    return "\n".join(lines)
+
+
+class TestPinnedPruneCounts:
+    """Exact counters of the two stress shapes of
+    ``benchmarks/test_path_enumeration.py``: the use-after-free checker
+    over one VFG, with its three prunes off (reference) and on."""
+
+    def _run(self, text, prune, **overrides):
+        bundle = Canary(AnalysisConfig(checkers=(), **overrides)).analyze_source(text).bundle
+        checker = UseAfterFreeChecker(
+            bundle, sink_reachability=prune, guard_pruning=prune, dead_memo=prune
+        )
+        keys = sorted(b.key for b in checker.run())
+        return keys, checker.search_stats, checker.realizability.statistics["queries"]
+
+    def test_dead_fanout(self):
+        text = _dead_fanout_program(width=12, depth=8)
+        ref_keys, ref, ref_queries = self._run(text, prune=False)
+        keys, opt, queries = self._run(text, prune=True)
+        assert keys == ref_keys and len(keys) == 1
+        assert (ref.visits, opt.visits) == (125, 5)
+        assert (opt.pruned_unreachable, opt.pruned_guard) == (12, 0)
+        assert ref_queries == queries == 1
+
+    def test_guard_diamond(self):
+        # prune_guards=False keeps the contradictory arms in the VFG, so
+        # only the enumeration-time guard prefix can cut them.
+        text = _guard_diamond_program(n_arms=10)
+        ref_keys, ref, ref_queries = self._run(text, prune=False, prune_guards=False)
+        keys, opt, queries = self._run(text, prune=True, prune_guards=False)
+        assert keys == ref_keys == []
+        assert (ref.visits, opt.visits) == (23, 3)
+        assert (opt.pruned_guard, opt.pruned_unreachable) == (10, 0)
+        assert (ref_queries, queries) == (10, 0)
 
 
 # ----- truncation warnings and config plumbing -------------------------------

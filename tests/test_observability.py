@@ -2,38 +2,28 @@
 
 Covers the guarantees ``docs/architecture.md`` §12 documents:
 
-* span nesting/ordering on one thread, explicit parenting across helper
-  threads, and cross-process propagation through the solver pool;
+* span nesting/ordering, and every ``solver.solve`` span of a corpus
+  run nesting under its ``solver.query`` span;
 * zero overhead with tracing off (the default);
 * the :class:`~repro.obs.metrics.MetricsRegistry` instruments and the
   legacy ``AnalysisReport`` accessors being exact views over it;
-* exporter round-trips and both directions of every schema validator;
-* the ``repro.bench.compare_baselines`` benchmark-regression gate.
+* exporter round-trips and both directions of every schema validator.
 """
 
 import json
 import pathlib
-import pickle
 
 import pytest
 
 from programs import SIMPLE_UAF
+from test_corpus import CORPUS_FILES, _parse_directives
 from repro import AnalysisConfig, Canary
 from repro.__main__ import main as repro_main
 from repro.analysis.driver import AnalysisReport
-from repro.bench.baseline import load_bench_results, write_bench_results
-from repro.bench.compare_baselines import (
-    compare_documents,
-    is_timing_key,
-    main as compare_main,
-    render_deltas,
-)
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     SchemaError,
-    SpanContext,
-    SpanRecorder,
     Tracer,
     read_trace_ndjson,
     run_meta,
@@ -96,47 +86,21 @@ class TestSpans:
         span = tracer.finished[0]
         assert span.end is not None
         assert "ValueError" in span.attrs["error"]
-        assert tracer.current_context() is None  # stack unwound
-
-    def test_explicit_parent_does_not_join_ambient_stack(self):
-        # A span parented explicitly (helper-thread work attached to its
-        # logical parent) must not become the calling thread's "current"
-        # span.
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            ctx = root.context()
-            detached = tracer.span("helper", parent=ctx)
-            assert tracer.current_context() == ctx  # not the helper
-            with tracer.span("child") as child:
-                assert child.parent_id == root.span_id
-            detached.__exit__(None, None, None)
-        helper = tracer.spans_named("helper")[0]
-        assert helper.parent_id == root.span_id
-
-    def test_current_context_tracks_innermost(self):
-        tracer = Tracer()
-        assert tracer.current_context() is None
-        with tracer.span("outer"):
-            with tracer.span("inner") as inner:
-                assert tracer.current_context() == inner.context()
-        assert tracer.current_context() is None
+        with tracer.span("after") as after:  # stack unwound
+            assert after.parent_id is None
 
 
 class TestDisabledTracer:
     def test_null_tracer_span_is_shared_singleton(self):
         # the off path allocates nothing: every call returns NULL_SPAN
         assert NULL_TRACER.span("x") is NULL_SPAN
-        assert NULL_TRACER.span("y", parent=SpanContext("t", "s")) is NULL_SPAN
+        assert NULL_TRACER.span("y", attr=1) is NULL_SPAN
         assert NULL_SPAN.set("k", "v") is NULL_SPAN
-        assert NULL_SPAN.context() is None
 
-    def test_null_tracer_collects_and_ingests_nothing(self):
+    def test_null_tracer_collects_nothing(self):
         with NULL_TRACER.span("ignored"):
             pass
         assert NULL_TRACER.finished == []
-        assert NULL_TRACER.current_context() is None
-        assert NULL_TRACER.recorder() is None
-        assert NULL_TRACER.ingest([{"name": "x"}]) == 0
 
     def test_canary_defaults_to_disabled_tracing(self):
         canary = Canary(AnalysisConfig(use_cache=False))
@@ -146,51 +110,20 @@ class TestDisabledTracer:
         assert NULL_TRACER.finished == []
 
 
-# ----- cross-process span propagation ----------------------------------------
+# ----- solver spans of a traced run -------------------------------------------
 
 
-class TestSpanRecorder:
-    def test_recorder_round_trips_through_pickle(self):
-        ctx = SpanContext("deadbeef", "s7")
-        recorder = SpanRecorder(ctx)
-        shipped = pickle.loads(pickle.dumps(recorder))  # parent -> worker
-        with shipped.span("solver.query", pooled=True):
-            with shipped.span("solver.solve") as solve:
-                solve.set("verdict", "sat")
-        records = pickle.loads(pickle.dumps(shipped.records))  # worker -> parent
-        assert records[0]["parent_index"] is None
-        assert records[0]["parent_ctx"] == ("deadbeef", "s7")
-        assert records[1]["parent_index"] == 0
-        assert records[1]["attrs"]["verdict"] == "sat"
-
-    def test_ingest_rebuilds_subtree_under_parent_ctx(self):
-        tracer = Tracer()
-        with tracer.span("checker") as parent:
-            recorder = tracer.recorder(parent.context())
-            with recorder.span("solver.query"):
-                with recorder.span("solver.solve"):
-                    pass
-            assert tracer.ingest(recorder.records) == 2
-        by_name = {s.name: s for s in tracer.finished}
-        assert by_name["solver.query"].parent_id == parent.span_id
-        assert by_name["solver.solve"].parent_id == by_name["solver.query"].span_id
-
-    def test_record_span_attaches_posthoc_work(self):
-        recorder = SpanRecorder(None)
-        with recorder.span("solver.solve"):
-            recorder.record_span("solver.cube", 10.0, 11.5, index=0, verdict="unsat")
-        cube = recorder.records[1]
-        assert cube["start"] == 10.0 and cube["end"] == 11.5
-        assert cube["parent_index"] == 0
-        assert cube["attrs"] == {"index": 0, "verdict": "unsat"}
-
+class TestSolverSpans:
     def test_solver_queries_nest_under_checker_span(self):
-        # solver.query spans, and the solver.solve spans recorded into
-        # their recorders, nest under the submitting checker span.
+        # Over the whole corpus, every solver.query span nests under its
+        # checker's detect pass, and every solver.solve span directly
+        # under a solver.query span.
         tracer = Tracer()
-        config = AnalysisConfig(use_cache=False)
-        report = Canary(config, tracer=tracer).analyze_source(SIMPLE_UAF)
-        assert report.num_reports >= 1
+        for path in CORPUS_FILES:
+            text = path.read_text()
+            _expects, checkers, overrides = _parse_directives(text)
+            config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+            Canary(config, tracer=tracer).analyze_source(text, filename=path.name)
         by_id = {s.span_id: s for s in tracer.finished}
 
         def ancestors(span):
@@ -209,8 +142,34 @@ class TestSpanRecorder:
         solves = tracer.spans_named("solver.solve")
         assert solves, "no solver.solve spans recorded"
         assert all(by_id[s.parent_id].name == "solver.query" for s in solves)
+        # one solve per query
+        assert sorted(s.parent_id for s in solves) == sorted(q.span_id for q in queries)
         # every span of the run belongs to one trace, no dangling parents
         assert all(s.parent_id is None or s.parent_id in by_id for s in tracer.finished)
+
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+    def test_corpus_program_spans_match_solver_counters(self, path):
+        # Per program: one solver.query span per counted query, one
+        # solver.solve directly under each, both carrying the verdict the
+        # counters tally; and tracing leaves the findings as they are.
+        text = path.read_text()
+        _expects, checkers, overrides = _parse_directives(text)
+        config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+        tracer = Tracer()
+        traced = Canary(config, tracer=tracer).analyze_source(text, filename=path.name)
+        plain = Canary(config).analyze_source(text, filename=path.name)
+        assert [b.describe() for b in traced.bugs] == [b.describe() for b in plain.bugs]
+
+        stats = traced.solver_statistics
+        queries = tracer.spans_named("solver.query")
+        assert len(queries) == stats["queries"]
+        verdicts = [q.attrs["verdict"] for q in queries]
+        for verdict in ("sat", "unsat", "unknown"):
+            assert verdicts.count(verdict) == stats[verdict], verdict
+        solve_of = {s.parent_id: s for s in tracer.spans_named("solver.solve")}
+        assert sorted(solve_of) == sorted(q.span_id for q in queries)
+        for query in queries:
+            assert solve_of[query.span_id].attrs["verdict"] == query.attrs["verdict"]
 
 
 # ----- metrics registry ------------------------------------------------------
@@ -377,15 +336,12 @@ class TestExporters:
         assert root["ts"] == pytest.approx(span.start * 1e6)
         assert root["dur"] == pytest.approx((span.end - span.start) * 1e6)
 
-    def test_chrome_events_keep_worker_pid(self):
+    def test_chrome_events_keep_span_pid(self):
         tracer = Tracer()
-        with tracer.span("checker") as parent:
-            recorder = SpanRecorder(parent.context())
-            recorder.record_span("solver.cube", 1.0, 2.0)
-            recorder.records[-1]["pid"] = 99999  # as if from a pool worker
-            tracer.ingest(recorder.records)
+        with tracer.span("checker") as span:
+            span.pid = 99999  # as if traced in another process
         events = spans_to_chrome_events(tracer.finished)
-        assert {ev["pid"] for ev in events} >= {99999}
+        assert [ev["pid"] for ev in events] == [99999]
 
     def test_metrics_json_single_registry(self, tmp_path):
         reg = MetricsRegistry()
@@ -491,154 +447,3 @@ class TestCliExport:
         assert "analyze" in names
         assert any(n.startswith("pass:") for n in names)
         assert "solver.query" in names
-
-
-# ----- benchmark baselines and the regression gate ---------------------------
-
-
-class TestBenchBaselines:
-    RESULTS = {
-        "dead_fanout": {
-            "reference_visits": 125,
-            "pruned_visits": 5,
-            "visit_reduction": 0.96,
-            "reference_wall_s": 0.10,
-            "pruned_wall_s": 0.01,
-        },
-        "warm": {"speedup": 20.0, "warm_seconds": 0.001, "cold_passes_run": 19},
-    }
-
-    def _write(self, path, results):
-        write_bench_results(path, results)
-
-    def test_write_stamps_meta_and_load_strips_it(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        self._write(path, self.RESULTS)
-        doc = json.loads(path.read_text())
-        assert "meta" in doc and "git_sha" in doc["meta"]
-        meta, results = load_bench_results(path)
-        assert meta == doc["meta"]
-        assert results == self.RESULTS
-
-    def test_reserved_meta_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_bench_results(tmp_path / "x.json", {"meta": {}})
-
-    def test_loading_pre_meta_baseline(self, tmp_path):
-        # baselines committed before the observability layer have no meta
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(self.RESULTS))
-        meta, results = load_bench_results(path)
-        assert meta == {}
-        assert results == self.RESULTS
-
-    def test_timing_key_classification(self):
-        assert is_timing_key("reference_wall_s")
-        assert is_timing_key("cold_seconds")
-        assert is_timing_key("speedup")
-        assert not is_timing_key("visit_reduction")
-        assert not is_timing_key("passes_rerun")
-
-    def test_identical_documents_pass(self):
-        deltas = compare_documents(self.RESULTS, self.RESULTS)
-        assert not any(d.regressed for d in deltas)
-
-    def test_timing_within_tolerance_passes_and_improvement_always_passes(self):
-        fresh = json.loads(json.dumps(self.RESULTS))
-        fresh["dead_fanout"]["reference_wall_s"] = 0.12  # +20% < 35%
-        fresh["dead_fanout"]["pruned_wall_s"] = 0.001  # 10x faster
-        deltas = compare_documents(self.RESULTS, fresh)
-        assert not any(d.regressed for d in deltas)
-
-    def test_timing_regression_beyond_tolerance_fails(self):
-        fresh = json.loads(json.dumps(self.RESULTS))
-        fresh["dead_fanout"]["reference_wall_s"] = 0.30  # 3x slower
-        deltas = compare_documents(self.RESULTS, fresh)
-        bad = [d for d in deltas if d.regressed]
-        assert [(d.benchmark, d.key) for d in bad] == [
-            ("dead_fanout", "reference_wall_s")
-        ]
-
-    def test_speedup_direction_is_mirrored(self):
-        fresh = json.loads(json.dumps(self.RESULTS))
-        fresh["warm"]["speedup"] = 60.0  # higher is better: fine
-        assert not any(d.regressed for d in compare_documents(self.RESULTS, fresh))
-        fresh["warm"]["speedup"] = 5.0  # -75%: regression
-        bad = [d for d in compare_documents(self.RESULTS, fresh) if d.regressed]
-        assert [(d.benchmark, d.key) for d in bad] == [("warm", "speedup")]
-
-    def test_counter_metrics_are_exact(self):
-        fresh = json.loads(json.dumps(self.RESULTS))
-        fresh["dead_fanout"]["pruned_visits"] = 6  # within any tolerance, still fails
-        bad = [d for d in compare_documents(self.RESULTS, fresh) if d.regressed]
-        assert [(d.benchmark, d.key) for d in bad] == [("dead_fanout", "pruned_visits")]
-
-    def test_missing_metric_and_missing_benchmark_regress(self):
-        fresh = json.loads(json.dumps(self.RESULTS))
-        del fresh["dead_fanout"]["reference_visits"]
-        del fresh["warm"]
-        bad = {(d.benchmark, d.key) for d in compare_documents(self.RESULTS, fresh) if d.regressed}
-        assert bad == {("dead_fanout", "reference_visits"), ("warm", "*")}
-
-    def test_new_metric_is_reported_not_failed(self):
-        fresh = json.loads(json.dumps(self.RESULTS))
-        fresh["dead_fanout"]["edges_pruned"] = 12
-        deltas = compare_documents(self.RESULTS, fresh)
-        assert not any(d.regressed for d in deltas)
-        assert any(d.status == "new" and d.key == "edges_pruned" for d in deltas)
-
-    def test_gate_cli_doctored_baseline(self, tmp_path, capsys):
-        # CI contract: a doctored fresh run exits non-zero and the delta
-        # table names the regressed metric.
-        baseline = tmp_path / "baseline.json"
-        fresh_path = tmp_path / "fresh.json"
-        self._write(baseline, self.RESULTS)
-        fresh = json.loads(json.dumps(self.RESULTS))
-        fresh["dead_fanout"]["reference_wall_s"] = 1.0  # 10x slower
-        self._write(fresh_path, fresh)
-        rc = compare_main([str(baseline), str(fresh_path)])
-        out = capsys.readouterr()
-        assert rc == 1
-        assert "REGRESSION" in out.out
-        assert "reference_wall_s" in out.out
-        assert "FAIL" in out.err
-
-    def test_gate_cli_clean_pass(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        self._write(baseline, self.RESULTS)
-        rc = compare_main([str(baseline), str(baseline)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "no benchmark regressions" in out
-
-    def test_gate_cli_tolerance_flag(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        fresh_path = tmp_path / "fresh.json"
-        self._write(baseline, self.RESULTS)
-        fresh = json.loads(json.dumps(self.RESULTS))
-        fresh["dead_fanout"]["reference_wall_s"] = 0.25  # 2.5x
-        self._write(fresh_path, fresh)
-        assert compare_main([str(baseline), str(fresh_path)]) == 1
-        capsys.readouterr()
-        assert (
-            compare_main([str(baseline), str(fresh_path), "--tolerance", "2.0"]) == 0
-        )
-
-    def test_gate_cli_missing_file(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        self._write(baseline, self.RESULTS)
-        assert compare_main([str(baseline), str(tmp_path / "absent.json")]) == 2
-
-    def test_render_deltas_table_shape(self):
-        deltas = compare_documents(self.RESULTS, self.RESULTS)
-        table = render_deltas(deltas)
-        lines = table.splitlines()
-        assert lines[0].startswith("benchmark")
-        assert len(lines) == len(deltas) + 2  # header + rule
-
-    def test_committed_baselines_carry_meta(self):
-        root = pathlib.Path(__file__).parent.parent
-        for name in ("BENCH_enumeration.json", "BENCH_incremental.json"):
-            meta, results = load_bench_results(root / name)
-            assert meta.get("git_sha"), name
-            assert results, name

@@ -1,6 +1,7 @@
-"""Realizability engine: term pickling, cube-and-conquer budget/witness
-fixes and corpus equivalence, and the driver's solver surface."""
+"""Realizability engine: term pickling, solver budgets and witnesses on
+the one solving path, and the driver's solver surface."""
 
+import copy
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,7 +18,6 @@ from repro.smt import (
     Solver,
     and_,
     bool_var,
-    cube_solve,
     eq,
     implies,
     int_const,
@@ -27,9 +27,8 @@ from repro.smt import (
     not_,
     or_,
     solve_formula,
-    structural_key,
 )
-from repro.smt import portfolio
+from repro.smt import solver as solver_module
 from repro.vfg import build_vfg
 
 from programs import FIG2_BUGGY, SIMPLE_UAF
@@ -47,6 +46,19 @@ def interference_query(bundle):
         source_inst=None,
         sink_inst=None,
     )
+
+
+def recording_solver(monkeypatch):
+    """Make ``solve_formula`` build solvers that log their conflict budget."""
+    seen = []
+
+    class Recording(Solver):
+        def __init__(self, *args, **kwargs):
+            seen.append(kwargs.get("max_conflicts"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "Solver", Recording)
+    return seen
 
 
 class TestTermPickling:
@@ -81,15 +93,8 @@ class TestTermPickling:
         )
         clone = pickle.loads(pickle.dumps(formula))
         assert clone is formula
-        assert structural_key(clone) == structural_key(formula)
-
-    def test_structural_key_distinguishes_sorts(self):
-        assert structural_key(bool_var("x")) != structural_key(int_var("x"))
-
-    def test_structural_key_distinguishes_structure(self):
-        x, y = int_var("x"), int_var("y")
-        assert structural_key(lt(x, y)) != structural_key(lt(y, x))
-        assert structural_key(le(x, y)) != structural_key(lt(x, y))
+        assert copy.copy(formula) is formula
+        assert copy.deepcopy([formula])[0] is formula
 
     def test_formula_solves_in_worker_process(self):
         x, y = int_var("x"), int_var("y")
@@ -102,78 +107,52 @@ class TestTermPickling:
         assert remote[1]["x"] < remote[1]["y"]
 
 
-class TestCubeAndConquer:
-    def test_conflict_budget_plumbed_to_cubes(self, monkeypatch):
-        seen = []
-
-        class Recording(Solver):
-            def __init__(self, *args, **kwargs):
-                seen.append(kwargs.get("max_conflicts"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(portfolio, "Solver", Recording)
+class TestSolvingPath:
+    def test_conflict_budget_reaches_solver(self, monkeypatch):
+        seen = recording_solver(monkeypatch)
         g1, g2 = bool_var("g1"), bool_var("g2")
         x, y = int_var("x"), int_var("y")
         formula = and_(or_(g1, g2), implies(g1, lt(x, y)), implies(g2, lt(y, x)))
-        assert cube_solve(formula, max_conflicts=1234) == SAT
-        assert seen and all(budget == 1234 for budget in seen)
+        assert solve_formula(formula, max_conflicts=1234)[0] == SAT
+        assert seen == [1234]
 
-    def test_checker_budget_reaches_cube_solver(self, monkeypatch):
-        seen = []
-
-        class Recording(Solver):
-            def __init__(self, *args, **kwargs):
-                seen.append(kwargs.get("max_conflicts"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(portfolio, "Solver", Recording)
+    def test_checker_budget_reaches_solver(self, monkeypatch):
+        seen = recording_solver(monkeypatch)
         bundle = bundle_for(FIG2_BUGGY)
-        checker = RealizabilityChecker(
-            bundle, use_cube_and_conquer=True, solver_max_conflicts=777
-        )
+        checker = RealizabilityChecker(bundle, solver_max_conflicts=777)
         result = checker.check(interference_query(bundle))
         assert result.realizable
-        assert seen and all(budget == 777 for budget in seen)
+        assert seen == [777]
 
-    def test_cube_sat_returns_witness(self):
-        # Regression: cube mode used to discard the winning cube's model,
-        # yielding reports with empty witness_order/witness_env.
+    def test_sat_witness_satisfies_formula(self):
         bundle = bundle_for(FIG2_BUGGY)
-        cube = RealizabilityChecker(bundle, use_cube_and_conquer=True)
-        plain = RealizabilityChecker(bundle)
-        query = interference_query(bundle)
-        cube_result = cube.check(query)
-        plain_result = plain.check(query)
-        assert cube_result.verdict == plain_result.verdict == SAT
-        assert cube_result.witness_order
-        assert all(k.startswith("O") for k in cube_result.witness_order)
-        # The witness must satisfy the formula, like the monolithic path's.
+        result = RealizabilityChecker(bundle).check(interference_query(bundle))
+        assert result.verdict == SAT
+        assert result.witness_order
+        assert all(k.startswith("O") for k in result.witness_order)
+        # Pinning the witness's order variables keeps the formula SAT.
+        pinned = [eq(int_var(k), int_const(v)) for k, v in result.witness_order.items()]
         solver = Solver()
-        solver.add(cube_result.formula)
+        solver.add(and_(result.formula, *pinned))
         assert solver.check() == SAT
 
-    def test_cube_bug_report_has_witness(self):
-        config = AnalysisConfig(cube_and_conquer=True)
-        report = Canary(config).analyze_source(SIMPLE_UAF)
-        assert report.num_reports >= 1
-        assert all(b.witness_order for b in report.bugs)
-
     @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
-    def test_corpus_program_same_findings(self, path):
-        # Cube-and-conquer is the one parallel solving mode left (paper
-        # §5.2): splitting a query over cubes must decide it exactly as
-        # the monolithic solver does, so the same paths are reported.
+    def test_corpus_program_bugs_carry_witness(self, path):
+        # Every reported path comes with an order witness over both of its
+        # endpoints.  Outside data races, whose accesses may run either
+        # way round, the value flows from source to sink, so the source
+        # runs strictly first.
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)
-        base = dict(checkers=checkers, use_cache=False, **overrides)
-        plain = Canary(AnalysisConfig(**base)).analyze_source(text, filename=path.name)
-        cube = Canary(AnalysisConfig(cube_and_conquer=True, **base)).analyze_source(
-            text, filename=path.name
-        )
-        assert sorted((b.key, b.path) for b in cube.bugs) == sorted(
-            (b.key, b.path) for b in plain.bugs
-        ), path.name
-        assert all(b.witness_order for b in cube.bugs), path.name
+        config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+        report = Canary(config).analyze_source(text, filename=path.name)
+        for bug in report.bugs:
+            order = bug.witness_order
+            assert order and all(k.startswith("O") for k in order), bug.describe()
+            source = order[f"O{bug.source.label}"]
+            sink = order[f"O{bug.sink.label}"]
+            if bug.kind != "data-race":
+                assert source < sink, bug.describe()
 
 
 class TestDriverSurface:

@@ -54,6 +54,24 @@ int main() {
 PROBE = "\nint incrprobe() {\n  return 1;\n}\n"
 
 
+def _spin_subject(n_spin: int = 8) -> str:
+    """The subject of ``benchmarks/test_incremental.py``: the UAF of two
+    workers through a global plus ``n_spin`` arithmetic helpers."""
+    helpers = "".join(
+        f"\nint spin{i}(int a) {{\n  int b;\n  b = a + {i};\n  return b * 2;\n}}\n"
+        for i in range(n_spin)
+    )
+    calls = "".join(f"  spin{i}({i});\n" for i in range(n_spin))
+    return (
+        "int *g;\n\nvoid w_free() {\n  free(g);\n}\n\n"
+        "void w_use() {\n  int x;\n  x = *g;\n  print(x);\n}\n"
+        + helpers
+        + "\nint main() {\n  g = malloc(4);\n  fork(t1, w_free);\n  fork(t2, w_use);\n"
+        + calls
+        + "  return 0;\n}"
+    )
+
+
 def _keys(report):
     return sorted(b.key for b in report.bugs)
 
@@ -99,7 +117,7 @@ def _variant(value):
     if isinstance(value, str):
         return value + "_alt"
     if isinstance(value, tuple):
-        return value + ("alt",)
+        return value + ("double-free",)  # checkers accepts only checker names
     if value is None:
         return 1
     raise AssertionError(f"no variant rule for {value!r}")
@@ -163,6 +181,14 @@ class TestWarmRuns:
         assert _keys(warm) == _keys(cold)
         assert warm.bundle is None  # hits rehydrate the portable record
         assert warm.vfg_summary == cold.vfg_summary
+
+    def test_cold_run_pass_count(self):
+        # parse, lower, verify, pointer, tcg, mhp, one dataflow pass per
+        # function (11), summaries, interference and one detect pass
+        cold = Canary().analyze_source(_spin_subject(), filename="subject.mcc")
+        assert len(cold.passes_run()) == 20
+        assert sum(name.startswith("dataflow:") for name in cold.passes_run()) == 11
+        assert _keys(cold)
 
     def test_use_cache_false_always_reruns(self):
         canary = Canary(AnalysisConfig(use_cache=False))

@@ -1,5 +1,5 @@
-"""Unit tests for SMT internals: CNF encoding, clause loading, difference
-logic, cubes."""
+"""Unit tests for SMT internals: CNF encoding, clause loading and difference
+logic."""
 
 import random
 
@@ -7,9 +7,9 @@ import pytest
 
 from repro import AnalysisConfig, Canary
 from repro.detection.realizability import RealizabilityChecker
-from repro.smt import SAT, UNSAT, Solver, and_, bool_var, implies, int_var, lt, not_, or_
+from repro.obs import Tracer
+from repro.smt import SAT, Solver, and_, bool_var, int_var, lt, not_, or_, solve_formula
 from repro.smt.cnf import CnfEncoder
-from repro.smt.portfolio import cube_solve, pick_split_atoms
 from repro.smt.sat import SatSolver, SAT as SAT_RES, UNSAT as UNSAT_RES, UNKNOWN
 from repro.smt.solver import _eliminate_eq
 from repro.smt.theory import (
@@ -401,35 +401,37 @@ class TestDifferenceLogicUnit:
         assert solver.model() == {}
 
 
-class TestCubeAndConquer:
-    def test_pick_split_atoms_frequency(self):
-        a, b = bool_var("a"), bool_var("b")
-        f = and_(or_(a, b), or_(a, not_(b)), or_(a, bool_var("c")))
-        atoms = pick_split_atoms(f, k=1)
-        assert atoms == [a]
+class TestSolveFormula:
+    """``solve_formula``: budget outcomes and the ``solver.solve`` span."""
 
-    def test_cube_solve_sat(self):
-        a = bool_var("a")
-        assert cube_solve(a) == SAT
+    # UNSAT only after real CDCL conflicts: no clause is unit before the
+    # first decision.
+    a, b = bool_var("a"), bool_var("b")
+    FOUR_CLAUSE_UNSAT = and_(or_(a, b), or_(a, not_(b)), or_(not_(a), b), or_(not_(a), not_(b)))
 
-    def test_cube_solve_unsat(self):
-        a = bool_var("a")
-        x, y = int_var("x"), int_var("y")
-        f = and_(or_(a, not_(a)), lt(x, y), lt(y, x))
-        assert cube_solve(f) == UNSAT
+    @pytest.mark.parametrize(
+        "budget, verdict, reason",
+        [
+            ({}, UNSAT_RES, ""),
+            ({"max_conflicts": 1}, UNKNOWN, "conflicts"),
+            ({"timeout": 0.0}, UNKNOWN, "deadline"),
+        ],
+    )
+    def test_budget_outcomes(self, budget, verdict, reason):
+        got, ints, bools, _seconds, why = solve_formula(self.FOUR_CLAUSE_UNSAT, **budget)
+        assert (got, why) == (verdict, reason)
+        assert ints == {} and bools == {}
 
-    def test_cube_solve_no_atoms(self):
-        assert cube_solve(TRUE) == SAT
-
-    def test_cube_agrees_with_monolithic(self):
-        g1, g2, g3 = (bool_var(f"g{i}") for i in range(3))
-        x, y = int_var("x"), int_var("y")
-        f = and_(
-            or_(g1, g2, g3),
-            implies(g1, lt(x, y)),
-            implies(g2, lt(y, x)),
-            implies(g3, and_(lt(x, y), lt(y, x))),
-        )
-        solver = Solver()
-        solver.add(f)
-        assert cube_solve(f) == solver.check()
+    def test_solve_span_nests_under_open_span(self):
+        tracer = Tracer()
+        with tracer.span("solver.query") as query:
+            verdict, _ints, bools, _seconds, reason = solve_formula(
+                or_(self.a, self.b), tracer=tracer
+            )
+        assert (verdict, reason) == (SAT, "")
+        assert bools
+        (solve,) = tracer.spans_named("solver.solve")
+        assert solve.parent_id == query.span_id
+        assert solve.attrs["verdict"] == SAT
+        assert "unknown_reason" not in solve.attrs
+        assert "sat_conflicts" in solve.attrs

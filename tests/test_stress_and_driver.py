@@ -97,8 +97,9 @@ class TestDriverBehavior:
         assert a.num_reports == 1 and b.num_reports == 1
 
     def test_unknown_checker_raises(self):
-        with pytest.raises(KeyError):
-            Canary(AnalysisConfig(checkers=("nonsense",))).analyze_source(SIMPLE_UAF)
+        # at construction, before any pass runs
+        with pytest.raises(ValueError, match="unknown checker"):
+            AnalysisConfig(checkers=("nonsense",))
 
     def test_config_immutable(self):
         config = AnalysisConfig()
