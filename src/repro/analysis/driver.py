@@ -55,12 +55,6 @@ _SERIES_PASSES = "passes"
 
 # ----- the collector during a run --------------------------------------------
 
-#: gen-0 threshold while a run is in flight.  A run allocates a graph
-#: that stays alive until it returns and is freed by refcount afterwards
-#: (runs leave no reference cycles), so frequent young collections only
-#: re-traverse live objects and promote them into ever larger gen-2 scans.
-_RUN_GEN0_THRESHOLD = 50_000
-
 _collector_lock = threading.Lock()
 _runs_in_flight = 0
 _caller_thresholds: Optional[tuple] = None
@@ -68,18 +62,23 @@ _caller_thresholds: Optional[tuple] = None
 
 @contextmanager
 def quiet_collector() -> Iterator[None]:
-    """Raise the gen-0 collection threshold while at least one analysis
-    runs in this process, and restore the caller's thresholds when the
-    last one exits (on exceptions too).  Runs on concurrent threads
-    (``repro serve`` workers) share one count; a caller that turned
-    automatic collection off with a zero threshold keeps it off."""
+    """Turn automatic collection off (a gen-0 threshold of 0) while at
+    least one analysis runs in this process, and restore the caller's
+    thresholds when the last one exits (on exceptions too).
+
+    A run allocates a graph that stays alive until it returns and is
+    freed by reference counting afterwards (runs leave no reference
+    cycles; ``tests/test_memory.py``), so a collection during a run only
+    re-traverses live objects.  Runs on concurrent threads (``repro
+    serve`` workers) share one count, so cyclic garbage that another
+    thread makes meanwhile waits until the last run exits.  A caller that
+    turned automatic collection off with a zero threshold keeps it off.
+    """
     global _runs_in_flight, _caller_thresholds
     with _collector_lock:
         if _runs_in_flight == 0:
             _caller_thresholds = gc.get_threshold()
-            gen0, *older = _caller_thresholds
-            if 0 < gen0 < _RUN_GEN0_THRESHOLD:
-                gc.set_threshold(_RUN_GEN0_THRESHOLD, *older)
+            gc.set_threshold(0, *_caller_thresholds[1:])
         _runs_in_flight += 1
     try:
         yield

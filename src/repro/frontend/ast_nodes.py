@@ -11,6 +11,13 @@ between the parsed and the unrolled program and across unrolled
 iterations, so no pass may write to a node.  They stay plain dataclasses
 rather than frozen ones because on Python 3.11 a frozen dataclass takes
 two to four times as long to construct, which parsing pays per node.
+
+A node's ``location`` is an immutable ``__slots__``
+:class:`~repro.frontend.source.Location`.  The parser builds it from the
+offset of the token the node keeps when it builds the node; the lexer
+makes no object per token, so tokens no node keeps (most punctuation and
+keywords) never get one.  Unrolled copies and the lowered IR share these
+objects.
 """
 
 from __future__ import annotations

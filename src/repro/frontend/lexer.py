@@ -9,11 +9,11 @@ source/sink operations used by the checkers.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Tuple
 
-from .source import LexError, Location
+from .source import LexError, LineIndex, Location
 
-__all__ = ["Token", "TokenKind", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "TokenKind", "scan", "tokenize", "KEYWORDS"]
 
 
 class TokenKind:
@@ -39,17 +39,19 @@ KEYWORDS = frozenset(
     }
 )
 
-#: One token (or newline run, or comment) after optional horizontal space.
-#: Alternatives are tried in order: comments before the ``/`` punctuator,
-#: two-char punctuators before their one-char prefixes.  A digit run
-#: followed by a non-ASCII character, a non-ASCII letter, and every
-#: character no other alternative takes fall to ``other``.
+#: keyword -> itself, so every keyword tag is the one interned string
+_KEYWORD_TAG = {keyword: keyword for keyword in KEYWORDS}
+
+#: One token or comment after optional white space.  Alternatives are
+#: tried in order: comments before the ``/`` punctuator, two-char
+#: punctuators before their one-char prefixes.  A digit run followed by a
+#: non-ASCII character, a non-ASCII letter, and every character no other
+#: alternative takes fall to ``other``.
 _MASTER = re.compile(
     r"""
-    [ \t\r]*
+    [ \t\r\n]*
     (?:
-        (?P<newline>\n[ \t\r\n]*)
-      | (?P<word>[A-Za-z_]\w*)
+        (?P<word>[A-Za-z_]\w*)
       | (?P<number>[0-9]+(?![0-9]|[^\x00-\x7f]))
       | (?P<line_comment>//[^\n]*)
       | (?P<block_comment>/\*.*?\*/)
@@ -65,90 +67,107 @@ _MASTER = re.compile(
 _WORD = re.compile(r"\w+")  # \w is exactly str.isalnum() or "_"
 
 
+def scan(source: str, filename: str = "<input>") -> Tuple[List[str], List[str], List[int]]:
+    """The tokens of MiniCC source text as three parallel lists: each
+    token's *tag*, text and offset.  Raises :class:`LexError` on bad input.
+
+    A keyword's or punctuator's tag is its text; any other token's tag is
+    its :class:`TokenKind` (``ident``, ``number``, ``string``, ``eof``),
+    which no keyword or punctuator spells.  So one comparison of a tag
+    tests kind and text at once.  The last token is EOF; after a ``//``
+    comment that runs to the end of the text it sits at the comment.
+    """
+    tags: List[str] = []
+    texts: List[str] = []
+    offsets: List[int] = []
+    tag_of, text_of, offset_of = tags.append, texts.append, offsets.append
+    keyword_tag = _KEYWORD_TAG.get
+    ident = TokenKind.IDENT
+    n = len(source)
+    eof = n
+    pos = 0
+    while True:
+        for m in _MASTER.finditer(source, pos):
+            group = m.lastgroup
+            if group == "word":
+                text = m[group]
+                tag_of(keyword_tag(text, ident))
+            elif group == "punct":
+                text = m[group]
+                tag_of(text)
+            elif group == "number":
+                text = m[group]
+                tag_of(TokenKind.NUMBER)
+            elif group == "string":
+                text = m[group][1:-1]
+                tag_of(TokenKind.STRING)
+            elif group == "line_comment":
+                if m.end() == n:
+                    eof = m.start(group)
+                continue
+            elif group == "block_comment":
+                continue
+            elif group == "end":
+                tag_of(TokenKind.EOF)
+                text_of("")
+                offset_of(eof)
+                return tags, texts, offsets
+            else:  # other, open_comment: leave the loop
+                break
+            text_of(text)
+            offset_of(m.start(group))
+        start = m.start(group)
+        if group == "open_comment":
+            location = LineIndex(source, filename).location(start)
+            raise LexError("unterminated block comment", location)
+        tag, text = _scan_other(source, start, filename)
+        tag_of(tag)
+        text_of(text)
+        offset_of(start)
+        pos = start + len(text)
+
+
+def _scan_other(source: str, start: int, filename: str) -> Tuple[str, str]:
+    """The tag and text of the token at ``start`` that the master regex
+    leaves to :class:`str` predicates (a non-ASCII digit run or
+    identifier); raises the :class:`LexError` for any other character."""
+    ch = source[start]
+    if ch.isdigit():
+        end = start + 1
+        while end < len(source) and source[end].isdigit():
+            end += 1
+        return TokenKind.NUMBER, source[start:end]
+    if ch.isalpha():
+        text = _WORD.match(source, start).group()
+        return _KEYWORD_TAG.get(text, TokenKind.IDENT), text
+    location = LineIndex(source, filename).location(start)
+    if ch == '"':
+        raise LexError("unterminated string literal", location)
+    raise LexError(f"unexpected character {ch!r}", location)
+
+
 class Token(NamedTuple):
-    """One token.  :func:`tokenize` builds it with ``tuple.__new__``,
-    which skips the Python-level ``NamedTuple`` constructor."""
+    """One token of :func:`tokenize`."""
 
     kind: str
     text: str
     location: Location
 
-    def is_punct(self, text: str) -> bool:
-        return self.kind == TokenKind.PUNCT and self.text == text
 
-    def is_keyword(self, text: str) -> bool:
-        return self.kind == TokenKind.KEYWORD and self.text == text
+_KINDS = frozenset({TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING, TokenKind.EOF})
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Tokenize MiniCC source text; raises :class:`LexError` on bad input.
-
-    A token's column is its offset from the start of its line plus one
-    (a tab counts as one column).  The EOF token after a ``//`` comment
-    that runs to the end of the text takes the comment's column.
-    """
-    tokens: List[Token] = []
-    append = tokens.append
-    match = _MASTER.match
-    new = tuple.__new__
-    n = len(source)
-    pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
-    eof_column = 0
-    while True:
-        m = match(source, pos)
-        group = m.lastgroup
-        start = m.start(group)
-        pos = m.end()
-        if group == "word":
-            text = source[start:pos]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            append(new(Token, (kind, text, Location(line, start - line_start + 1, filename))))
-        elif group == "punct":
-            text = source[start:pos]
-            append(new(Token, (TokenKind.PUNCT, text, Location(line, start - line_start + 1, filename))))
-        elif group == "newline" or group == "block_comment":
-            newlines = source.count("\n", start, pos)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", start, pos) + 1
-        elif group == "number":
-            text = source[start:pos]
-            append(new(Token, (TokenKind.NUMBER, text, Location(line, start - line_start + 1, filename))))
-        elif group == "string":
-            text = source[start + 1 : pos - 1]
-            append(new(Token, (TokenKind.STRING, text, Location(line, start - line_start + 1, filename))))
-        elif group == "line_comment":
-            if pos == n:
-                eof_column = start - line_start + 1
-        elif group == "end":
-            column = eof_column or n - line_start + 1
-            append(Token(TokenKind.EOF, "", Location(line, column, filename)))
-            return tokens
-        else:
-            location = Location(line, start - line_start + 1, filename)
-            if group == "open_comment":
-                raise LexError("unterminated block comment", location)
-            token = _scan_other(source, start, location)
-            append(token)
-            pos = start + len(token.text)
-
-
-def _scan_other(source: str, start: int, location: Location) -> Token:
-    """The token at ``start`` that the master regex leaves to :class:`str`
-    predicates (a non-ASCII digit run or identifier); raises the
-    :class:`LexError` for any other character there."""
-    ch = source[start]
-    if ch == '"':
-        raise LexError("unterminated string literal", location)
-    if ch.isdigit():
-        end = start + 1
-        while end < len(source) and source[end].isdigit():
-            end += 1
-        return Token(TokenKind.NUMBER, source[start:end], location)
-    if ch.isalpha():
-        text = _WORD.match(source, start).group()
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, location)
-    raise LexError(f"unexpected character {ch!r}", location)
+    """Tokenize MiniCC source text into :class:`Token` records; raises
+    :class:`LexError` on bad input.  The parser reads :func:`scan`'s lists
+    instead and builds a :class:`Location` only for the tokens it keeps."""
+    tags, texts, offsets = scan(source, filename)
+    lines = LineIndex(source, filename)
+    return [
+        Token(
+            tag if tag in _KINDS else TokenKind.KEYWORD if tag in KEYWORDS else TokenKind.PUNCT,
+            text,
+            lines.location(offset),
+        )
+        for tag, text, offset in zip(tags, texts, offsets)
+    ]

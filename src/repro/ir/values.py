@@ -35,20 +35,45 @@ class Value:
 _var_ids = itertools.count()
 
 
-@dataclass(frozen=True, eq=False)
 class Variable(Value):
     """A top-level SSA variable (paper's ``V``).
 
     ``source_name`` is the MiniCC variable it renames (if any); ``name``
     is the unique SSA name.  Identity is object identity — lowering
     creates each SSA variable exactly once.
+
+    Immutable and without an instance dict.  Lowering makes one per SSA
+    name, so ``__new__`` fills the slots through their descriptors rather
+    than paying a frozen dataclass's ``object.__setattr__`` per field.
     """
 
+    __slots__ = ("name", "source_name")
+
     name: str
-    source_name: Optional[str] = None
+    source_name: Optional[str]
+
+    def __new__(cls, name: str, source_name: Optional[str] = None) -> "Variable":
+        self = _new_object(cls)
+        _set_name(self, name)
+        _set_source_name(self, source_name)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Variable, (self.name, self.source_name))
 
     def __repr__(self) -> str:
         return f"%{self.name}"
+
+
+_new_object = object.__new__
+_set_name = Variable.name.__set__
+_set_source_name = Variable.source_name.__set__
 
 
 def fresh_variable(prefix: str, source_name: Optional[str] = None) -> Variable:
@@ -90,7 +115,7 @@ class VariableNamer:
         n = self._counts.get(prefix, 0)
         self._counts[prefix] = n + 1
         name = f"{self.scope}::{prefix}" if n == 0 else f"{self.scope}::{prefix}#{n}"
-        return Variable(name=name, source_name=source_name)
+        return Variable(name, source_name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,13 +213,11 @@ class _FunctionLowerer:
 
     # ----- helpers --------------------------------------------------------
 
-    def emit(self, cls, location: Location, **fields) -> Instruction:
-        inst = cls(
-            label=self.module.new_label(),
-            guard=self.guard,
-            location=location,
-            **fields,
-        )
+    def emit(self, cls, location: Location, *fields) -> Instruction:
+        """Append a ``cls`` instruction under the current guard.  ``fields``
+        are its own fields in declaration order (positional: the
+        instruction's ``__init__`` then takes no keyword dict)."""
+        inst = cls(self.module.new_label(), self.guard, location, *fields)
         self.out.body.append(inst)
         self.module.register(inst, self.out.name)
         return inst
@@ -262,7 +260,7 @@ class _FunctionLowerer:
                 obj = MemObject(f"{self.out.name}.{param.name}", "stack")
                 self.stack_objs[param.name] = obj
                 ptr = self._slot_pointer(param.name, self.func_ast.location)
-                self.emit(StoreInst, self.func_ast.location, pointer=ptr, value=var)
+                self.emit(StoreInst, self.func_ast.location, ptr, var)
             else:
                 self.env[param.name] = var
         self._lower_block(self.func_ast.body)
@@ -282,7 +280,7 @@ class _FunctionLowerer:
                 self.stack_objs[name] = obj
         ptr = self.namer.fresh(f"addr.{name}")
         saved_guard, self.guard = self.guard, TRUE  # address is unconditional
-        self.emit(AddrOfInst, location, dst=ptr, obj=obj)
+        self.emit(AddrOfInst, location, ptr, obj)
         self.guard = saved_guard
         self.slot_ptrs[name] = ptr
         return ptr
@@ -303,14 +301,14 @@ class _FunctionLowerer:
         elif isinstance(stmt, A.StoreStmt):
             ptr = self._lower_expr(stmt.pointer)
             value = self._lower_expr(stmt.value)
-            self.emit(StoreInst, stmt.location, pointer=ptr, value=value)
+            self.emit(StoreInst, stmt.location, ptr, value)
         elif isinstance(stmt, A.IndexStoreStmt):
             # Arrays are monolithic (paper §6): the index is evaluated for
             # its side effects only; the store hits the whole object.
             base = self._lower_expr(stmt.base)
             self._lower_expr(stmt.index)
             value = self._lower_expr(stmt.value)
-            self.emit(StoreInst, stmt.location, pointer=base, value=value)
+            self.emit(StoreInst, stmt.location, base, value)
         elif isinstance(stmt, A.IfStmt):
             self._lower_if(stmt)
         elif isinstance(stmt, A.WhileStmt):
@@ -319,7 +317,7 @@ class _FunctionLowerer:
             )
         elif isinstance(stmt, A.ReturnStmt):
             value = self._lower_expr(stmt.value) if stmt.value is not None else None
-            self.emit(ReturnInst, stmt.location, value=value)
+            self.emit(ReturnInst, stmt.location, value)
             if value is not None:
                 self.out.returns.append((value, self.guard))
         elif isinstance(stmt, A.ExprStmt):
@@ -327,9 +325,9 @@ class _FunctionLowerer:
         elif isinstance(stmt, A.ForkStmt):
             callee = self._callee_value(stmt.callee, stmt.location)
             args = [self._lower_expr(a) for a in stmt.args]
-            self.emit(ForkInst, stmt.location, thread=stmt.thread, callee=callee, args=args)
+            self.emit(ForkInst, stmt.location, stmt.thread, callee, args)
         elif isinstance(stmt, A.JoinStmt):
-            self.emit(JoinInst, stmt.location, thread=stmt.thread)
+            self.emit(JoinInst, stmt.location, stmt.thread)
         else:  # pragma: no cover - defensive
             raise LoweringError(f"unhandled statement {type(stmt).__name__}")
 
@@ -340,7 +338,7 @@ class _FunctionLowerer:
             if stmt.init is not None:
                 value = self._lower_expr(stmt.init)
                 ptr = self._slot_pointer(stmt.name, stmt.location)
-                self.emit(StoreInst, stmt.location, pointer=ptr, value=value)
+                self.emit(StoreInst, stmt.location, ptr, value)
             return
         if stmt.init is not None:
             self._lower_assign(stmt.name, stmt.init, stmt.location)
@@ -353,10 +351,10 @@ class _FunctionLowerer:
         value = self._lower_expr(value_expr)
         if name in self.addr_taken or name in self.module.globals:
             ptr = self._slot_pointer(name, location)
-            self.emit(StoreInst, location, pointer=ptr, value=value)
+            self.emit(StoreInst, location, ptr, value)
             return
         dst = self.namer.fresh(name, source_name=name)
-        inst = self.emit(CopyInst, location, dst=dst, src=value)
+        inst = self.emit(CopyInst, location, dst, value)
         si = self._symint_of(value)
         if si is not None:
             self.symint[dst] = si
@@ -389,12 +387,7 @@ class _FunctionLowerer:
                 merged[name] = tv
                 continue
             dst = self.namer.fresh(name, source_name=name)
-            self.emit(
-                PhiInst,
-                stmt.location,
-                dst=dst,
-                incomings=[(tv, cond), (ev, not_(cond))],
-            )
+            self.emit(PhiInst, stmt.location, dst, [(tv, cond), (ev, not_(cond))])
             merged[name] = dst
         self.env = merged
 
@@ -446,7 +439,7 @@ class _FunctionLowerer:
         if name in self.addr_taken or name in self.module.globals:
             ptr = self._slot_pointer(name, location)
             dst = self.namer.fresh(f"ld.{name}")
-            self.emit(LoadInst, location, dst=dst, pointer=ptr)
+            self.emit(LoadInst, location, dst, ptr)
             return dst
         value = self.env.get(name)
         if value is None:
@@ -467,29 +460,25 @@ class _FunctionLowerer:
         if isinstance(expr, A.DerefExpr):
             ptr = self._lower_expr(expr.operand)
             dst = self.namer.fresh("ld")
-            self.emit(LoadInst, expr.location, dst=dst, pointer=ptr)
+            self.emit(LoadInst, expr.location, dst, ptr)
             return dst
         if isinstance(expr, A.IndexExpr):
             # Monolithic arrays: p[i] loads the whole object behind p.
             base = self._lower_expr(expr.base)
             self._lower_expr(expr.index)
             dst = self.namer.fresh("ld")
-            self.emit(LoadInst, expr.location, dst=dst, pointer=base)
+            self.emit(LoadInst, expr.location, dst, base)
             return dst
         if isinstance(expr, A.UnaryExpr):
             operand = self._lower_expr(expr.operand)
             dst = self.namer.fresh("t")
             if expr.op == "-":
-                self.emit(
-                    BinOpInst, expr.location, dst=dst, op="-", lhs=IntConstant(0), rhs=operand
-                )
+                self.emit(BinOpInst, expr.location, dst, "-", IntConstant(0), operand)
                 si = self._symint_of(operand)
                 if si is not None:
                     self.symint[dst] = int_const(0) - si
             else:  # '!'
-                self.emit(
-                    CmpInst, expr.location, dst=dst, op="==", lhs=operand, rhs=IntConstant(0)
-                )
+                self.emit(CmpInst, expr.location, dst, "==", operand, IntConstant(0))
                 self.symbool[dst] = not_(self._cond_of_value(operand))
             return dst
         if isinstance(expr, A.BinaryExpr):
@@ -502,23 +491,21 @@ class _FunctionLowerer:
         if expr.op in ("&&", "||"):
             cond = self._lower_condition(expr)
             dst = self.namer.fresh("t")
-            self.emit(
-                CmpInst, expr.location, dst=dst, op="!=", lhs=IntConstant(0), rhs=IntConstant(0)
-            )
+            self.emit(CmpInst, expr.location, dst, "!=", IntConstant(0), IntConstant(0))
             self.symbool[dst] = cond
             return dst
         lhs = self._lower_expr(expr.lhs)
         rhs = self._lower_expr(expr.rhs)
         dst = self.namer.fresh("t")
         if expr.op in self._CMP_BUILDERS:
-            self.emit(CmpInst, expr.location, dst=dst, op=expr.op, lhs=lhs, rhs=rhs)
+            self.emit(CmpInst, expr.location, dst, expr.op, lhs, rhs)
             li, ri = self._symint_of(lhs), self._symint_of(rhs)
             if li is not None and ri is not None:
                 self.symbool[dst] = self._CMP_BUILDERS[expr.op](li, ri)
             else:
                 self.symbool[dst] = bool_var(f"cmp!{expr.op}!{lhs!r}!{rhs!r}")
             return dst
-        self.emit(BinOpInst, expr.location, dst=dst, op=expr.op, lhs=lhs, rhs=rhs)
+        self.emit(BinOpInst, expr.location, dst, expr.op, lhs, rhs)
         li, ri = self._symint_of(lhs), self._symint_of(rhs)
         if li is not None and ri is not None:
             if expr.op == "+":
@@ -532,45 +519,45 @@ class _FunctionLowerer:
         loc = expr.location
         if name == "malloc":
             dst = self.namer.fresh("p")
-            inst = self.emit(AllocInst, loc, dst=dst, obj=None)
+            inst = self.emit(AllocInst, loc, dst, None)
             inst.obj = MemObject(f"o{inst.label}", "heap")  # named by alloc site
             return dst
         if name == "free":
             ptr = self._lower_expr(expr.args[0])
-            self.emit(FreeInst, loc, pointer=ptr)
+            self.emit(FreeInst, loc, ptr)
             return IntConstant(0)
         if name == "nondet":
             dst = self.namer.fresh("nd")
-            self.emit(SourceInst, loc, dst=dst, kind="nondet")
+            self.emit(SourceInst, loc, dst, "nondet")
             return dst
         if name == "taint_source":
             dst = self.namer.fresh("taint")
-            self.emit(SourceInst, loc, dst=dst, kind="taint")
+            self.emit(SourceInst, loc, dst, "taint")
             return dst
         if name == "print":
             args = [self._lower_expr(a) for a in expr.args]
-            self.emit(SinkInst, loc, kind="print", args=args)
+            self.emit(SinkInst, loc, "print", args)
             return IntConstant(0)
         if name == "taint_sink":
             args = [self._lower_expr(a) for a in expr.args]
-            self.emit(SinkInst, loc, kind="taint_sink", args=args)
+            self.emit(SinkInst, loc, "taint_sink", args)
             return IntConstant(0)
         if name == "lock":
-            self.emit(LockInst, loc, mutex=_mutex_name(expr))
+            self.emit(LockInst, loc, _mutex_name(expr))
             return IntConstant(0)
         if name == "unlock":
-            self.emit(UnlockInst, loc, mutex=_mutex_name(expr))
+            self.emit(UnlockInst, loc, _mutex_name(expr))
             return IntConstant(0)
         if name == "signal":
-            self.emit(SignalInst, loc, cond=_mutex_name(expr))
+            self.emit(SignalInst, loc, _mutex_name(expr))
             return IntConstant(0)
         if name == "wait":
-            self.emit(WaitInst, loc, cond=_mutex_name(expr))
+            self.emit(WaitInst, loc, _mutex_name(expr))
             return IntConstant(0)
         callee = self._callee_value(name, loc)
         args = [self._lower_expr(a) for a in expr.args]
         dst = None if effect_only else self.namer.fresh("ret")
-        self.emit(CallInst, loc, dst=dst, callee=callee, args=args)
+        self.emit(CallInst, loc, dst, callee, args)
         return dst if dst is not None else IntConstant(0)
 
 

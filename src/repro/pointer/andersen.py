@@ -96,6 +96,7 @@ def andersen(
             worklist.append(src)
 
     worklist: deque = deque()
+    taken = _address_taken_functions(module)
 
     def seed(n: _Node, target: object) -> None:
         s = pset(n)
@@ -128,7 +129,7 @@ def andersen(
                 ):
                     store_uses.setdefault(inst.pointer, []).append(inst.value)
             elif isinstance(inst, (CallInst, ForkInst)):
-                _bind_call(module, inst, add_edge, seed, worklist)
+                _bind_call(module, taken, inst, add_edge, seed, worklist)
 
     steps = 0
     while worklist:
@@ -160,15 +161,17 @@ def andersen(
     return AndersenResult(pts)
 
 
-def _bind_call(module: IRModule, inst, add_edge, seed, worklist) -> None:
+def _bind_call(
+    module: IRModule, taken: List[str], inst, add_edge, seed, worklist
+) -> None:
     """Direct call/fork binding; indirect targets are bound conservatively
-    to every function whose address is taken (flow-insensitive closure)."""
+    to every function whose address is taken (``taken``, from
+    :func:`_address_taken_functions`: a flow-insensitive closure)."""
     targets: List[str] = []
     if isinstance(inst.callee, FunctionRef):
         targets = [inst.callee.name]
     else:
         # Conservative: any address-taken function with a matching arity.
-        taken = _address_taken_functions(module)
         targets = [
             name
             for name in taken
@@ -192,13 +195,11 @@ def _bind_call(module: IRModule, inst, add_edge, seed, worklist) -> None:
                     seed(dst, value)
 
 
-_taken_cache: Dict[int, List[str]] = {}
-
-
 def _address_taken_functions(module: IRModule) -> List[str]:
-    cached = _taken_cache.get(id(module))
-    if cached is not None:
-        return cached
+    """The module's functions used as values, sorted by name.  Each solver
+    computes it once per call rather than caching it per module: a cache
+    keyed by ``id(module)`` outlives the module and answers for the next
+    module allocated at the same address."""
     taken: Set[str] = set()
     for func in module.functions.values():
         for inst in func.body:
@@ -207,6 +208,4 @@ def _address_taken_functions(module: IRModule) -> List[str]:
                     taken.add(value.name)
             if isinstance(inst, CopyInst) and isinstance(inst.src, FunctionRef):
                 taken.add(inst.src.name)
-    out = sorted(t for t in taken if t in module.functions)
-    _taken_cache[id(module)] = out
-    return out
+    return sorted(t for t in taken if t in module.functions)

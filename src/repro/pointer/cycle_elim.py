@@ -121,6 +121,7 @@ def andersen_collapsing(
     """Inclusion-based points-to with lazy cycle elimination."""
     g = _Graph()
     worklist: deque = deque()
+    taken = _address_taken_functions(module)
 
     def seed(n: object, target: object) -> None:
         s = g.pset(n)
@@ -138,7 +139,7 @@ def andersen_collapsing(
         else:
             targets = [
                 name
-                for name in _address_taken_functions(module)
+                for name in taken
                 if len(module.functions[name].params) == len(inst.args)
             ]
         for name in targets:

@@ -32,8 +32,14 @@ __all__ = ["SteensgaardResult", "steensgaard"]
 
 
 class _UnionFind:
+    """Union by size with path compression; on a union the smaller
+    ``contents`` set is merged into the larger (Tarjan's bound), so no
+    element moves more than a logarithmic number of times."""
+
     def __init__(self) -> None:
         self._parent: Dict[int, int] = {}
+        # class representative -> number of members
+        self._size: Dict[int, int] = {}
         self._next = 0
         self._of: Dict[object, int] = {}
         # class representative -> pointee class (the single Steensgaard successor)
@@ -51,6 +57,7 @@ class _UnionFind:
             self._next += 1
             self._of[item] = idx
             self._parent[idx] = idx
+            self._size[idx] = 1
             if isinstance(item, (MemObject, FunctionRef)):
                 self.contents[idx] = {item}
         return idx
@@ -68,14 +75,18 @@ class _UnionFind:
         if ra == rb:
             return ra
         self.merges += 1
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
         self._parent[rb] = ra
+        self._size[ra] += self._size.pop(rb)
         moved = self.contents.pop(rb, None)
         if moved is not None:
             kept = self.contents.get(ra)
             if kept is None:
-                # A copy, as a union into an empty set makes: the same
-                # iteration order as when every class had a set.
-                self.contents[ra] = set(moved)
+                self.contents[ra] = moved
+            elif len(kept) < len(moved):
+                moved |= kept
+                self.contents[ra] = moved
             else:
                 kept |= moved
         pa, pb = self.pointee.get(ra), self.pointee.pop(rb, None)

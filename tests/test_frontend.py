@@ -215,3 +215,46 @@ class TestParser:
         assert prog.function("b").name == "b"
         with pytest.raises(KeyError):
             prog.function("c")
+
+
+class TestParserGolden:
+    """Exact parse errors (message and location), recorded from the parser
+    over ``Token`` records that the tag-comparing parser replaced."""
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ('void main() { int x = 1 }', "p.mcc:1:25: expected ';', found '}'"),
+            ('void main() { if (x) {', 'p.mcc:1:22: unterminated block'),
+            ('banana main() {}', "p.mcc:1:1: expected declaration, found 'banana'"),
+            ('extern void x;', "p.mcc:1:8: extern declarations must be 'extern int'"),
+            ('extern int 3;', "p.mcc:1:12: expected identifier, found '3'"),
+            ('int', "p.mcc:1:4: expected identifier, found ''"),
+            ('int x', "p.mcc:1:6: expected ';', found ''"),
+            ('void main() { x = ; }', "p.mcc:1:19: unexpected token ';'"),
+            ('void main() { fork(t, ); }', "p.mcc:1:23: expected identifier, found ')'"),
+            ('void main() { join(3); }', "p.mcc:1:20: expected identifier, found '3'"),
+            ('void main() { 1 = 2; }', 'p.mcc:1:15: invalid assignment target'),
+            ('void main() { *p = 1 }', "p.mcc:1:22: expected ';', found '}'"),
+            ('void main() { return 1 }', "p.mcc:1:24: expected ';', found '}'"),
+            ('void main() { p[1 = 2; }', "p.mcc:1:19: expected ']', found '='"),
+            ('void f(int a,) {}', "p.mcc:1:14: expected a type, found ')'"),
+            ('void f(void, int) {}', "p.mcc:1:12: expected identifier, found ','"),
+            ('void main() { int* p = &3; }', "p.mcc:1:25: expected identifier, found '3'"),
+            ('void main() { f(1, 2; }', "p.mcc:1:21: expected ')', found ';'"),
+            ('void main() { while (x) }', "p.mcc:1:25: expected '{', found '}'"),
+            ('void main() { if x {} }', "p.mcc:1:18: expected '(', found 'x'"),
+            ('void main() { int x = (1 + 2; }', "p.mcc:1:29: expected ')', found ';'"),
+            ('void main() { else {} }', "p.mcc:1:15: unexpected token 'else'"),
+        ],
+    )
+    def test_errors(self, source, error):
+        with pytest.raises(ParseError) as info:
+            parse_program(source, filename="p.mcc")
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize("source", ["", "   // only a comment", "\n\n  /* c */ "])
+    def test_empty_program_sits_at_its_eof(self, source):
+        program = parse_program(source, filename="p.mcc")
+        assert program.functions == [] and program.externs == [] and program.globals == []
+        assert program.location == tokenize(source, filename="p.mcc")[-1].location

@@ -6,9 +6,14 @@
   (a view pointing at the index that owns it) or a recursive nested
   closure would each keep a whole run alive until the next full
   collection, so a resident daemon would carry dead graphs around.
-* **One collector policy.**  ``Canary.analyze_*`` raises the gen-0
-  threshold while any run is in flight and gives the caller back its own
-  thresholds when the last run exits, whatever way it exits.
+* **One collector policy.**  ``Canary.analyze_*`` turns automatic
+  collection off (a gen-0 threshold of 0) while any run is in flight and
+  gives the caller back its own thresholds when the last run exits,
+  whatever way it exits.  That is safe only because runs are acyclic:
+  a cycle a run made would stay in memory until the last run in flight
+  ends, so the acyclicity checks also run the largest paper-profile
+  subject the benchmark analyses (openssl) and the shapes of its scaled
+  modules.
 
 Each acyclicity check runs the analysis once untimed first: importing a
 module (and building its ``slots=True`` dataclasses) leaves one-off
@@ -39,6 +44,7 @@ from repro.testing.faults import FaultPlan, inject
 from repro.vfg.dataflow import ContentEntry, DataDependenceAnalysis, FunctionSummary
 from repro.vfg.graph import DefNode, NullNode, ObjNode, StoreNode, VFGEdge
 
+from fuzz_gen import detection_scaled_program, scaled_program
 from test_corpus import CORPUS_FILES, _parse_directives
 
 ALL = tuple(sorted(ALL_CHECKERS))
@@ -76,11 +82,26 @@ def analyze_and_drop(canary: Canary, text: str, filename: str = "<input>"):
 
 
 class TestRunsAreAcyclic:
-    def test_paper_profile_redis(self):
-        subject = next(s for s in SUBJECTS if s.name == "redis")
+    @pytest.mark.parametrize("name", ["redis", "openssl"])
+    def test_paper_profile(self, name):
+        subject = next(s for s in SUBJECTS if s.name == name)
         text, _truth = generate_project(project_spec(subject, PROFILES["paper"]))
         canary = Canary(AnalysisConfig(use_cache=False))
-        run = analyze_and_drop(canary, text, "redis.mcc")
+        run = analyze_and_drop(canary, text, f"{name}.mcc")
+        run()
+        assert cyclic_garbage(run) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            scaled_program(seed=0, n_groups=20, helpers_per_group=3),
+            detection_scaled_program(n_threads=16, n_slots=2, pad_functions=32),
+        ],
+        ids=["scaled_program", "detection_scaled_program"],
+    )
+    def test_scaled_shapes(self, text):
+        canary = Canary(AnalysisConfig(use_cache=False))
+        run = analyze_and_drop(canary, text, "scaled.mcc")
         run()
         assert cyclic_garbage(run) == 0
 
@@ -167,13 +188,18 @@ def seen_during_parse(monkeypatch):
     return seen
 
 
+def collection_off(thresholds) -> bool:
+    """Automatic collection is off exactly when the gen-0 threshold is 0."""
+    return thresholds[0] == 0
+
+
 class TestCollectorPolicy:
-    def test_raised_during_a_run_and_restored_after(self, seen_during_parse):
+    def test_off_during_a_run_and_restored_after(self, seen_during_parse):
         with custom_thresholds():
             Canary(AnalysisConfig(use_cache=False)).analyze_source(SMALL)
             assert gc.get_threshold() == CUSTOM
         [during] = seen_during_parse
-        assert during[0] > CUSTOM[0]
+        assert collection_off(during)
         assert during[1:] == CUSTOM[1:]
 
     def test_restored_after_frontend_error(self, seen_during_parse):
@@ -181,7 +207,7 @@ class TestCollectorPolicy:
             with pytest.raises(FrontendError):
                 Canary().analyze_source("int main( {")
             assert gc.get_threshold() == CUSTOM
-        assert seen_during_parse[0][0] > CUSTOM[0]
+        assert collection_off(seen_during_parse[0])
 
     def test_restored_after_budget_cancellation(self):
         with custom_thresholds():
@@ -208,7 +234,7 @@ class TestCollectorPolicy:
                 assert gc.get_threshold() == CUSTOM
         finally:
             service.shutdown()
-        assert seen_during_parse[0][0] > CUSTOM[0]
+        assert collection_off(seen_during_parse[0])
 
     def test_zero_threshold_keeps_collection_off(self, seen_during_parse):
         saved = gc.get_threshold()
@@ -222,8 +248,8 @@ class TestCollectorPolicy:
 
     def test_run_count_survives_contention(self):
         # More threads than cores entering and leaving at once: a lost
-        # update to the in-flight count would leave the threshold raised
-        # or restore it while runs are still in flight.
+        # update to the in-flight count would leave collection off after
+        # the last run or turn it back on while runs are still in flight.
         workers, rounds = 8, 300
         barrier = threading.Barrier(workers)
         broken = []
@@ -232,7 +258,7 @@ class TestCollectorPolicy:
             barrier.wait()
             for _ in range(rounds):
                 with driver.quiet_collector():
-                    if gc.get_threshold()[0] == CUSTOM[0]:
+                    if not collection_off(gc.get_threshold()):
                         broken.append("restored while a run was in flight")
 
         threads = [threading.Thread(target=churn) for _ in range(workers)]
@@ -274,12 +300,12 @@ class TestCollectorPolicy:
                 for name, thread in threads.items():
                     thread.start()
                     assert entered[name].wait(timeout=30)
-                assert gc.get_threshold()[0] > CUSTOM[0]
+                assert collection_off(gc.get_threshold())
                 release["a.mcc"].set()
                 threads["a.mcc"].join(timeout=30)
                 assert not threads["a.mcc"].is_alive()
-                # b is still in flight: the raised threshold stays.
-                assert gc.get_threshold()[0] > CUSTOM[0]
+                # b is still in flight: collection stays off.
+                assert collection_off(gc.get_threshold())
                 release["b.mcc"].set()
                 threads["b.mcc"].join(timeout=30)
                 assert not threads["b.mcc"].is_alive()

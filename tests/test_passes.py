@@ -55,8 +55,8 @@ PROBE = "\nint incrprobe() {\n  return 1;\n}\n"
 
 
 def _spin_subject(n_spin: int = 8) -> str:
-    """The subject of ``benchmarks/test_incremental.py``: the UAF of two
-    workers through a global plus ``n_spin`` arithmetic helpers."""
+    """The UAF of two workers through a global plus ``n_spin`` arithmetic
+    helpers: a multi-function subject for the pass counts and the caches."""
     helpers = "".join(
         f"\nint spin{i}(int a) {{\n  int b;\n  b = a + {i};\n  return b * 2;\n}}\n"
         for i in range(n_spin)
@@ -171,12 +171,20 @@ class TestDriverConstruction:
 # ----- warm and edited runs -------------------------------------------------
 
 
+#: the small subject and the larger multi-function one
+SUBJECTS = pytest.mark.parametrize(
+    "text", [UAF, _spin_subject()], ids=["uaf", "spin8"]
+)
+
+
 class TestWarmRuns:
-    def test_warm_run_executes_no_pass(self):
+    @SUBJECTS
+    def test_warm_run_executes_no_pass(self, text):
         canary = Canary()
-        cold = canary.analyze_source(UAF, filename="uaf.mcc")
-        warm = canary.analyze_source(UAF, filename="uaf.mcc")
+        cold = canary.analyze_source(text, filename="uaf.mcc")
+        warm = canary.analyze_source(text, filename="uaf.mcc")
         assert cold.passes_run()
+        assert _keys(cold)
         assert warm.passes_run() == []
         assert _keys(warm) == _keys(cold)
         assert warm.bundle is None  # hits rehydrate the portable record
@@ -214,10 +222,12 @@ class TestWarmRuns:
 
 
 class TestDiskCache:
-    def test_warm_rerun_across_driver_instances(self, tmp_path):
+    @SUBJECTS
+    def test_warm_rerun_across_driver_instances(self, text, tmp_path):
         cfg = AnalysisConfig(cache_dir=str(tmp_path))
-        cold = Canary(cfg).analyze_source(UAF, filename="uaf.mcc")
-        warm = Canary(cfg).analyze_source(UAF, filename="uaf.mcc")
+        cold = Canary(cfg).analyze_source(text, filename="uaf.mcc")
+        warm = Canary(cfg).analyze_source(text, filename="uaf.mcc")
+        assert _keys(cold)
         assert _keys(warm) == _keys(cold)
         assert warm.bugs[0].path == cold.bugs[0].path
         assert warm.bugs[0].inter_thread == cold.bugs[0].inter_thread

@@ -1,13 +1,17 @@
-"""Semantics of the per-fact records: VFG nodes and edges, tokens and
-source locations.
+"""Semantics of the per-fact records: VFG nodes and edges, tokens,
+source locations and SSA variables.
 
-Nodes, edges and tokens are tuple-backed (hash and equality run in C);
-``Location`` is a frozen slots dataclass.  Whatever their backing, every
-record is immutable, carries no instance dict, keeps its ``repr``, and
-the graph holds one canonical node object per node.
+Nodes, edges and tokens are tuple-backed (hash and equality run in C).
+``Location`` and ``Variable`` are ``__slots__`` classes whose ``__new__``
+fills the slots through their descriptors and whose ``__setattr__``
+refuses every assignment; a ``Location`` compares, hashes and pickles by
+value, a ``Variable`` by identity.  Whatever their backing, every record
+is immutable, carries no instance dict, keeps its ``repr``, and the graph
+holds one canonical node object per node.
 """
 
 import copy
+import pickle
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro.frontend import parse_program
 from repro.frontend.lexer import Token, TokenKind, tokenize
 from repro.frontend.source import Location
 from repro.ir import AllocInst, LoadInst, StoreInst
+from repro.ir.values import Variable
 from repro.lowering import lower_program
 from repro.smt.terms import TRUE, bool_var
 from repro.vfg import DefNode, NullNode, ObjNode, StoreNode, ValueFlowGraph, VFGEdge, build_vfg
@@ -174,6 +179,7 @@ def _records(bundle):
         (next(iter(bundle.vfg.edges())), "guard"),
         (token, "text"),
         (token.location, "line"),
+        (alloc.dst, "name"),
     ]
 
 
@@ -206,3 +212,48 @@ class TestTokens:
             "location=Location(line=1, column=1, filename='<input>'))"
         )
         assert str(tok.location) == "<input>:1:1"
+
+
+class TestLocation:
+    def test_value_semantics(self):
+        loc = Location(3, 7, "f.mcc")
+        assert loc == Location(3, 7, "f.mcc")
+        assert loc != Location(3, 8, "f.mcc") and loc != Location(3, 7, "g.mcc")
+        assert loc != (3, 7, "f.mcc")
+        assert hash(loc) == hash(Location(3, 7, "f.mcc")) == hash((3, 7, "f.mcc"))
+        assert Location(1, 2) == Location(1, 2, "<input>")
+        assert str(Location.unknown()) == "<unknown>:0:0"
+
+    def test_pickle_and_copy_keep_the_value(self):
+        loc = Location(3, 7, "f.mcc")
+        for clone in (
+            pickle.loads(pickle.dumps(loc)),
+            copy.copy(loc),
+            copy.deepcopy(loc),
+        ):
+            assert type(clone) is Location and clone == loc
+            assert repr(clone) == "Location(line=3, column=7, filename='f.mcc')"
+
+    def test_cannot_delete_a_field(self):
+        with pytest.raises(AttributeError):
+            del Location(1, 1).line
+
+
+class TestVariable:
+    def test_identity_semantics(self):
+        a, b = Variable("f::x", "x"), Variable("f::x", "x")
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        assert (a.name, a.source_name) == ("f::x", "x")
+        assert Variable("f::t").source_name is None
+        assert repr(a) == "%f::x"
+
+    def test_pickle_keeps_sharing_within_one_dump(self):
+        a = Variable("f::x", "x")
+        left, right = pickle.loads(pickle.dumps([a, a]))
+        assert left is right and left is not a
+        assert (left.name, left.source_name) == ("f::x", "x")
+
+    def test_cannot_delete_a_field(self):
+        with pytest.raises(AttributeError):
+            del Variable("f::x").name
