@@ -109,24 +109,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-file timings, solver counters and cached passes",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist whole-run analysis reports under DIR: re-analyzing"
-        " an unchanged file in a later invocation skips every analysis pass",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the artifact cache (every pass always re-executes)",
-    )
-    parser.add_argument(
-        "--explain-cache",
-        action="store_true",
-        help="print the per-pass table and artifact hit/miss events",
+        help="print per-file timings, solver counters and the per-pass"
+        " table (name, run/cached, seconds)",
     )
     parser.add_argument(
         "--trace-out",
@@ -179,9 +163,6 @@ def main(argv=None) -> int:
             timeout_seconds=args.timeout,
             pass_timeout_seconds=args.pass_timeout,
             solver_timeout_seconds=args.solver_timeout,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            explain_cache=args.explain_cache,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -215,11 +196,7 @@ def main(argv=None) -> int:
             print()
         if args.stats:
             print(report.describe_statistics())
-            print()
-        if args.explain_cache:
             print(report.describe_passes())
-            for event in report.cache_events:
-                print(f"cache: {event}")
             print()
         if args.show_vfg and report.bundle is not None:
             print(report.bundle.vfg.pretty())

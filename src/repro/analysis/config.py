@@ -15,10 +15,10 @@ from typing import Optional, Tuple
 
 __all__ = ["AnalysisConfig", "CACHE_ONLY_FIELDS"]
 
-#: fields that select *where* results are cached, not *what* is computed —
-#: they are excluded from :meth:`AnalysisConfig.cache_key` so toggling
-#: them never invalidates artifacts.
-CACHE_ONLY_FIELDS = frozenset({"cache_dir", "use_cache", "explain_cache"})
+#: fields that select *whether* results are cached, not *what* is
+#: computed — they are excluded from :meth:`AnalysisConfig.cache_key` so
+#: toggling them never invalidates artifacts.
+CACHE_ONLY_FIELDS = frozenset({"use_cache"})
 
 #: optional budgets that must not be negative (besides ``context_depth``
 #: and the ``max_*`` bounds); 0 is legal and means "expire immediately"
@@ -79,12 +79,9 @@ class AnalysisConfig:
     #: record solver-refuted candidates with the refutation reason
     #: (guard-contradiction vs order-violation) in the report
     collect_suppressed: bool = False
-    #: artifact caching: reuse phase artifacts across runs of one driver
-    #: (in memory) and, with ``cache_dir`` set, whole-run reports across
-    #: processes (on disk).  ``explain_cache`` records hit/miss events.
+    #: answer a byte-identical re-run of one driver (or one daemon) from
+    #: the in-memory run cache
     use_cache: bool = True
-    cache_dir: Optional[str] = None
-    explain_cache: bool = False
 
     def __post_init__(self) -> None:
         from ..checkers import ALL_CHECKERS

@@ -114,7 +114,6 @@ class AnalysisReport:
         timed_out: bool = False,
         pass_statistics: Optional[List[Dict[str, Any]]] = None,
         cache_statistics: Optional[Dict[str, int]] = None,
-        cache_events: Optional[List[str]] = None,
         bundle: Optional[VFGBundle] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -136,8 +135,6 @@ class AnalysisReport:
         #: the run's wall-clock budget expired: the report is partial (the
         #: passes and checkers that ran are accounted in pass_statistics)
         self.timed_out = timed_out
-        #: per-artifact hit/miss/store events (populated with explain_cache)
-        self.cache_events: List[str] = list(cache_events) if cache_events else []
         self.bundle = bundle
         # Seed the registry from any legacy-shaped inputs (cache replay,
         # portable rehydration, tests).  The live pipeline passes the
@@ -327,11 +324,7 @@ class Canary:
         # A fresh config per instance: a shared default instance would
         # leak artifact state between unrelated drivers.
         self.config = config if config is not None else AnalysisConfig()
-        if store is None:
-            store = ArtifactStore(
-                self.config.cache_dir if self.config.use_cache else None
-            )
-        self.store = store
+        self.store = store if store is not None else ArtifactStore()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def _pipeline(self):
@@ -347,8 +340,8 @@ class Canary:
         budget, checkers and knobs — while every run digs into the same
         resident store.  Content keys embed the config hash, so two
         configs never alias each other's cached runs.  ``analyze_*``
-        calls are thread-safe across siblings: the store locks its
-        layers, and runs share nothing else.
+        calls are thread-safe across siblings: the store is locked,
+        and runs share nothing else.
         """
         return Canary(config, store=self.store, tracer=self.tracer)
 

@@ -6,10 +6,9 @@ and the config hash.
 ``report_to_portable`` / ``report_from_portable`` translate an
 :class:`~repro.analysis.driver.AnalysisReport` to/from a JSON-safe dict
 keyed entirely by instruction labels, which are deterministic per source
-text (per-function label blocks).  This is the one record format of the
-run cache: the memory layer rehydrates it against the module it stored
-with it, the disk layer against a module a fresh process re-lowered
-from the same source.
+text (per-function label blocks).  This is the record format of the run
+cache, rehydrated against the module stored with it, and the result
+payload of the daemon's ``/reports/<id>``.
 """
 
 from __future__ import annotations
@@ -91,18 +90,12 @@ def report_to_portable(report: "AnalysisReport") -> dict:
 def report_from_portable(
     data: dict, module: IRModule, metrics=None
 ) -> "AnalysisReport":
-    """Rehydrate a portable report against a module lowered from the
-    same source.  Every container of the result is fresh, so the record
-    can be rehydrated again.
-
-    Raises ``KeyError`` when a recorded label no longer exists (stale
-    cache entry) — callers treat that as a miss and re-analyze.
-    """
+    """Rehydrate a portable report against the module it was encoded
+    from.  Every container of the result is fresh, so the record can be
+    rehydrated again."""
     from ..checkers.base import BugReport, SuppressedCandidate
     from .driver import AnalysisReport
 
-    if data.get("version") != PORTABLE_VERSION:
-        raise KeyError("portable report version mismatch")
     bugs: List[BugReport] = [
         BugReport(
             kind=b["kind"],
@@ -110,13 +103,11 @@ def report_from_portable(
             sink=module.instruction_at(b["sink"]),
             path=b["path"],
             inter_thread=b["inter_thread"],
-            witness_order=dict(b.get("witness_order", {})),
-            witness_env={k: dict(v) for k, v in b.get("witness_env", {}).items()},
-            statements=[
-                module.instruction_at(label) for label in b.get("statements", ())
-            ],
+            witness_order=dict(b["witness_order"]),
+            witness_env={k: dict(v) for k, v in b["witness_env"].items()},
+            statements=[module.instruction_at(label) for label in b["statements"]],
         )
-        for b in data.get("bugs", ())
+        for b in data["bugs"]
     ]
     suppressed = [
         SuppressedCandidate(
@@ -125,22 +116,18 @@ def report_from_portable(
             sink=module.instruction_at(s["sink"]),
             reason=s["reason"],
         )
-        for s in data.get("suppressed", ())
+        for s in data["suppressed"]
     ]
     return AnalysisReport(
         bugs=bugs,
         suppressed=suppressed,
-        vfg_summary=dict(data.get("vfg_summary", {})),
-        solver_statistics=dict(data.get("solver_statistics", {})),
-        checker_statistics={
-            k: dict(v) for k, v in data.get("checker_statistics", {}).items()
-        },
-        search_statistics={
-            k: dict(v) for k, v in data.get("search_statistics", {}).items()
-        },
-        truncation_warnings=list(data.get("truncation_warnings", ())),
-        degradation_warnings=list(data.get("degradation_warnings", ())),
-        timed_out=bool(data.get("timed_out", False)),
+        vfg_summary=dict(data["vfg_summary"]),
+        solver_statistics=dict(data["solver_statistics"]),
+        checker_statistics={k: dict(v) for k, v in data["checker_statistics"].items()},
+        search_statistics={k: dict(v) for k, v in data["search_statistics"].items()},
+        truncation_warnings=list(data["truncation_warnings"]),
+        degradation_warnings=list(data["degradation_warnings"]),
+        timed_out=data["timed_out"],
         bundle=None,
         metrics=metrics,
     )

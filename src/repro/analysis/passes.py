@@ -10,10 +10,8 @@ One request is one whole analysis: every pass runs, and nothing a run
 computes is reused by a later run except through the whole-run cache of
 the :class:`~repro.analysis.artifacts.ArtifactStore`.  That cache is
 keyed by the source text, filename and config hash and holds one record
-format, the portable report: a memory hit rehydrates it against the
-stored module without running any pass (status ``cached``), a disk hit
-(``cache_dir``) runs ``parse`` and ``lower`` and then rehydrates it the
-same way.
+format, the portable report: a hit rehydrates it against the stored
+module without running any pass (status ``cached``).
 """
 
 from __future__ import annotations
@@ -209,14 +207,11 @@ class AnalysisPipeline:
     ) -> AnalysisReport:
         cfg = self.config
         caching = cfg.use_cache and not track_memory
-        events_mark = len(self.store.events)
         digest = run_digest(source, filename, cfg.cache_key())
         if caching:
-            hit = self.store.get("run", digest)
+            hit = self.store.get(digest)
             if hit is not None:
-                return self._rehydrate(
-                    hit["record"], hit["module"], events_mark, "run cache"
-                )
+                return self._rehydrate(hit["record"], hit["module"])
         try:
             ast = self.pm.run("parse", lambda: parse_program(source, filename))
             module = self._lower(ast)
@@ -234,22 +229,10 @@ class AnalysisPipeline:
                 f"frontend failed unexpectedly ({type(exc).__name__}: {exc});"
                 " no analysis was performed"
             )
-            return self._degraded_empty_report(events_mark)
+            return self._degraded_empty_report()
         if self._out_of_time("frontend"):
-            return self._degraded_empty_report(events_mark)
-        if caching and cfg.cache_dir:
-            record = self.store.get_disk("run", digest)
-            if record is not None:
-                try:
-                    report = self._rehydrate(
-                        record, module, events_mark, "disk run cache"
-                    )
-                except KeyError:
-                    self.store.note("stale disk:run")
-                else:
-                    self.store.put("run", digest, {"record": record, "module": module})
-                    return report
-        report = self._analyze_module(module, track_memory, events_mark)
+            return self._degraded_empty_report()
+        report = self._analyze_module(module, track_memory)
         report.set_timing("parse", self.pm.seconds_of("parse"))
         report.set_timing("lowering", self.pm.seconds_of("lower"))
         # Degraded runs (budget expiry, isolated failures) are partial by
@@ -257,16 +240,13 @@ class AnalysisPipeline:
         if caching and not report.timed_out and not report.degradation_warnings:
             record = report_to_portable(report)
             record["pass_statistics"] = report.pass_statistics
-            self.store.put("run", digest, {"record": record, "module": module})
-            if cfg.cache_dir:
-                self.store.put_disk("run", digest, record)
+            self.store.put(digest, {"record": record, "module": module})
         return report
 
     def analyze_ast(self, ast: Program, track_memory: bool = False) -> AnalysisReport:
         with self.tracer.span("analyze", entry="ast"):
-            events_mark = len(self.store.events)
             module = self._lower(ast)
-            report = self._analyze_module(module, track_memory, events_mark)
+            report = self._analyze_module(module, track_memory)
             report.set_timing("lowering", self.pm.seconds_of("lower"))
             return report
 
@@ -274,30 +254,24 @@ class AnalysisPipeline:
         self, module: IRModule, track_memory: bool = False
     ) -> AnalysisReport:
         with self.tracer.span("analyze", entry="module"):
-            return self._analyze_module(module, track_memory, len(self.store.events))
+            return self._analyze_module(module, track_memory)
 
     # ----- run-cache hits ---------------------------------------------------
 
-    def _rehydrate(
-        self, record: dict, module: IRModule, events_mark: int, detail: str
-    ) -> AnalysisReport:
-        """A run-cache hit: ``record`` rehydrated against ``module``, with
-        a ``cached`` row for every recorded pass that did not run here.
-        Raises ``KeyError`` when the record names a label ``module``
-        lacks (a stale disk entry)."""
+    def _rehydrate(self, record: dict, module: IRModule) -> AnalysisReport:
+        """A run-cache hit: ``record`` rehydrated against the module it
+        was stored with, and a ``cached`` row for every recorded pass."""
         report = report_from_portable(record, module, metrics=self.registry)
-        ran = {rec.name for rec in self.pm.records}
-        for row in record.get("pass_statistics", ()):
-            if row["name"] not in ran:
-                self.pm.cached(row["name"], detail=detail)
+        for row in record["pass_statistics"]:
+            self.pm.cached(row["name"], detail="run cache")
         report.timings = {
-            "parse": self.pm.seconds_of("parse"),
-            "lowering": self.pm.seconds_of("lower"),
+            "parse": 0.0,
+            "lowering": 0.0,
             "vfg": 0.0,
             "checking": 0.0,
             "solving": 0.0,
         }
-        self._finish_report(report, events_mark)
+        self._finish_report(report)
         return report
 
     # ----- phases -----------------------------------------------------------
@@ -310,9 +284,7 @@ class AnalysisPipeline:
         self.pm.records[-1].detail = f"{len(module.functions)} function(s)"
         return module
 
-    def _analyze_module(
-        self, module: IRModule, track_memory: bool, events_mark: int
-    ) -> AnalysisReport:
+    def _analyze_module(self, module: IRModule, track_memory: bool) -> AnalysisReport:
         cfg = self.config
         pm = self.pm
         budget = self.budget
@@ -362,7 +334,7 @@ class AnalysisPipeline:
                 bundle=bundle,
                 metrics=self.registry,
             )
-            self._finish_report(report, events_mark)
+            self._finish_report(report)
             return report
 
         verification, error = pm.attempt(
@@ -548,7 +520,7 @@ class AnalysisPipeline:
         wound down."""
         return self.budget.note_expired(where)
 
-    def _degraded_empty_report(self, events_mark: int) -> AnalysisReport:
+    def _degraded_empty_report(self) -> AnalysisReport:
         """A well-formed empty report for runs that could not get past
         the frontend (crash or budget expiry before lowering finished)."""
         report = AnalysisReport(
@@ -560,14 +532,12 @@ class AnalysisPipeline:
             timed_out=bool(self.budget.expirations),
             metrics=self.registry,
         )
-        self._finish_report(report, events_mark)
+        self._finish_report(report)
         return report
 
-    def _finish_report(self, report: AnalysisReport, events_mark: int) -> None:
+    def _finish_report(self, report: AnalysisReport) -> None:
         report.pass_statistics = self.pm.statistics()
         report.cache_statistics = {
             **self.store.statistics(),
             **self.pm.counts(),
         }
-        if self.config.explain_cache:
-            report.cache_events = list(self.store.events[events_mark:])

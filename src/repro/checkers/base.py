@@ -27,9 +27,9 @@ from ..ir.instructions import (
     StoreInst,
 )
 from ..ir.values import Variable
-from ..smt.terms import BoolTerm
+from ..smt.terms import TRUE, BoolTerm
 from ..vfg.builder import VFGBundle
-from ..vfg.graph import DefNode, VFGNode
+from ..vfg.graph import DefNode, ObjNode, VFGNode
 from ..detection.reachability import SinkReachabilityIndex
 from ..detection.realizability import PathQuery, RealizabilityChecker
 from ..detection.search import (
@@ -39,6 +39,7 @@ from ..detection.search import (
     TruncationEvent,
     ValueFlowPath,
 )
+from .concurrency import sorted_objects
 
 __all__ = ["BugReport", "SourceSinkChecker", "UseIndex"]
 
@@ -187,6 +188,18 @@ class SourceSinkChecker:
         the freed object's node and the alias guard is the condition under
         which the source statement actually touches that object."""
         raise NotImplementedError
+
+    def free_sources(self) -> Iterable[Tuple[VFGNode, Instruction, BoolTerm]]:
+        """Object-rooted sources for the UAF and double-free checkers: each
+        object a ``free`` may release, in :func:`sorted_objects` order, so
+        the candidate order (and with it the witnesses) does not follow
+        the objects' addresses."""
+        interference = self.bundle.interference
+        for inst in self.bundle.module.all_instructions():
+            if isinstance(inst, FreeInst) and isinstance(inst.pointer, Variable):
+                for obj in sorted_objects(interference.points_to_objects(inst.pointer)):
+                    alias = interference.pted_guard(obj, DefNode(inst.pointer))
+                    yield ObjNode(obj), inst, alias if alias is not None else TRUE
 
     def sinks_at(
         self, var: Variable, source_inst: Instruction

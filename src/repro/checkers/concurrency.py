@@ -4,7 +4,8 @@ order violation).
 These are the structural pre-SMT filters: deterministic object
 enumeration (``MemObject`` hashes by identity, so raw set iteration
 order is not stable across runs — deterministic reports require the
-sorted order), lock-set disjointness, and condition-variable ordering.
+sorted order; the UAF and double-free sources use it too), lock-set
+disjointness, and condition-variable ordering.
 Everything that survives them still has to pass the solver's Φ_all.
 """
 

@@ -12,8 +12,8 @@ from typing import Iterable, List, Set, Tuple
 
 from ..ir.instructions import FreeInst, Instruction
 from ..ir.values import Variable
-from ..smt.terms import TRUE, BoolTerm, lt
-from ..vfg.graph import DefNode, ObjNode, VFGNode
+from ..smt.terms import BoolTerm, lt
+from ..vfg.graph import VFGNode
 from ..detection.partial_order import order_var
 from .base import BugReport, SourceSinkChecker
 
@@ -24,12 +24,7 @@ class DoubleFreeChecker(SourceSinkChecker):
     kind = "double-free"
 
     def sources(self) -> Iterable[Tuple[VFGNode, Instruction, BoolTerm]]:
-        interference = self.bundle.interference
-        for inst in self.bundle.module.all_instructions():
-            if isinstance(inst, FreeInst) and isinstance(inst.pointer, Variable):
-                for obj in interference.points_to_objects(inst.pointer):
-                    alias = interference.pted_guard(obj, DefNode(inst.pointer))
-                    yield ObjNode(obj), inst, alias if alias is not None else TRUE
+        return self.free_sources()
 
     def sinks_at(
         self, var: Variable, source_inst: Instruction

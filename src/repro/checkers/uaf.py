@@ -13,12 +13,12 @@ able to execute *after* the free in some feasible interleaving.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Set, Tuple
 
-from ..ir.instructions import FreeInst, Instruction, LoadInst, StoreInst
+from ..ir.instructions import Instruction, LoadInst, StoreInst
 from ..ir.values import Variable
-from ..smt.terms import TRUE, BoolTerm, lt
-from ..vfg.graph import DefNode, ObjNode, VFGNode
+from ..smt.terms import BoolTerm, lt
+from ..vfg.graph import VFGNode
 from ..detection.partial_order import order_var
 from .base import SourceSinkChecker
 
@@ -31,12 +31,7 @@ class UseAfterFreeChecker(SourceSinkChecker):
     def sources(self) -> Iterable[Tuple[VFGNode, Instruction, BoolTerm]]:
         # Search from each *freed object*: its VFG reachability enumerates
         # every alias of the dangling cell, in every thread.
-        interference = self.bundle.interference
-        for inst in self.bundle.module.all_instructions():
-            if isinstance(inst, FreeInst) and isinstance(inst.pointer, Variable):
-                for obj in interference.points_to_objects(inst.pointer):
-                    alias = interference.pted_guard(obj, DefNode(inst.pointer))
-                    yield ObjNode(obj), inst, alias if alias is not None else TRUE
+        return self.free_sources()
 
     def sinks_at(
         self, var: Variable, source_inst: Instruction

@@ -222,12 +222,6 @@ def serve_main(argv=None) -> int:
         metavar="SECONDS",
         help="default per-request wall-clock budget (requests may tighten it)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist whole-run reports under DIR (shared by all requests)",
-    )
     parser.add_argument("--verbose", action="store_true", help="log every request")
     args = parser.parse_args(argv)
 
@@ -241,7 +235,6 @@ def serve_main(argv=None) -> int:
         config = AnalysisConfig(
             checkers=checkers,
             timeout_seconds=args.timeout,
-            cache_dir=args.cache_dir,
         )
     except ValueError as exc:
         parser.error(str(exc))

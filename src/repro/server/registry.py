@@ -2,7 +2,7 @@
 
 A submission creates a :class:`ReportRecord` in state ``queued``; a
 worker moves it to ``running`` and finally ``done`` (with the portable,
-label-keyed result dict — the same codec the disk cache uses) or
+label-keyed result dict — the same codec the run cache uses) or
 ``failed`` (with the error string).  The registry is the daemon's only
 session state: it is bounded (``max_reports``), evicting the oldest
 *finished* records first so in-flight work is never dropped.

@@ -1,16 +1,16 @@
 """The analysis service: a bounded worker pool over one resident store.
 
 One :class:`AnalysisService` owns the daemon's warm state — the shared
-:class:`~repro.analysis.artifacts.ArtifactStore` (the whole-run cache:
-memory layer plus optional disk layer) — and a pool of worker threads
+:class:`~repro.analysis.artifacts.ArtifactStore` (the in-memory
+whole-run cache) — and a pool of worker threads
 draining a submission queue.  Each request is
 isolated in three ways:
 
 * **config** — the request's knob overrides are folded into a fresh
   immutable :class:`~repro.analysis.config.AnalysisConfig`; content
   keys embed the config hash, so differently-configured requests never
-  alias artifacts.  Cache-plumbing knobs (``cache_dir`` and friends)
-  are server-owned and rejected;
+  alias artifacts.  The cache knob (``use_cache``) is server-owned and
+  rejected;
 * **budget** — every run gets its own
   :class:`~repro.analysis.budget.Budget` (the request may tighten the
   server's default ``timeout_seconds``); :meth:`cancel` flips it so the
@@ -51,9 +51,9 @@ from .registry import ReportRecord, ReportRegistry
 
 __all__ = ["AnalysisService", "ConfigError"]
 
-#: knobs a request may not touch: where artifacts live is the server's
-#: call, and letting a tenant re-point the disk cache would leak state
-_SERVER_OWNED_FIELDS = frozenset(CACHE_ONLY_FIELDS)
+#: knobs a request may not touch: whether the shared run cache answers
+#: is the server's call
+_SERVER_OWNED_FIELDS = CACHE_ONLY_FIELDS
 
 
 class ConfigError(ValueError):
@@ -72,11 +72,7 @@ class AnalysisService:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config if config is not None else AnalysisConfig()
-        self.store = ArtifactStore(
-            cache_dir=self.config.cache_dir if self.config.use_cache else None,
-            max_memory_entries=max_memory_entries,
-            max_events=10_000,
-        )
+        self.store = ArtifactStore(max_memory_entries=max_memory_entries)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = ReportRegistry(max_reports=max_reports)
         #: the server's aggregate registry (the ``/metrics`` payload)
@@ -99,7 +95,7 @@ class AnalysisService:
 
     def request_config(self, overrides: Optional[Dict[str, Any]] = None) -> AnalysisConfig:
         """The server default config with a request's knob overrides
-        folded in.  Unknown names and server-owned (cache-plumbing)
+        folded in.  Unknown names and server-owned (``use_cache``)
         names raise :class:`ConfigError` — a client typo must become a
         400, not a silently-default knob."""
         if not overrides:

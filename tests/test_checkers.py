@@ -1,8 +1,16 @@
 """End-to-end checker tests: the paper's bug classes on small programs."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro import AnalysisConfig, Canary
+from repro.checkers.uaf import UseAfterFreeChecker
 
 from programs import (
     DOUBLE_FREE,
@@ -225,3 +233,80 @@ class TestAblations:
         assert a.num_reports == b.num_reports == 0
         c = analyze(FIG2_BUGGY, prune_guards=False)
         assert c.num_reports == 1
+
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+REPO_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+#: the corpus programs whose frees reach a shared object from two threads
+FREE_ORDER_FILES = (
+    "doublefree_cross_thread",
+    "doublefree_join_ordered",
+    "mixed_all_checkers",
+)
+
+#: analyses the ``FREE_ORDER_FILES`` under every memory model after
+#: allocating and keeping ``argv[2]`` memory objects, then prints the
+#: free-source order and every report's witness as JSON
+WITNESS_DRIVER = textwrap.dedent(
+    """
+    import json, sys
+    from repro.ir.values import MemObject
+    ballast = [MemObject(f"b{i}", "heap") for i in range(int(sys.argv[2]))]
+    from repro import AnalysisConfig, Canary
+    from repro.checkers.uaf import UseAfterFreeChecker
+    sys.path.insert(0, sys.argv[1])
+    from test_corpus import _parse_directives
+
+    out = {}
+    for name in sys.argv[3:]:
+        text = open(f"{sys.argv[1]}/corpus/{name}.mcc").read()
+        _expects, checkers, overrides = _parse_directives(text)
+        for model in ("sc", "tso", "pso"):
+            config = AnalysisConfig(
+                checkers=checkers, **{**overrides, "memory_model": model}
+            )
+            report = Canary(config).analyze_source(text, filename=name)
+            sources = UseAfterFreeChecker(report.bundle).free_sources()
+            out[f"{name}/{model}"] = {
+                "sources": [[inst.label, repr(node)] for node, inst, _ in sources],
+                "bugs": [
+                    [str(b.key), b.describe(), sorted(b.witness_order.items()),
+                     repr(sorted(b.witness_env.items()))]
+                    for b in report.bugs
+                ],
+            }
+    print(json.dumps(out, sort_keys=True))
+    """
+)
+
+
+class TestFreeSourceOrder:
+    """UAF and double-free enumerate freed objects by name, not by
+    address: ``MemObject`` hashes by identity, so a points-to set's own
+    iteration order follows the allocation history of the process."""
+
+    def test_free_sources_are_sorted_per_statement(self):
+        text = (CORPUS / "mixed_all_checkers.mcc").read_text()
+        report = analyze(text, use_cache=False)
+        objects = {}
+        for node, inst, _alias in UseAfterFreeChecker(report.bundle).free_sources():
+            objects.setdefault(inst.label, []).append(node.obj)
+        assert max(len(objs) for objs in objects.values()) == 2
+        for objs in objects.values():
+            assert objs == sorted(objs, key=lambda o: (o.name, o.kind, o.context))
+
+    def test_witnesses_identical_across_allocation_histories(self):
+        tests_dir = str(pathlib.Path(__file__).resolve().parent)
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+
+        def run(ballast):
+            return subprocess.run(
+                [sys.executable, "-c", WITNESS_DRIVER, tests_dir, str(ballast),
+                 *FREE_ORDER_FILES],
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout
+
+        fresh, ballasted = run(0), run(3001)
+        assert json.loads(fresh)["mixed_all_checkers/sc"]["bugs"]
+        assert fresh == ballasted

@@ -63,6 +63,21 @@ class TestAnalyzerCli:
         out = capsys.readouterr().out
         assert "queries" in out and "cache" in out and "parse" in out
 
+    def test_stats_prints_pass_table_with_cached_rows_on_repeat(self, capsys):
+        path = str(CORPUS / "uaf_basic.mcc")
+        repro_main([path, path, "--stats"])
+        out = capsys.readouterr().out
+        first, second = out.split(f"{path}: ")[1:]
+
+        def statuses(run):
+            table = run.split("status  seconds\n")[1].strip().splitlines()
+            return {row.split()[0]: row.split()[1] for row in table}
+
+        cold, warm = statuses(first), statuses(second)
+        assert cold["parse"] == cold["detect:use-after-free"] == "run"
+        assert set(warm) == set(cold)
+        assert set(warm.values()) == {"cached"}
+
     @pytest.mark.parametrize(
         "flags", [["--unroll", "0"], ["--context-depth", "-1"], ["--max-depth", "-2"]]
     )

@@ -149,7 +149,11 @@ class TestRequestIsolation:
         assert getattr(service.request_config({knob: 0}), knob) == 0
 
     def test_server_owned_knob_rejected(self, service):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="server-owned"):
+            service.request_config({"use_cache": False})
+
+    def test_deleted_cache_dir_knob_is_unknown(self, service):
+        with pytest.raises(ConfigError, match="unknown config knob"):
             service.request_config({"cache_dir": "/tmp/elsewhere"})
 
     def test_unknown_checker_rejected(self, service):
@@ -374,6 +378,11 @@ class TestHttpEndpoints:
                                        "config": {"bogus": 1}}
         )
         assert status == 400 and "bogus" in body["error"]
+        status, body = _call(
+            port, "POST", "/analyze", {"source": "int main() { return 0; }",
+                                       "config": {"cache_dir": "/tmp/elsewhere"}}
+        )
+        assert status == 400 and "unknown config knob" in body["error"]
         for knob, value in (
             ("memory_model", "xyz"), ("unroll_depth", 0), ("context_depth", -3)
         ):
