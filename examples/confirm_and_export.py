@@ -53,7 +53,10 @@ void main() {
 def main() -> None:
     outdir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
 
-    report = Canary(AnalysisConfig()).analyze_source(RACY_CACHE, "cache.mcc")
+    # keep_bundle: replay and the graph export read the run's module and VFG
+    report = Canary(AnalysisConfig()).analyze_source(
+        RACY_CACHE, "cache.mcc", keep_bundle=True
+    )
     print(f"static analysis: {report.num_reports} finding(s)")
     for bug in report.bugs:
         print(bug.describe())

@@ -180,7 +180,9 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
-            report = canary.analyze_source(source, filename=path)
+            report = canary.analyze_source(
+                source, filename=path, keep_bundle=args.show_vfg
+            )
         except FrontendError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

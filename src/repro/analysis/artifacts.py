@@ -3,9 +3,11 @@
 One in-memory layer, keyed by the run digest (source text, filename and
 config hash).  A run's record is the portable report
 (:func:`~repro.analysis.fingerprint.report_to_portable` plus its pass
-rows) stored together with the lowered
-:class:`~repro.ir.module.IRModule`, so a hit rehydrates without running
-any pass.  The store is scoped to one
+rows) stored together with a label -> instruction map of the
+instructions its findings name
+(:func:`~repro.analysis.fingerprint.named_instructions`), so a hit
+rehydrates without running any pass and a record keeps no module, VFG
+or other analysis state alive.  The store is scoped to one
 :class:`~repro.analysis.driver.Canary` instance or, in daemon mode,
 shared by every request of a
 :class:`~repro.server.service.AnalysisService`.

@@ -135,6 +135,8 @@ class AnalysisReport:
         #: the run's wall-clock budget expired: the report is partial (the
         #: passes and checkers that ran are accounted in pass_statistics)
         self.timed_out = timed_out
+        #: the run's analysis (module, VFG, thread structure, points-to),
+        #: only when the run was asked for it with ``keep_bundle=True``
         self.bundle = bundle
         # Seed the registry from any legacy-shaped inputs (cache replay,
         # portable rehydration, tests).  The live pipeline passes the
@@ -310,7 +312,8 @@ class Canary:
     The driver owns an :class:`ArtifactStore`: an ``analyze_source``
     call whose source, filename and config match an earlier run of the
     instance is answered from the run cache (disable with
-    ``AnalysisConfig(use_cache=False)``).  An
+    ``AnalysisConfig(use_cache=False)``), rehydrated from the few
+    instructions the earlier run's findings name.  An
     optional :class:`~repro.obs.tracer.Tracer` collects the span
     timeline across all runs of the instance.
     """
@@ -349,22 +352,35 @@ class Canary:
     #
     # Each entry point runs under :func:`quiet_collector`, so the
     # process-wide ``gc`` thresholds differ from the caller's while a run
-    # is in flight.
+    # is in flight.  The returned report holds the findings and the
+    # statistics; ``keep_bundle=True`` also attaches the run's module,
+    # VFG, thread structure and points-to result as ``report.bundle``
+    # and bypasses the run cache, whose hits carry no bundle.
 
     def analyze_source(
-        self, source: str, filename: str = "<input>", track_memory: bool = False
+        self,
+        source: str,
+        filename: str = "<input>",
+        track_memory: bool = False,
+        keep_bundle: bool = False,
     ) -> AnalysisReport:
         with quiet_collector():
             return self._pipeline().analyze_source(
-                source, filename, track_memory=track_memory
+                source, filename, track_memory=track_memory, keep_bundle=keep_bundle
             )
 
-    def analyze_ast(self, ast: Program, track_memory: bool = False) -> AnalysisReport:
-        with quiet_collector():
-            return self._pipeline().analyze_ast(ast, track_memory=track_memory)
-
-    def analyze_module(
-        self, module: IRModule, track_memory: bool = False
+    def analyze_ast(
+        self, ast: Program, track_memory: bool = False, keep_bundle: bool = False
     ) -> AnalysisReport:
         with quiet_collector():
-            return self._pipeline().analyze_module(module, track_memory=track_memory)
+            return self._pipeline().analyze_ast(
+                ast, track_memory=track_memory, keep_bundle=keep_bundle
+            )
+
+    def analyze_module(
+        self, module: IRModule, track_memory: bool = False, keep_bundle: bool = False
+    ) -> AnalysisReport:
+        with quiet_collector():
+            return self._pipeline().analyze_module(
+                module, track_memory=track_memory, keep_bundle=keep_bundle
+            )

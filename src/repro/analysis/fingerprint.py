@@ -6,22 +6,24 @@ and the config hash.
 ``report_to_portable`` / ``report_from_portable`` translate an
 :class:`~repro.analysis.driver.AnalysisReport` to/from a JSON-safe dict
 keyed entirely by instruction labels, which are deterministic per source
-text (per-function label blocks).  This is the record format of the run
-cache, rehydrated against the module stored with it, and the result
-payload of the daemon's ``/reports/<id>``.
+text (per-function label blocks).  This is the result payload of the
+daemon's ``/reports/<id>`` and, with :func:`named_instructions` beside
+it, the record format of the run cache: a hit rehydrates from the few
+instructions the record names, never from a module.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, List
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping
 
-from ..ir.module import IRModule
+from ..ir.instructions import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .driver import AnalysisReport
 
 __all__ = [
+    "named_instructions",
     "report_from_portable",
     "report_to_portable",
     "run_digest",
@@ -87,33 +89,50 @@ def report_to_portable(report: "AnalysisReport") -> dict:
     }
 
 
+def named_instructions(report: "AnalysisReport") -> Dict[int, Instruction]:
+    """Label -> instruction for every instruction the report's findings
+    name: each bug's source, sink and statements and each suppressed
+    candidate's source and sink.  This is all
+    :func:`report_from_portable` reads, so a run-cache record keeps
+    these few instructions alive instead of the whole module."""
+    named: Dict[int, Instruction] = {}
+    for bug in report.bugs:
+        for inst in (bug.source, bug.sink, *bug.statements):
+            named[inst.label] = inst
+    for candidate in report.suppressed:
+        named[candidate.source.label] = candidate.source
+        named[candidate.sink.label] = candidate.sink
+    return named
+
+
 def report_from_portable(
-    data: dict, module: IRModule, metrics=None
+    data: dict, instructions: Mapping[int, Instruction], metrics=None
 ) -> "AnalysisReport":
-    """Rehydrate a portable report against the module it was encoded
-    from.  Every container of the result is fresh, so the record can be
-    rehydrated again."""
+    """Rehydrate a portable report from ``instructions``, a label ->
+    instruction map covering every label the record names (see
+    :func:`named_instructions`).  Every container of the result is
+    fresh, so the record can be rehydrated again."""
     from ..checkers.base import BugReport, SuppressedCandidate
     from .driver import AnalysisReport
 
     bugs: List[BugReport] = [
         BugReport(
             kind=b["kind"],
-            source=module.instruction_at(b["source"]),
-            sink=module.instruction_at(b["sink"]),
+            source=instructions[b["source"]],
+            sink=instructions[b["sink"]],
             path=b["path"],
             inter_thread=b["inter_thread"],
             witness_order=dict(b["witness_order"]),
             witness_env={k: dict(v) for k, v in b["witness_env"].items()},
-            statements=[module.instruction_at(label) for label in b["statements"]],
+            statements=[instructions[label] for label in b["statements"]],
         )
         for b in data["bugs"]
     ]
     suppressed = [
         SuppressedCandidate(
             kind=s["kind"],
-            source=module.instruction_at(s["source"]),
-            sink=module.instruction_at(s["sink"]),
+            source=instructions[s["source"]],
+            sink=instructions[s["sink"]],
             reason=s["reason"],
         )
         for s in data["suppressed"]
@@ -128,6 +147,5 @@ def report_from_portable(
         truncation_warnings=list(data["truncation_warnings"]),
         degradation_warnings=list(data["degradation_warnings"]),
         timed_out=data["timed_out"],
-        bundle=None,
         metrics=metrics,
     )

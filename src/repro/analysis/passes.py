@@ -10,8 +10,16 @@ One request is one whole analysis: every pass runs, and nothing a run
 computes is reused by a later run except through the whole-run cache of
 the :class:`~repro.analysis.artifacts.ArtifactStore`.  That cache is
 keyed by the source text, filename and config hash and holds one record
-format, the portable report: a hit rehydrates it against the stored
-module without running any pass (status ``cached``).
+format, the portable report beside a label -> instruction map of the
+instructions its findings name: a hit rehydrates from that map without
+running any pass (status ``cached``).
+
+A finished run returns a report that holds its findings and statistics
+and nothing of the analysis: the module, VFG, thread structure and
+points-to result are freed by reference counting as the run returns.  A
+caller that reads them passes ``keep_bundle=True`` to get them on
+``report.bundle``; such a run bypasses the run cache, whose hits carry
+no bundle.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from ..detection.realizability import RealizabilityChecker
 from ..detection.search import SearchLimits
 from ..frontend import parse_program
 from ..frontend.ast_nodes import Program
+from ..ir.instructions import Instruction
 from ..ir.module import IRModule
 from ..ir.verifier import verify_module
 from ..lowering import lower_program_incremental
@@ -46,7 +55,12 @@ from .artifacts import ArtifactStore
 from .budget import Budget, BudgetExceededError
 from .config import AnalysisConfig
 from .driver import AnalysisReport
-from .fingerprint import report_from_portable, report_to_portable, run_digest
+from .fingerprint import (
+    named_instructions,
+    report_from_portable,
+    report_to_portable,
+    run_digest,
+)
 
 __all__ = ["AnalysisPipeline", "PassManager", "PassRecord"]
 
@@ -96,22 +110,18 @@ class PassManager:
     def run(self, name: str, fn, detail: str = "") -> Any:
         """Run one pass; exceptions propagate (use :meth:`attempt` for
         passes the pipeline can survive losing)."""
-        result, error = self.attempt(name, fn, detail, _warn_on_failure=False)
-        if error is None:
-            return result
-        try:
-            raise error
-        finally:
-            # The traceback holds this frame: dropping the local keeps a
-            # failed run (e.g. a FrontendError) free of reference cycles.
-            error = None
+        return self.attempt(name, fn, detail, _isolate=False)[0]
 
     def attempt(
-        self, name: str, fn, detail: str = "", _warn_on_failure: bool = True
-    ) -> Tuple[Any, Optional[BaseException]]:
-        """Run one pass, isolating failure: returns ``(result, None)`` on
-        success or ``(None, exception)`` after recording a ``failed``
-        row — the pipeline keeps going with whatever can still run."""
+        self, name: str, fn, detail: str = "", _isolate: bool = True
+    ) -> Tuple[Any, bool]:
+        """Run one pass, isolating failure: returns ``(result, True)`` on
+        success or ``(None, False)`` after recording a ``failed`` row and
+        a warning — the pipeline keeps going with whatever can still run.
+
+        The exception itself is not returned: its traceback holds this
+        frame and, through it, the caller's, so a caller that kept it in
+        a local would make its whole run cyclic garbage."""
         t0 = time.perf_counter()
         try:
             with self.tracer.span(f"pass:{name}"):
@@ -129,9 +139,10 @@ class PassManager:
             self.records.append(
                 PassRecord(name, "failed", seconds, f"{type(exc).__name__}: {exc}")
             )
-            if _warn_on_failure:
-                self.warn(f"pass {name} failed ({type(exc).__name__}: {exc})")
-            return None, exc
+            if not _isolate:
+                raise
+            self.warn(f"pass {name} failed ({type(exc).__name__}: {exc})")
+            return None, False
         seconds = time.perf_counter() - t0
         self.records.append(PassRecord(name, "run", seconds, detail))
         if self.budget is not None and self.budget.over_pass_budget(seconds):
@@ -139,19 +150,16 @@ class PassManager:
                 f"pass {name}: {seconds:.3f}s exceeded the soft per-pass"
                 f" budget ({self.budget.pass_seconds:g}s)"
             )
-        return result, None
+        return result, True
 
     def cached(self, name: str, detail: str = "") -> None:
         self.records.append(PassRecord(name, "cached", 0.0, detail))
-
-    def record(self, name: str, status: str, seconds: float, detail: str = "") -> None:
-        self.records.append(PassRecord(name, status, seconds, detail))
 
     # ----- reporting --------------------------------------------------------
 
     def seconds_of(self, *names: str) -> float:
         """Total wall time of passes whose name matches or is a
-        ``name:`` prefix (e.g. ``dataflow`` sums every ``dataflow:f``)."""
+        ``name:`` prefix (e.g. ``detect`` sums every ``detect:<checker>``)."""
         total = 0.0
         for rec in self.records:
             if rec.name in names or any(
@@ -197,21 +205,25 @@ class AnalysisPipeline:
     # ----- entry points -----------------------------------------------------
 
     def analyze_source(
-        self, source: str, filename: str = "<input>", track_memory: bool = False
+        self,
+        source: str,
+        filename: str = "<input>",
+        track_memory: bool = False,
+        keep_bundle: bool = False,
     ) -> AnalysisReport:
         with self.tracer.span("analyze", file=filename, entry="source"):
-            return self._analyze_source(source, filename, track_memory)
+            return self._analyze_source(source, filename, track_memory, keep_bundle)
 
     def _analyze_source(
-        self, source: str, filename: str, track_memory: bool
+        self, source: str, filename: str, track_memory: bool, keep_bundle: bool
     ) -> AnalysisReport:
         cfg = self.config
-        caching = cfg.use_cache and not track_memory
-        digest = run_digest(source, filename, cfg.cache_key())
+        caching = cfg.use_cache and not track_memory and not keep_bundle
         if caching:
+            digest = run_digest(source, filename, cfg.cache_key())
             hit = self.store.get(digest)
             if hit is not None:
-                return self._rehydrate(hit["record"], hit["module"])
+                return self._rehydrate(hit["record"], hit["instructions"])
         try:
             ast = self.pm.run("parse", lambda: parse_program(source, filename))
             module = self._lower(ast)
@@ -232,7 +244,7 @@ class AnalysisPipeline:
             return self._degraded_empty_report()
         if self._out_of_time("frontend"):
             return self._degraded_empty_report()
-        report = self._analyze_module(module, track_memory)
+        report = self._analyze_module(module, track_memory, keep_bundle)
         report.set_timing("parse", self.pm.seconds_of("parse"))
         report.set_timing("lowering", self.pm.seconds_of("lower"))
         # Degraded runs (budget expiry, isolated failures) are partial by
@@ -240,28 +252,34 @@ class AnalysisPipeline:
         if caching and not report.timed_out and not report.degradation_warnings:
             record = report_to_portable(report)
             record["pass_statistics"] = report.pass_statistics
-            self.store.put(digest, {"record": record, "module": module})
+            self.store.put(
+                digest, {"record": record, "instructions": named_instructions(report)}
+            )
         return report
 
-    def analyze_ast(self, ast: Program, track_memory: bool = False) -> AnalysisReport:
+    def analyze_ast(
+        self, ast: Program, track_memory: bool = False, keep_bundle: bool = False
+    ) -> AnalysisReport:
         with self.tracer.span("analyze", entry="ast"):
             module = self._lower(ast)
-            report = self._analyze_module(module, track_memory)
+            report = self._analyze_module(module, track_memory, keep_bundle)
             report.set_timing("lowering", self.pm.seconds_of("lower"))
             return report
 
     def analyze_module(
-        self, module: IRModule, track_memory: bool = False
+        self, module: IRModule, track_memory: bool = False, keep_bundle: bool = False
     ) -> AnalysisReport:
         with self.tracer.span("analyze", entry="module"):
-            return self._analyze_module(module, track_memory)
+            return self._analyze_module(module, track_memory, keep_bundle)
 
     # ----- run-cache hits ---------------------------------------------------
 
-    def _rehydrate(self, record: dict, module: IRModule) -> AnalysisReport:
-        """A run-cache hit: ``record`` rehydrated against the module it
-        was stored with, and a ``cached`` row for every recorded pass."""
-        report = report_from_portable(record, module, metrics=self.registry)
+    def _rehydrate(
+        self, record: dict, instructions: Dict[int, Instruction]
+    ) -> AnalysisReport:
+        """A run-cache hit: ``record`` rehydrated from the instructions
+        stored with it, and a ``cached`` row for every recorded pass."""
+        report = report_from_portable(record, instructions, metrics=self.registry)
         for row in record["pass_statistics"]:
             self.pm.cached(row["name"], detail="run cache")
         report.timings = {
@@ -284,7 +302,9 @@ class AnalysisPipeline:
         self.pm.records[-1].detail = f"{len(module.functions)} function(s)"
         return module
 
-    def _analyze_module(self, module: IRModule, track_memory: bool) -> AnalysisReport:
+    def _analyze_module(
+        self, module: IRModule, track_memory: bool, keep_bundle: bool
+    ) -> AnalysisReport:
         cfg = self.config
         pm = self.pm
         budget = self.budget
@@ -331,16 +351,16 @@ class AnalysisPipeline:
                 truncation_warnings=truncation_warnings,
                 degradation_warnings=degradation,
                 timed_out=bool(budget.expirations),
-                bundle=bundle,
+                bundle=bundle if keep_bundle else None,
                 metrics=self.registry,
             )
             self._finish_report(report)
             return report
 
-        verification, error = pm.attempt(
+        verification, ok = pm.attempt(
             "verify", lambda: verify_module(module, strict=False)
         )
-        if error is None:
+        if ok:
             pm.records[-1].detail = (
                 f"{len(verification.errors)} error(s),"
                 f" {len(verification.warnings)} warning(s)"
@@ -351,14 +371,14 @@ class AnalysisPipeline:
             return finish()
 
         # -- pointer / thread structure --------------------------------------
-        pointsto, error = pm.attempt("pointer", lambda: steensgaard(module))
-        if error is None:
-            tcg, error = pm.attempt(
+        pointsto, ok = pm.attempt("pointer", lambda: steensgaard(module))
+        if ok:
+            tcg, ok = pm.attempt(
                 "tcg", lambda: build_thread_call_graph(module, pointsto)
             )
-        if error is None:
-            mhp, error = pm.attempt("mhp", lambda: MhpAnalysis(tcg))
-        if error is not None:
+        if ok:
+            mhp, ok = pm.attempt("mhp", lambda: MhpAnalysis(tcg))
+        if not ok:
             # Everything downstream needs the thread structure; the
             # report stays empty but well-formed, with the failure
             # recorded in pass_statistics and degradation_warnings.
@@ -367,7 +387,7 @@ class AnalysisPipeline:
         if self._out_of_time("threads"):
             return finish()
 
-        # -- Alg. 1 data dependence (per-function passes) --------------------
+        # -- Alg. 1 data dependence ----------------------------------------
         dataflow = DataDependenceAnalysis(
             module,
             tcg,
@@ -375,29 +395,19 @@ class AnalysisPipeline:
             prune_guards=cfg.prune_guards,
             tracer=self.tracer,
         )
-        try:
-            with self.tracer.span("pass:dataflow"):
-                fault_point("pass:dataflow")
-                dataflow.run()
-        except BudgetExceededError:
-            raise  # hard cancellation unwinds; never a degradation warning
-        except Exception as exc:
-            pm.record("dataflow", "failed", 0.0, f"{type(exc).__name__}: {exc}")
-            pm.warn(
-                f"pass dataflow failed ({type(exc).__name__}: {exc});"
-                " no findings produced"
-            )
+        _vfg, ok = pm.attempt("dataflow", dataflow.run)
+        if not ok:
+            pm.warn("data-dependence analysis unavailable; no findings produced")
             return finish()
-        for fname, status, seconds in dataflow.function_trace:
-            pm.record(f"dataflow:{fname}", status, seconds)
+        pm.records[-1].detail = f"{len(dataflow.summaries)} function(s)"
         if self._out_of_time("dataflow"):
             return finish()
 
         # -- per-function value-flow summaries -----------------------------
-        summary_index, error = pm.attempt(
+        summary_index, ok = pm.attempt(
             "summaries", lambda: compute_summaries(dataflow, metrics=self.registry)
         )
-        if error is not None:
+        if not ok:
             # Interference builds the site indexes itself: losing the
             # layer costs the per-function extents, never the findings.
             pm.warn("summary layer unavailable; interference indexes its own sites")
@@ -420,8 +430,8 @@ class AnalysisPipeline:
             analysis.run()
             return analysis
 
-        interference, error = pm.attempt("interference", run_interference)
-        if error is not None:
+        interference, ok = pm.attempt("interference", run_interference)
+        if not ok:
             pm.warn("interference analysis unavailable; no findings produced")
             return finish()
         pm.records[-1].detail = (
@@ -491,8 +501,8 @@ class AnalysisPipeline:
                 budget=budget,
                 tracer=self.tracer,
             )
-            found, error = pm.attempt(f"detect:{name}", checker.run)
-            if error is not None:
+            found, ok = pm.attempt(f"detect:{name}", checker.run)
+            if not ok:
                 # One crashing checker never takes down the others.
                 pm.warn(f"checker {name}: its findings are omitted")
                 continue

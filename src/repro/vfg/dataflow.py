@@ -22,9 +22,9 @@ Fork sites transfer only the direct argument edge; the interference
 analysis (Alg. 2, :mod:`repro.vfg.interference`) resolves everything
 that flows through them (Alg. 1 lines 23-24).
 
-Every run analyses every function once, from scratch; the per-function
-``dataflow:<fn>`` pass rows come from
-:attr:`DataDependenceAnalysis.function_trace`.
+Every run analyses every function once, from scratch, as one
+``dataflow`` pass; :attr:`DataDependenceAnalysis.function_trace` keeps
+each function's share of it.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class TestGenerator:
             seed=9,
         )
         source, truth = generate_project(spec)
-        report = Canary().analyze_source(source)
+        report = Canary().analyze_source(source, keep_bundle=True)
         tps = sum(
             1
             for b in report.bugs

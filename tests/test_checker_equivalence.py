@@ -46,9 +46,11 @@ def _file_setup(path: Path) -> Tuple[str, Tuple[str, ...], Dict[str, object]]:
     return text, all_checkers, config
 
 
-def _analyze(text, filename, checkers, config):
+def _analyze(text, filename, checkers, config, keep_bundle=False):
     overrides = dict(config, checkers=checkers, use_cache=False)
-    return Canary(AnalysisConfig(**overrides)).analyze_source(text, filename=filename)
+    return Canary(AnalysisConfig(**overrides)).analyze_source(
+        text, filename=filename, keep_bundle=keep_bundle
+    )
 
 
 def _signature(bugs):
@@ -80,7 +82,7 @@ def test_every_realizable_report_replays(path: Path):
     text, checkers, config = _file_setup(path)
     if config.get("memory_model", "sc") != "sc":
         pytest.skip("relaxed-memory witness is not sequentially executable")
-    report = _analyze(text, path.name, checkers, config)
+    report = _analyze(text, path.name, checkers, config, keep_bundle=True)
     results = confirm_all(report.bundle.module, report.bugs)
     unconfirmed = [r for r in results if not r.confirmed]
     assert not unconfirmed, "\n".join(r.describe() for r in unconfirmed)
@@ -95,7 +97,7 @@ def replay_coverage() -> Tuple[Dict[str, Tuple[int, int]], int]:
         if config.get("memory_model", "sc") != "sc":
             skipped += 1
             continue
-        report = _analyze(text, path.name, checkers, config)
+        report = _analyze(text, path.name, checkers, config, keep_bundle=True)
         for result in confirm_all(report.bundle.module, report.bugs):
             confirmed, total = per_kind.get(result.bug.kind, (0, 0))
             per_kind[result.bug.kind] = (

@@ -266,7 +266,7 @@ WITNESS_DRIVER = textwrap.dedent(
             config = AnalysisConfig(
                 checkers=checkers, **{**overrides, "memory_model": model}
             )
-            report = Canary(config).analyze_source(text, filename=name)
+            report = Canary(config).analyze_source(text, filename=name, keep_bundle=True)
             sources = UseAfterFreeChecker(report.bundle).free_sources()
             out[f"{name}/{model}"] = {
                 "sources": [[inst.label, repr(node)] for node, inst, _ in sources],
@@ -288,7 +288,7 @@ class TestFreeSourceOrder:
 
     def test_free_sources_are_sorted_per_statement(self):
         text = (CORPUS / "mixed_all_checkers.mcc").read_text()
-        report = analyze(text, use_cache=False)
+        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(text, keep_bundle=True)
         objects = {}
         for node, inst, _alias in UseAfterFreeChecker(report.bundle).free_sources():
             objects.setdefault(inst.label, []).append(node.obj)

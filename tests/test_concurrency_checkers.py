@@ -120,10 +120,10 @@ void consumer(int* d) {
 """
 
 
-def run(src, checkers, **overrides):
+def run(src, checkers, keep_bundle=False, **overrides):
     overrides.setdefault("use_cache", False)
     config = AnalysisConfig(checkers=checkers, **overrides)
-    return Canary(config).analyze_source(src)
+    return Canary(config).analyze_source(src, keep_bundle=keep_bundle)
 
 
 def kinds(report):
@@ -319,7 +319,7 @@ class TestReplay:
         ids=["race", "atomicity", "order"],
     )
     def test_every_report_confirms_dynamically(self, src, checker):
-        report = run(src, (checker,))
+        report = run(src, (checker,), keep_bundle=True)
         assert report.num_reports >= 1
         results = confirm_all(report.bundle.module, report.bugs)
         assert all(r.confirmed for r in results), [r.describe() for r in results]

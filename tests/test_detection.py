@@ -172,7 +172,7 @@ def test_load_store_order_matches_reference_on_every_load_edge(path, model):
     config = AnalysisConfig(
         checkers=checkers, **{**overrides, "memory_model": model, "use_cache": False}
     )
-    bundle = Canary(config).analyze_source(text).bundle
+    bundle = Canary(config).analyze_source(text, keep_bundle=True).bundle
     builder = OrderConstraintBuilder(bundle, memory_model=model)
     edges = [
         e

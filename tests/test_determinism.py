@@ -2,10 +2,13 @@
 IR names, VFGs (nodes, edges and guards), VFG summaries, and bug keys.
 
 Labels, SSA names and guards must not depend on hash seed, import order,
-or interning state: the portable run cache rehydrates a report by label
-in another process.  The subprocess tests run the full pipeline twice
-under *different* ``PYTHONHASHSEED`` values and compare JSON dumps byte
-for byte.
+or interning state: the daemon's ``/reports/<id>`` payloads name
+instructions by label, and the pinned digests
+(``tests/data/phi_digests.json``, ``solve_digests.json``) are checked in
+whatever process runs the suite, so both mean something only if a label
+names the same instruction in every process.  The subprocess tests run
+the full pipeline twice under *different* ``PYTHONHASHSEED`` values and
+compare JSON dumps byte for byte.
 """
 
 import json
@@ -30,7 +33,7 @@ DRIVER = textwrap.dedent(
     from repro.vfg.export import to_json
 
     text = open(sys.argv[1]).read()
-    rep = Canary(AnalysisConfig(use_cache=False)).analyze_source(text)
+    rep = Canary(AnalysisConfig(use_cache=False)).analyze_source(text, keep_bundle=True)
     print(json.dumps({
         "keys": sorted(str(b.key) for b in rep.bugs),
         "vfg": rep.vfg_summary,
@@ -103,7 +106,7 @@ class TestCrossProcess:
             out = {}
             for path in sys.argv[1:]:
                 rep = Canary(AnalysisConfig(use_cache=False)).analyze_source(
-                    open(path).read()
+                    open(path).read(), keep_bundle=True
                 )
                 out[path] = {
                     "keys": sorted(str(b.key) for b in rep.bugs),

@@ -298,7 +298,7 @@ class TestPrunedEquivalence:
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)
         config = AnalysisConfig(checkers=checkers, **overrides)
-        pruned = Canary(config).analyze_source(text, filename=path.name)
+        pruned = Canary(config).analyze_source(text, filename=path.name, keep_bundle=True)
         ref_keys, ref_visits = _unpruned_reference(pruned, config)
         assert ref_keys == _keys(pruned), path.name
         assert _visits(pruned) <= ref_visits, path.name
@@ -333,7 +333,7 @@ class TestPrunedEquivalence:
     )
     def test_scaled_subject_same_keys_and_fewer_visits(self, text):
         config = AnalysisConfig(use_cache=False)
-        pruned = Canary(config).analyze_source(text)
+        pruned = Canary(config).analyze_source(text, keep_bundle=True)
         ref_keys, ref_visits = _unpruned_reference(pruned, config)
         assert ref_keys == _keys(pruned)
         assert ref_keys  # every generated subject has bugs to find
@@ -404,7 +404,10 @@ class TestPinnedPruneCounts:
     over one VFG, with its three prunes off (reference) and on."""
 
     def _run(self, text, prune, **overrides):
-        bundle = Canary(AnalysisConfig(checkers=(), **overrides)).analyze_source(text).bundle
+        report = Canary(AnalysisConfig(checkers=(), **overrides)).analyze_source(
+            text, keep_bundle=True
+        )
+        bundle = report.bundle
         checker = UseAfterFreeChecker(
             bundle, sink_reachability=prune, guard_pruning=prune, dead_memo=prune
         )

@@ -47,7 +47,7 @@ int main() {
 
 @pytest.fixture(scope="module")
 def bundle():
-    report = Canary(AnalysisConfig()).analyze_source(INTER_THREAD_UAF)
+    report = Canary(AnalysisConfig()).analyze_source(INTER_THREAD_UAF, keep_bundle=True)
     assert report.bundle is not None
     return report.bundle
 
@@ -89,7 +89,7 @@ class TestToDot:
 
     def test_long_guards_are_truncated(self):
         text = (CORPUS / "uaf_guarded_infeasible.mcc").read_text()
-        report = Canary(AnalysisConfig()).analyze_source(text)
+        report = Canary(AnalysisConfig()).analyze_source(text, keep_bundle=True)
         vfg = report.bundle.vfg
         assert any(len(e.guard.pretty()) > 5 for e in vfg.edges())
         assert "…" in to_dot(vfg, max_guard_len=5)

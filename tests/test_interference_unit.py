@@ -121,7 +121,7 @@ class TestFixpointBehavior:
         config = AnalysisConfig(use_cache=False)
         if cap is not None:
             config = AnalysisConfig(use_cache=False, max_interference_rounds=cap)
-        report = Canary(config).analyze_source(text)
+        report = Canary(config).analyze_source(text, keep_bundle=True)
         cut = cap is not None and cap < 3
         warnings = [w for w in report.truncation_warnings if w.startswith("interference")]
         assert len(warnings) == cut

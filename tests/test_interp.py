@@ -161,24 +161,24 @@ class TestThreads:
 
 class TestWitnessConfirmation:
     def test_simple_uaf_confirmed(self):
-        report = Canary().analyze_source(SIMPLE_UAF)
+        report = Canary().analyze_source(SIMPLE_UAF, keep_bundle=True)
         results = confirm_all(report.bundle.module, report.bugs)
         assert results and all(r.confirmed for r in results)
 
     def test_fig2_buggy_confirmed(self):
-        report = Canary().analyze_source(FIG2_BUGGY)
+        report = Canary().analyze_source(FIG2_BUGGY, keep_bundle=True)
         results = confirm_all(report.bundle.module, report.bugs)
         assert results and all(r.confirmed for r in results)
 
     def test_taint_leak_confirmed(self):
         report = Canary(
             AnalysisConfig(checkers=("info-leak",))
-        ).analyze_source(TAINT_LEAK)
+        ).analyze_source(TAINT_LEAK, keep_bundle=True)
         results = confirm_all(report.bundle.module, report.bugs)
         assert results and all(r.confirmed for r in results)
 
     def test_confirmation_describe(self):
-        report = Canary().analyze_source(SIMPLE_UAF)
+        report = Canary().analyze_source(SIMPLE_UAF, keep_bundle=True)
         result = confirm_bug(report.bundle.module, report.bugs[0])
         assert "CONFIRMED" in result.describe()
 
@@ -203,7 +203,7 @@ def test_corpus_reports_replay(name):
     runtime violation of the same kind."""
     text = (_CORPUS / name).read_text()
     checkers = ("use-after-free", "double-free", "null-deref", "info-leak")
-    report = Canary(AnalysisConfig(checkers=checkers)).analyze_source(text)
+    report = Canary(AnalysisConfig(checkers=checkers)).analyze_source(text, keep_bundle=True)
     assert report.num_reports >= 1
     results = confirm_all(report.bundle.module, report.bugs)
     confirmed = [r for r in results if r.confirmed]

@@ -14,6 +14,10 @@
   ends, so the acyclicity checks also run the largest paper-profile
   subject the benchmark analyses (openssl) and the shapes of its scaled
   modules.
+* **A run leaves only its findings alive.**  A default report holds no
+  module or VFG and the run cache stores no module, so the analysis is
+  freed as the run returns; ``keep_bundle=True`` is the one way to keep
+  it.
 
 Each acyclicity check runs the analysis once untimed first: importing a
 module (and building its ``slots=True`` dataclasses) leaves one-off
@@ -48,6 +52,7 @@ from fuzz_gen import detection_scaled_program, scaled_program
 from test_corpus import CORPUS_FILES, _parse_directives
 
 ALL = tuple(sorted(ALL_CHECKERS))
+MIXED = (CORPUS_FILES[0].parent / "mixed_all_checkers.mcc").read_text()
 
 #: SC, TSO and PSO, plus lock modelling on top of SC
 MODELS = [
@@ -58,18 +63,25 @@ MODELS = [
 ]
 
 
+@contextmanager
+def collection_disabled():
+    """Whatever dies in here dies by reference counting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def cyclic_garbage(run) -> int:
     """Objects ``gc.collect()`` frees after ``run()`` with automatic
     collection off — 0 when everything ``run`` dropped died by refcount."""
     gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collection_disabled():
         run()
         return gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def analyze_and_drop(canary: Canary, text: str, filename: str = "<input>"):
@@ -139,7 +151,21 @@ class TestRunsAreAcyclic:
                 with pytest.raises(BudgetExceededError):
                     canary.analyze_source(text)
 
-        for run in (malformed, cancelled):
+        def crashed(site):
+            # A pass the pipeline survives losing, or the frontend (an
+            # empty degraded report).
+            def run():
+                with inject(FaultPlan.make(crash=[site])):
+                    report = canary.analyze_source(text)
+                assert report.degradation_warnings
+                del report
+
+            run.__name__ = site
+            return run
+
+        sites = ["pass:lower", "pass:verify", "pass:pointer", "pass:mhp",
+                 "pass:dataflow", "pass:interference", "pass:detect:use-after-free"]
+        for run in (malformed, cancelled, *map(crashed, sites)):
             run()
             assert cyclic_garbage(run) == 0, run.__name__
 
@@ -324,7 +350,6 @@ def test_ast_is_freed_before_alg1(monkeypatch):
     # The IR shares only Locations with the AST, so the tree must be gone
     # (by refcount: collection is off) before the passes that follow
     # lowering start.
-    text = (CORPUS_FILES[0].parent / "mixed_all_checkers.mcc").read_text()
     programs, alive = [], []
     parse, run = passes.parse_program, DataDependenceAnalysis.run
 
@@ -339,13 +364,8 @@ def test_ast_is_freed_before_alg1(monkeypatch):
 
     monkeypatch.setattr(passes, "parse_program", parse_and_watch)
     monkeypatch.setattr(DataDependenceAnalysis, "run", run_and_check)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        Canary(AnalysisConfig(use_cache=False, checkers=ALL)).analyze_source(text)
-    finally:
-        if enabled:
-            gc.enable()
+    with collection_disabled():
+        Canary(AnalysisConfig(use_cache=False, checkers=ALL)).analyze_source(MIXED)
     assert alive == [False]
 
 
@@ -358,3 +378,82 @@ def test_per_fact_records_have_no_instance_dict():
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     for cls in (DefNode, StoreNode, ObjNode, NullNode, VFGEdge, ContentEntry, FunctionSummary):
         assert "__slots__" in cls.__dict__, cls.__name__
+
+
+# ----- what a finished run leaves behind ------------------------------------
+
+
+@pytest.fixture()
+def run_graphs(monkeypatch):
+    """Weak references to each run's module and VFG, taken as Alg. 1
+    starts."""
+    refs = []
+    run = DataDependenceAnalysis.run
+
+    def run_and_watch(self):
+        refs.append((weakref.ref(self.module), weakref.ref(self.vfg)))
+        return run(self)
+
+    monkeypatch.setattr(DataDependenceAnalysis, "run", run_and_watch)
+    return refs
+
+
+def findings(report):
+    """What a report answers, as plain values that hold no instruction."""
+    return (
+        [(b.key, b.describe(), b.witness_order, b.witness_env) for b in report.bugs],
+        [s.describe() for s in report.suppressed],
+    )
+
+
+class TestWhatARunLeaves:
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
+    def test_report_holds_no_analysis_unless_asked(self, run_graphs, use_cache):
+        canary = Canary(AnalysisConfig(checkers=ALL, use_cache=use_cache))
+        with collection_disabled():
+            report = canary.analyze_source(MIXED, "m.mcc")
+            assert report.bugs and report.bundle is None
+            [(module, vfg)] = run_graphs
+            assert module() is None and vfg() is None
+            # keep_bundle always runs the passes: a run-cache hit has no
+            # bundle to give.
+            kept = canary.analyze_source(MIXED, "m.mcc", keep_bundle=True)
+            assert kept.passes_run()
+            module, vfg = run_graphs[-1]
+            assert module() is kept.bundle.module
+            assert vfg() is kept.bundle.vfg
+            assert findings(kept) == findings(report)
+
+    def test_run_cache_hit_outlives_the_module(self, run_graphs):
+        canary = Canary(AnalysisConfig(checkers=ALL, collect_suppressed=True))
+        with collection_disabled():
+            cold = canary.analyze_source(MIXED, "m.mcc")
+            expected = findings(cold)
+            del cold
+            [(module, _vfg)] = run_graphs
+            assert module() is None
+            warm = canary.analyze_source(MIXED, "m.mcc")
+        assert warm.passes_run() == []
+        assert expected[0] and expected[1]
+        assert findings(warm) == expected
+
+    def test_openssl_leaves_a_small_fraction_of_its_analysis(self):
+        # The paper-profile openssl subject: byte for byte the perfbench
+        # table1 openssl input at seed 0.
+        subject = next(s for s in SUBJECTS if s.name == "openssl")
+        text, _truth = generate_project(project_spec(subject, PROFILES["paper"]))
+        Canary(AnalysisConfig()).analyze_source(text, "warm-up.mcc")
+
+        def left_behind(keep_bundle):
+            gc.collect()
+            before = len(gc.get_objects())
+            report = Canary(AnalysisConfig()).analyze_source(
+                text, "openssl.mcc", keep_bundle=keep_bundle
+            )
+            gc.collect()
+            return len(gc.get_objects()) - before, report
+
+        default, report = left_behind(False)
+        kept, kept_report = left_behind(True)
+        assert findings(report) == findings(kept_report)
+        assert default < 0.05 * kept, (default, kept)

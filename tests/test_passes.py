@@ -17,8 +17,12 @@ import pytest
 
 from repro.analysis import AnalysisConfig, ArtifactStore, Canary
 from repro.analysis.config import CACHE_ONLY_FIELDS
-from repro.analysis.fingerprint import report_from_portable, report_to_portable
-from repro.analysis.passes import PassManager
+from repro.analysis.fingerprint import (
+    named_instructions,
+    report_from_portable,
+    report_to_portable,
+)
+from repro.analysis.passes import PassManager, PassRecord
 
 from test_corpus import CORPUS_FILES, _parse_directives
 
@@ -93,10 +97,12 @@ class TestPassManager:
 
     def test_seconds_of_sums_prefixed_passes(self):
         pm = PassManager()
-        pm.record("dataflow:f", "run", 1.0)
-        pm.record("dataflow:g", "run", 2.0)
-        pm.record("detect:uaf", "run", 4.0)
-        assert pm.seconds_of("dataflow") == pytest.approx(3.0)
+        pm.records += [
+            PassRecord("detect:uaf", "run", 1.0),
+            PassRecord("detect:race", "run", 2.0),
+            PassRecord("dataflow", "run", 4.0),
+        ]
+        assert pm.seconds_of("detect") == pytest.approx(3.0)
         assert pm.seconds_of("dataflow", "detect") == pytest.approx(7.0)
 
     def test_statistics_rows_are_uniform(self):
@@ -191,11 +197,15 @@ class TestWarmRuns:
         assert warm.vfg_summary == cold.vfg_summary
 
     def test_cold_run_pass_count(self):
-        # parse, lower, verify, pointer, tcg, mhp, one dataflow pass per
-        # function (11), summaries, interference and one detect pass
+        # parse, lower, verify, pointer, tcg, mhp, dataflow, summaries,
+        # interference and one detect pass: one dataflow row covers all
+        # 11 functions
         cold = Canary().analyze_source(_spin_subject(), filename="subject.mcc")
-        assert len(cold.passes_run()) == 20
-        assert sum(name.startswith("dataflow:") for name in cold.passes_run()) == 11
+        assert len(cold.passes_run()) == 10
+        rows = [row for row in cold.pass_statistics if row["name"].startswith("dataflow")]
+        assert [(row["name"], row["detail"]) for row in rows] == [
+            ("dataflow", "11 function(s)")
+        ]
         assert _keys(cold)
 
     def test_use_cache_false_always_reruns(self):
@@ -334,9 +344,9 @@ def _everything(report):
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
 def test_corpus_memory_hit_equals_cold(path, collect_suppressed):
     """Over every corpus program: a memory hit rehydrates the portable
-    record against the stored module without running a pass, and
-    reports what the cold run did, suppressed candidates and statistics
-    included."""
+    record from the instructions stored with it without running a pass,
+    and reports what the cold run did, suppressed candidates and
+    statistics included."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
     overrides["collect_suppressed"] = collect_suppressed
@@ -377,8 +387,8 @@ def test_corpus_shared_store_round_trip(path):
 def test_corpus_portable_record_survives_json(path):
     """Over every corpus program: the portable record that ``repro serve``
     returns as JSON from ``/reports/<id>`` encodes without a fallback,
-    decodes to the same record, and rehydrates against the run's module
-    to the cold report field for field."""
+    decodes to the same record, and rehydrates from the instructions the
+    findings name to the cold report field for field."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
     config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
@@ -386,5 +396,5 @@ def test_corpus_portable_record_survives_json(path):
     record = report_to_portable(cold)
     decoded = json.loads(json.dumps(record))
     assert decoded == record, path.name
-    again = report_from_portable(decoded, cold.bundle.module)
+    again = report_from_portable(decoded, named_instructions(cold))
     assert _everything(again) == _everything(cold), path.name

@@ -263,7 +263,7 @@ class TestGeneratorProperties:
             seed=seed,
         )
         source, truth = generate_project(spec)
-        report = Canary().analyze_source(source)
+        report = Canary().analyze_source(source, keep_bundle=True)
         tps = sum(
             1
             for b in report.bugs

@@ -86,7 +86,7 @@ class TestDriverBehavior:
         assert "interference edge" in text
 
     def test_bundle_exposed(self):
-        report = Canary().analyze_source(SIMPLE_UAF)
+        report = Canary().analyze_source(SIMPLE_UAF, keep_bundle=True)
         assert report.bundle is not None
         assert report.bundle.vfg.num_edges > 0
 

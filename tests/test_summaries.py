@@ -49,7 +49,7 @@ def _keys(report):
 
 def _run(text, **overrides):
     overrides.setdefault("use_cache", False)
-    return Canary(AnalysisConfig(**overrides)).analyze_source(text)
+    return Canary(AnalysisConfig(**overrides)).analyze_source(text, keep_bundle=True)
 
 
 def _run_without_summaries(text, **overrides):
@@ -80,7 +80,7 @@ class TestExactness:
         base = dict(config, checkers=checkers, use_cache=False)
         on = Canary(AnalysisConfig(**base)).analyze_source(text)
         with inject(FaultPlan.make(crash=["pass:summaries"])):
-            off = Canary(AnalysisConfig(**base)).analyze_source(text)
+            off = Canary(AnalysisConfig(**base)).analyze_source(text, keep_bundle=True)
         assert off.bundle.summary_index is None
         assert _keys(on) == _keys(off)
 

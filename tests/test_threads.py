@@ -90,7 +90,9 @@ class TestSteensgaard:
         assert pts.callees(fork.callee) == {"w"}
 
     def test_uaf_in_thread_forked_through_deep_chain(self):
-        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(indirect_chain(6))
+        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(
+            indirect_chain(6), keep_bundle=True
+        )
         functions = report.bundle.module.functions
         assert [
             (b.kind, b.source in functions["main"].body, b.sink in functions["w"].body)
