@@ -8,8 +8,8 @@ describe and imprecise in Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..ir.instructions import (
     CallInst,
@@ -23,8 +23,17 @@ from ..ir.instructions import (
 )
 from ..ir.module import IRModule
 from ..ir.values import FunctionRef, MemObject, Value, Variable
+from ..pointer.andersen import AndersenResult
+from ..pointer.flowsensitive import FlowSensitiveResult
 
-__all__ = ["UnguardedVFG", "BaselineReport", "collect_deref_uses", "reachable_vars"]
+__all__ = [
+    "UnguardedVFG",
+    "BaselineReport",
+    "collect_deref_uses",
+    "reachable_vars",
+    "store_load_sites",
+    "uaf_reports",
+]
 
 
 @dataclass
@@ -125,3 +134,67 @@ def collect_deref_uses(module: IRModule) -> Dict[Variable, List[Instruction]]:
             if isinstance(ptr, Variable):
                 uses.setdefault(ptr, []).append(inst)
     return uses
+
+
+def store_load_sites(module: IRModule) -> Tuple[List[StoreInst], List[LoadInst]]:
+    """The two sides of a baseline's store × load scan, in module order:
+    every store of a variable's value, and every load."""
+    stores = [
+        i
+        for f in module.functions.values()
+        for i in f.body
+        if isinstance(i, StoreInst) and isinstance(i.value, Variable)
+    ]
+    loads = [
+        i
+        for f in module.functions.values()
+        for i in f.body
+        if isinstance(i, LoadInst)
+    ]
+    return stores, loads
+
+
+def uaf_reports(
+    module: IRModule,
+    pts: Union[AndersenResult, FlowSensitiveResult],
+    graph: UnguardedVFG,
+) -> List[BaselineReport]:
+    """Use-after-free by plain reachability: every dereference of a
+    variable that ``graph`` reaches from a variable aliasing a freed
+    pointer, once per (free, use) pair."""
+    uses = collect_deref_uses(module)
+    frees = [
+        i
+        for f in module.functions.values()
+        for i in f.body
+        if isinstance(i, FreeInst) and isinstance(i.pointer, Variable)
+    ]
+    # Roots: every variable aliasing the freed one (same pts objects).
+    alias_roots: Dict[MemObject, Set[Variable]] = {}
+    for func in module.functions.values():
+        for inst in func.body:
+            var = inst.defined_var()
+            if var is None:
+                continue
+            for obj in pts.points_to(var):
+                if isinstance(obj, MemObject):
+                    alias_roots.setdefault(obj, set()).add(var)
+    reports: List[BaselineReport] = []
+    seen = set()
+    for free in frees:
+        roots: Set[Variable] = set()
+        for obj in pts.points_to(free.pointer):
+            if isinstance(obj, MemObject):
+                roots |= alias_roots.get(obj, set())
+        for var in reachable_vars(graph, roots):
+            if not isinstance(var, Variable):
+                continue
+            for use in uses.get(var, ()):
+                if use is free or isinstance(use, FreeInst):
+                    continue
+                key = (free.label, use.label)
+                if key in seen:
+                    continue
+                seen.add(key)
+                reports.append(BaselineReport("use-after-free", free, use))
+    return reports

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
-from ..ir.instructions import FreeInst, LoadInst, StoreInst
 from ..ir.module import IRModule
-from ..ir.values import MemObject, Variable
-from ..pointer.flowsensitive import FlowSensitiveResult, flow_sensitive_pointsto
+from ..ir.values import MemObject
+from ..pointer.flowsensitive import flow_sensitive_pointsto
 from ..threads.callgraph import build_thread_call_graph
 from ..threads.mhp import MhpAnalysis
-from .common import BaselineReport, UnguardedVFG, collect_deref_uses, reachable_vars
+from .common import BaselineReport, UnguardedVFG, store_load_sites, uaf_reports
 
 __all__ = ["FsamBaseline", "FsamResult"]
 
@@ -54,18 +53,7 @@ class FsamBaseline:
         pts = flow_sensitive_pointsto(module, tcg, deadline=deadline)
         graph = UnguardedVFG()
         graph.add_copy_edges(module)
-        stores = [
-            i
-            for f in module.functions.values()
-            for i in f.body
-            if isinstance(i, StoreInst) and isinstance(i.value, Variable)
-        ]
-        loads = [
-            i
-            for f in module.functions.values()
-            for i in f.body
-            if isinstance(i, LoadInst)
-        ]
+        stores, loads = store_load_sites(module)
         # The points-to result says explicitly whether the deadline cut
         # its fixed point short (inferring it from the clock alone could
         # miss a partial result that finished just under the deadline).
@@ -108,41 +96,7 @@ class FsamBaseline:
     def detect_uaf(self, module: IRModule) -> FsamResult:
         pts, graph, build_seconds, timed_out = self.build_vfg(module)
         start = time.perf_counter()
-        reports: List[BaselineReport] = []
-        if not timed_out:
-            uses = collect_deref_uses(module)
-            frees = [
-                i
-                for f in module.functions.values()
-                for i in f.body
-                if isinstance(i, FreeInst) and isinstance(i.pointer, Variable)
-            ]
-            alias_roots: Dict[MemObject, Set[Variable]] = {}
-            for func in module.functions.values():
-                for inst in func.body:
-                    var = inst.defined_var()
-                    if var is None:
-                        continue
-                    for obj in pts.points_to(var):
-                        if isinstance(obj, MemObject):
-                            alias_roots.setdefault(obj, set()).add(var)
-            seen = set()
-            for free in frees:
-                roots: Set[Variable] = set()
-                for obj in pts.points_to(free.pointer):
-                    if isinstance(obj, MemObject):
-                        roots |= alias_roots.get(obj, set())
-                for var in reachable_vars(graph, roots):
-                    if not isinstance(var, Variable):
-                        continue
-                    for use in uses.get(var, ()):
-                        if use is free or isinstance(use, FreeInst):
-                            continue
-                        key = (free.label, use.label)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        reports.append(BaselineReport("use-after-free", free, use))
+        reports = [] if timed_out else uaf_reports(module, pts, graph)
         return FsamResult(
             reports=reports,
             vfg_nodes=graph.num_nodes,

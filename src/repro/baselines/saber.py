@@ -14,14 +14,12 @@ positive rates for this family of tools on concurrency properties.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import List, Optional
 
-from ..ir.instructions import FreeInst, LoadInst, StoreInst
 from ..ir.module import IRModule
-from ..ir.values import MemObject, Variable
-from ..pointer.andersen import AndersenResult, andersen
-from .common import BaselineReport, UnguardedVFG, collect_deref_uses, reachable_vars
+from ..pointer.andersen import andersen
+from .common import BaselineReport, UnguardedVFG, store_load_sites, uaf_reports
 
 __all__ = ["SaberBaseline", "SaberResult"]
 
@@ -40,33 +38,17 @@ class SaberResult:
 class SaberBaseline:
     """Full-sparse, unguarded value-flow UAF detection à la Saber."""
 
-    def __init__(
-        self, time_budget: Optional[float] = None, collapse_cycles: bool = False
-    ) -> None:
+    def __init__(self, time_budget: Optional[float] = None) -> None:
         self.time_budget = time_budget
-        self.collapse_cycles = collapse_cycles
 
     def build_vfg(self, module: IRModule) -> tuple:
         """The Fig. 7 measurement target: points-to + VFG construction."""
         start = time.perf_counter()
         deadline = start + self.time_budget if self.time_budget is not None else None
-        pts = andersen(
-            module, deadline=deadline, collapse_cycles=self.collapse_cycles
-        )
+        pts = andersen(module, deadline=deadline)
         graph = UnguardedVFG()
         graph.add_copy_edges(module)
-        stores = [
-            i
-            for f in module.functions.values()
-            for i in f.body
-            if isinstance(i, StoreInst) and isinstance(i.value, Variable)
-        ]
-        loads = [
-            i
-            for f in module.functions.values()
-            for i in f.body
-            if isinstance(i, LoadInst)
-        ]
+        stores, loads = store_load_sites(module)
         timed_out = deadline is not None and time.perf_counter() > deadline
         # Exhaustive pairwise aliasing: the quadratic pair scan over an
         # exhaustive points-to result is the cost center.
@@ -88,44 +70,7 @@ class SaberBaseline:
     def detect_uaf(self, module: IRModule) -> SaberResult:
         pts, graph, build_seconds, timed_out = self.build_vfg(module)
         start = time.perf_counter()
-        reports: List[BaselineReport] = []
-        if not timed_out:
-            uses = collect_deref_uses(module)
-            frees = [
-                i
-                for f in module.functions.values()
-                for i in f.body
-                if isinstance(i, FreeInst) and isinstance(i.pointer, Variable)
-            ]
-            # Roots: every variable aliasing the freed one (same pts objects).
-            alias_roots: Dict[MemObject, Set[Variable]] = {}
-            for func in module.functions.values():
-                for inst in func.body:
-                    for value in (inst.defined_var(),):
-                        if value is None:
-                            continue
-                        for obj in pts.points_to(value):
-                            if isinstance(obj, MemObject):
-                                alias_roots.setdefault(obj, set()).add(value)
-            seen = set()
-            for free in frees:
-                roots: Set[Variable] = set()
-                for obj in pts.points_to(free.pointer):
-                    if isinstance(obj, MemObject):
-                        roots |= alias_roots.get(obj, set())
-                for var in reachable_vars(graph, roots):
-                    if not isinstance(var, Variable):
-                        continue
-                    for use in uses.get(var, ()):
-                        if use is free or isinstance(use, FreeInst):
-                            continue
-                        key = (free.label, use.label)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        reports.append(
-                            BaselineReport("use-after-free", free, use)
-                        )
+        reports = [] if timed_out else uaf_reports(module, pts, graph)
         return SaberResult(
             reports=reports,
             vfg_nodes=graph.num_nodes,

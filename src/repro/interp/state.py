@@ -43,9 +43,6 @@ class RuntimeValue:
     def is_null(self) -> bool:
         return self.integer == 0 and self.pointer is None
 
-    def with_taint(self) -> "RuntimeValue":
-        return RuntimeValue(self.integer, self.pointer, True)
-
     def __repr__(self) -> str:
         if self.pointer is not None:
             return f"ptr({self.pointer!r})" + ("+taint" if self.tainted else "")

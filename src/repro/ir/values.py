@@ -136,12 +136,6 @@ class MemObject(Value):
         ctx = "@" + "/".join(self.context) if self.context else ""
         return f"o:{self.name}{ctx}"
 
-    def cloned(self, callsite: str, max_depth: int) -> "MemObject":
-        """The clone of this object for one more level of calling context."""
-        if len(self.context) >= max_depth:
-            return self
-        return MemObject(self.name, self.kind, self.context + (callsite,))
-
 
 @dataclass(frozen=True)
 class IntConstant(Value):

@@ -13,14 +13,12 @@ piggyback the pointer reasoning on VFG construction (see
 """
 
 from .andersen import AndersenResult, andersen
-from .cycle_elim import andersen_collapsing
 from .flowsensitive import FlowSensitiveResult, flow_sensitive_pointsto
 from .steensgaard import SteensgaardResult, steensgaard
 
 __all__ = [
     "AndersenResult",
     "andersen",
-    "andersen_collapsing",
     "FlowSensitiveResult",
     "flow_sensitive_pointsto",
     "SteensgaardResult",

@@ -12,8 +12,9 @@ larger subjects.
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..ir.instructions import (
     AddrOfInst,
@@ -55,27 +56,15 @@ class AndersenResult:
         return sum(len(s) for s in self._pts.values())
 
 
-def andersen(
-    module: IRModule,
-    max_steps: Optional[int] = None,
-    deadline: Optional[float] = None,
-    collapse_cycles: bool = False,
-) -> AndersenResult:
+def andersen(module: IRModule, deadline: Optional[float] = None) -> AndersenResult:
     """Solve the inclusion constraints of a module to a fixed point.
 
-    ``max_steps`` bounds worklist pops and ``deadline`` (a
-    ``time.perf_counter`` instant) bounds wall time — both for benchmark
-    budgets; the partial result is still a sound under-approximation of
-    the fixed point and the caller flags the run as timed out.
-    ``collapse_cycles`` switches to the online-cycle-elimination solver
-    (:func:`repro.pointer.cycle_elim.andersen_collapsing`).
+    ``deadline`` (a ``time.perf_counter`` instant) bounds wall time for
+    benchmark budgets: the solver stops at the first check past it, and
+    the partial result is a sound under-approximation of the fixed point
+    (every set a subset of the full one); the caller flags the run as
+    timed out.
     """
-    import time as _time
-
-    if collapse_cycles:
-        from .cycle_elim import andersen_collapsing
-
-        return andersen_collapsing(module, max_steps=max_steps, deadline=deadline)
     pts: Dict[_Node, Set[object]] = {}
     succs: Dict[_Node, Set[_Node]] = {}  # copy edges: pts(src) ⊆ pts(dst)
     load_uses: Dict[_Node, List[_Node]] = {}  # p = *q: q -> p
@@ -133,9 +122,7 @@ def andersen(
 
     steps = 0
     while worklist:
-        if max_steps is not None and steps >= max_steps:
-            break
-        if deadline is not None and steps % 4096 == 0 and _time.perf_counter() > deadline:
+        if deadline is not None and steps % 4096 == 0 and time.perf_counter() > deadline:
             break
         steps += 1
         node = worklist.popleft()
@@ -196,7 +183,7 @@ def _bind_call(
 
 
 def _address_taken_functions(module: IRModule) -> List[str]:
-    """The module's functions used as values, sorted by name.  Each solver
+    """The module's functions used as values, sorted by name.  The solver
     computes it once per call rather than caching it per module: a cache
     keyed by ``id(module)`` outlives the module and answers for the next
     module allocated at the same address."""

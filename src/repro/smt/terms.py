@@ -19,7 +19,6 @@ complements by the lightweight simplifier.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional, Tuple
 
 __all__ = [
@@ -316,14 +315,6 @@ def false() -> BoolConst:
 
 def bool_var(name: str) -> BoolVar:
     return _intern(BoolVar, name)
-
-
-_fresh_counter = itertools.count()
-
-
-def fresh_bool(prefix: str = "b") -> BoolVar:
-    """A boolean variable guaranteed not to collide with named ones."""
-    return bool_var(f"{prefix}!{next(_fresh_counter)}")
 
 
 def int_var(name: str) -> IntVar:

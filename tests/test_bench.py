@@ -14,6 +14,7 @@ from repro.bench import (
     project_spec,
     run_subject,
 )
+from repro.bench.__main__ import main as bench_main
 from repro.bench.tables import render_fig7_time, render_fig8, render_table1
 from repro.frontend import parse_program
 from repro.lowering import lower_program
@@ -168,3 +169,20 @@ class TestRunnerAndTables:
         for renderer in (render_fig7_time, render_table1, render_fig8):
             text = renderer([run])
             assert "lrzip" in text
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--subjects", "nope"], "unknown subject(s): nope"),
+            (["--subjects", "lrzip,nope"], "unknown subject(s): nope"),
+            (["--tools", "canary,sabre"], "unknown tool(s): sabre"),
+            (["--tools", ","], "--tools names no tool"),
+        ],
+    )
+    def test_bad_names_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
