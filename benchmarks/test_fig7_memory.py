@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import AnalysisConfig, Canary
 from repro.baselines import FsamBaseline, SaberBaseline
 from repro.bench import measure, render_fig7_memory
-from repro.vfg import build_vfg
 
 SUBJECT_NAMES = ["coturn", "transmission", "redis"]
+
+#: the pipeline up to the VFG (Alg. 1 + Alg. 2): no checker runs
+VFG_ONLY = Canary(AnalysisConfig(checkers=()))
 
 
 @pytest.mark.parametrize("name", SUBJECT_NAMES)
@@ -23,7 +26,7 @@ def test_memory_per_tool(benchmark, prepared, name):
     module, _truth, lines = prepared(name)
 
     def run_all_three():
-        canary = measure(lambda: build_vfg(module))
+        canary = measure(lambda: VFG_ONLY.analyze_module(module, keep_bundle=True))
         saber = measure(lambda: SaberBaseline().build_vfg(module))
         fsam = measure(lambda: FsamBaseline().build_vfg(module))
         return canary.peak_mb, saber.peak_mb, fsam.peak_mb

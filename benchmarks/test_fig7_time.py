@@ -9,19 +9,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro import AnalysisConfig, Canary
 from repro.baselines import FsamBaseline, SaberBaseline
 from repro.bench import render_fig7_time
-from repro.vfg import build_vfg
 
 # Representative subjects spanning the size range that all three tools
 # complete under the quick profile.
 SUBJECT_NAMES = ["lrzip", "coturn", "transmission", "redis"]
 
+#: the pipeline up to the VFG (Alg. 1 + Alg. 2): no checker runs
+VFG_ONLY = Canary(AnalysisConfig(checkers=()))
+
 
 @pytest.mark.parametrize("name", SUBJECT_NAMES)
 def test_canary_vfg_build(benchmark, prepared, name):
     module, _truth, lines = prepared(name)
-    result = benchmark(lambda: build_vfg(module))
+    result = benchmark(lambda: VFG_ONLY.analyze_module(module, keep_bundle=True).bundle)
     assert result.vfg.num_edges > 0
     benchmark.extra_info["lines"] = lines
     benchmark.extra_info["vfg_edges"] = result.vfg.num_edges

@@ -8,7 +8,7 @@ from .config import AnalysisConfig
 # (pre-existing) import cycle.  artifacts/passes hit threads first.
 from .driver import AnalysisReport, Canary
 from .artifacts import ArtifactStore
-from .passes import AnalysisPipeline, PassManager, PassRecord
+from .passes import AnalysisPipeline, PassManager
 
 __all__ = [
     "AnalysisConfig",
@@ -18,5 +18,4 @@ __all__ = [
     "Budget",
     "Canary",
     "PassManager",
-    "PassRecord",
 ]

@@ -16,13 +16,13 @@ Every run's statistics live in one
 solver counters, per-checker phase and enumeration counters, cache
 counters, pass table and phase timings all share a single namespace the
 exporters (``--metrics-out``) and the bench runner dump uniformly.  The
-legacy accessors below (``solver_statistics``, ``checker_statistics``,
-``search_statistics``, ``pass_statistics``, ``timings``, ...) are
-*views* over that registry — they rebuild the historical dict shapes
-exactly, so ``--stats`` output and every downstream consumer see
-byte-identical data.  A driver can also carry a
-:class:`~repro.obs.tracer.Tracer` (``--trace-out``/``--trace-chrome``)
-for a per-span timeline of the same run.
+pipeline writes them there as it runs; the report's accessors
+(``solver_statistics``, ``checker_statistics``, ``search_statistics``,
+``pass_statistics``, ``timings``, ...) are read-only *views* that shape
+them as plain dicts for ``--stats`` and other consumers.  A driver can
+also carry a :class:`~repro.obs.tracer.Tracer`
+(``--trace-out``/``--trace-chrome``) for a per-span timeline of the
+same run.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..checkers import BugReport
-from ..frontend.ast_nodes import Program
 from ..ir.module import IRModule
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -43,7 +42,7 @@ from .config import AnalysisConfig
 
 __all__ = ["Canary", "AnalysisReport"]
 
-#: registry namespaces backing the legacy accessors
+#: registry namespaces behind the report's statistics views
 _NS_SOLVER = "solver"
 _NS_CACHE = "cache"
 _NS_TIME = "time"
@@ -91,29 +90,19 @@ def quiet_collector() -> Iterator[None]:
 
 
 class AnalysisReport:
-    """The result of one Canary run.
-
-    All numeric statistics are stored in ``self.metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`); the keyword arguments
-    and same-named accessors below exist for compatibility — they seed
-    and re-derive the historical dict shapes from the registry.
+    """The result of one Canary run: its findings and warnings, and its
+    statistics in ``self.metrics`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry` that the run filled);
+    the statistics accessors below are read-only views over it.
     """
 
     def __init__(
         self,
         bugs: Optional[List[BugReport]] = None,
         suppressed: Optional[List] = None,
-        vfg_summary: Optional[Dict[str, int]] = None,
-        timings: Optional[Dict[str, float]] = None,
-        peak_memory_bytes: int = 0,
-        solver_statistics: Optional[Dict[str, int]] = None,
-        checker_statistics: Optional[Dict[str, Dict[str, int]]] = None,
-        search_statistics: Optional[Dict[str, Dict[str, int]]] = None,
         truncation_warnings: Optional[List[str]] = None,
         degradation_warnings: Optional[List[str]] = None,
         timed_out: bool = False,
-        pass_statistics: Optional[List[Dict[str, Any]]] = None,
-        cache_statistics: Optional[Dict[str, int]] = None,
         bundle: Optional[VFGBundle] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -138,33 +127,8 @@ class AnalysisReport:
         #: the run's analysis (module, VFG, thread structure, points-to),
         #: only when the run was asked for it with ``keep_bundle=True``
         self.bundle = bundle
-        # Seed the registry from any legacy-shaped inputs (cache replay,
-        # portable rehydration, tests).  The live pipeline passes the
-        # already-populated run registry and no legacy dicts instead.
-        if vfg_summary:
-            for key, value in vfg_summary.items():
-                self.metrics.set(f"{_NS_VFG}.{key}", value)
-        if timings:
-            self.timings = timings
-        if peak_memory_bytes:
-            self.peak_memory_bytes = peak_memory_bytes
-        if solver_statistics:
-            for key, value in solver_statistics.items():
-                self.metrics.counter(f"{_NS_SOLVER}.{key}").add(value)
-        if checker_statistics:
-            for name, stats in checker_statistics.items():
-                for key, value in stats.items():
-                    self.metrics.counter(f"{_NS_CHECKER}.{key}", checker=name).add(value)
-        if search_statistics:
-            for name, stats in search_statistics.items():
-                for key, value in stats.items():
-                    self.metrics.counter(f"{_NS_SEARCH}.{key}", checker=name).add(value)
-        if pass_statistics:
-            self.pass_statistics = pass_statistics
-        if cache_statistics:
-            self.cache_statistics = cache_statistics
 
-    # ----- registry-backed views (legacy accessors) -------------------------
+    # ----- registry-backed views ---------------------------------------------
 
     @property
     def vfg_summary(self) -> Dict[str, int]:
@@ -173,23 +137,6 @@ class AnalysisReport:
     @property
     def timings(self) -> Dict[str, float]:
         return self.metrics.namespace(_NS_TIME)
-
-    @timings.setter
-    def timings(self, value: Dict[str, float]) -> None:
-        self.metrics.clear_namespace(_NS_TIME)
-        for key, seconds in value.items():
-            self.metrics.set(f"{_NS_TIME}.{key}", seconds)
-
-    def set_timing(self, phase: str, seconds: float) -> None:
-        self.metrics.set(f"{_NS_TIME}.{phase}", seconds)
-
-    @property
-    def peak_memory_bytes(self) -> int:
-        return self.metrics.value("process.peak_memory_bytes", default=0)
-
-    @peak_memory_bytes.setter
-    def peak_memory_bytes(self, value: int) -> None:
-        self.metrics.set("process.peak_memory_bytes", value)
 
     @property
     def solver_statistics(self) -> Dict[str, int]:
@@ -213,23 +160,14 @@ class AnalysisReport:
 
     @property
     def pass_statistics(self) -> List[Dict[str, Any]]:
-        """Uniform per-pass rows: {name, status ('run'|'cached'), seconds, detail}."""
+        """Uniform per-pass rows: {name, status ('run'|'cached'|'failed'),
+        seconds, detail}."""
         return [dict(row) for row in self.metrics.series(_SERIES_PASSES)]
-
-    @pass_statistics.setter
-    def pass_statistics(self, rows: List[Dict[str, Any]]) -> None:
-        self.metrics.replace_series(_SERIES_PASSES, rows)
 
     @property
     def cache_statistics(self) -> Dict[str, int]:
         """Artifact-store hit/miss counters plus run/cached pass counts."""
         return self.metrics.namespace(_NS_CACHE)
-
-    @cache_statistics.setter
-    def cache_statistics(self, value: Dict[str, int]) -> None:
-        self.metrics.clear_namespace(_NS_CACHE)
-        for key, count in value.items():
-            self.metrics.counter(f"{_NS_CACHE}.{key}").add(count)
 
     # ----- derived ----------------------------------------------------------
 
@@ -358,29 +296,15 @@ class Canary:
     # and bypasses the run cache, whose hits carry no bundle.
 
     def analyze_source(
-        self,
-        source: str,
-        filename: str = "<input>",
-        track_memory: bool = False,
-        keep_bundle: bool = False,
+        self, source: str, filename: str = "<input>", keep_bundle: bool = False
     ) -> AnalysisReport:
         with quiet_collector():
             return self._pipeline().analyze_source(
-                source, filename, track_memory=track_memory, keep_bundle=keep_bundle
-            )
-
-    def analyze_ast(
-        self, ast: Program, track_memory: bool = False, keep_bundle: bool = False
-    ) -> AnalysisReport:
-        with quiet_collector():
-            return self._pipeline().analyze_ast(
-                ast, track_memory=track_memory, keep_bundle=keep_bundle
+                source, filename, keep_bundle=keep_bundle
             )
 
     def analyze_module(
-        self, module: IRModule, track_memory: bool = False, keep_bundle: bool = False
+        self, module: IRModule, keep_bundle: bool = False
     ) -> AnalysisReport:
         with quiet_collector():
-            return self._pipeline().analyze_module(
-                module, track_memory=track_memory, keep_bundle=keep_bundle
-            )
+            return self._pipeline().analyze_module(module, keep_bundle=keep_bundle)

@@ -110,9 +110,11 @@ def report_from_portable(
 ) -> "AnalysisReport":
     """Rehydrate a portable report from ``instructions``, a label ->
     instruction map covering every label the record names (see
-    :func:`named_instructions`).  Every container of the result is
+    :func:`named_instructions`), writing its statistics into ``metrics``
+    (a fresh registry by default).  Every container of the result is
     fresh, so the record can be rehydrated again."""
     from ..checkers.base import BugReport, SuppressedCandidate
+    from ..obs.metrics import MetricsRegistry
     from .driver import AnalysisReport
 
     bugs: List[BugReport] = [
@@ -137,13 +139,19 @@ def report_from_portable(
         )
         for s in data["suppressed"]
     ]
+    if metrics is None:
+        metrics = MetricsRegistry()
+    for key, value in data["vfg_summary"].items():
+        metrics.set(f"vfg.{key}", value)
+    for key, value in data["solver_statistics"].items():
+        metrics.inc(f"solver.{key}", value)
+    for prefix in ("checker", "search"):
+        for name, stats in data[f"{prefix}_statistics"].items():
+            for key, value in stats.items():
+                metrics.inc(f"{prefix}.{key}", value, checker=name)
     return AnalysisReport(
         bugs=bugs,
         suppressed=suppressed,
-        vfg_summary=dict(data["vfg_summary"]),
-        solver_statistics=dict(data["solver_statistics"]),
-        checker_statistics={k: dict(v) for k, v in data["checker_statistics"].items()},
-        search_statistics={k: dict(v) for k, v in data["search_statistics"].items()},
         truncation_warnings=list(data["truncation_warnings"]),
         degradation_warnings=list(data["degradation_warnings"]),
         timed_out=data["timed_out"],

@@ -3,8 +3,13 @@
 Each phase of the paper's Fig. 1 — parse, bound/lower, IR verification,
 pointer analysis, thread call graph, MHP, Alg. 1 data dependence,
 Alg. 2 interference, per-checker detection — is a named *pass* run by a
-:class:`PassManager` that records a uniform (status, seconds, detail)
-row per pass.
+:class:`PassManager` that records a uniform (name, status, seconds,
+detail) row per pass in the run's ``passes`` metrics series.
+
+The pipeline writes every statistic of the run into its
+:class:`~repro.obs.metrics.MetricsRegistry` as it goes and hands that
+registry to the :class:`~repro.analysis.driver.AnalysisReport` it
+returns; the report's statistics accessors are views over it.
 
 One request is one whole analysis: every pass runs, and nothing a run
 computes is reused by a later run except through the whole-run cache of
@@ -25,8 +30,6 @@ no bundle.
 from __future__ import annotations
 
 import time
-import tracemalloc
-from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..checkers import ALL_CHECKERS, BugReport
@@ -34,7 +37,6 @@ from ..detection.reachability import SinkReachabilityIndex
 from ..detection.realizability import RealizabilityChecker
 from ..detection.search import SearchLimits
 from ..frontend import parse_program
-from ..frontend.ast_nodes import Program
 from ..ir.instructions import Instruction
 from ..ir.module import IRModule
 from ..ir.verifier import verify_module
@@ -62,29 +64,13 @@ from .fingerprint import (
     run_digest,
 )
 
-__all__ = ["AnalysisPipeline", "PassManager", "PassRecord"]
-
-
-@dataclass
-class PassRecord:
-    """One row of the pipeline's uniform pass accounting."""
-
-    name: str
-    status: str  # 'run' | 'cached' | 'failed'
-    seconds: float = 0.0
-    detail: str = ""
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "seconds": self.seconds,
-            "detail": self.detail,
-        }
+__all__ = ["AnalysisPipeline", "PassManager"]
 
 
 class PassManager:
-    """Runs named passes, timing each and recording a uniform row.
+    """Runs named passes, timing each and recording a uniform row
+    ``{name, status ('run'|'cached'|'failed'), seconds, detail}`` in the
+    ``passes`` series of ``registry``.
 
     Every pass is a fault-injection site (``pass:<name>``, see
     :mod:`repro.testing.faults`).  With a :class:`Budget` attached, a
@@ -96,9 +82,13 @@ class PassManager:
     """
 
     def __init__(
-        self, budget: Optional[Budget] = None, tracer: Optional[Tracer] = None
+        self,
+        registry: MetricsRegistry,
+        budget: Optional[Budget] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
-        self.records: List[PassRecord] = []
+        #: the live pass table (the report's ``pass_statistics`` view)
+        self.rows: List[Dict[str, Any]] = registry.series("passes")
         self.budget = budget
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: graceful-degradation notes, surfaced on the final report
@@ -136,15 +126,13 @@ class PassManager:
             raise
         except Exception as exc:
             seconds = time.perf_counter() - t0
-            self.records.append(
-                PassRecord(name, "failed", seconds, f"{type(exc).__name__}: {exc}")
-            )
+            self._row(name, "failed", seconds, f"{type(exc).__name__}: {exc}")
             if not _isolate:
                 raise
             self.warn(f"pass {name} failed ({type(exc).__name__}: {exc})")
             return None, False
         seconds = time.perf_counter() - t0
-        self.records.append(PassRecord(name, "run", seconds, detail))
+        self._row(name, "run", seconds, detail)
         if self.budget is not None and self.budget.over_pass_budget(seconds):
             self.warn(
                 f"pass {name}: {seconds:.3f}s exceeded the soft per-pass"
@@ -153,7 +141,12 @@ class PassManager:
         return result, True
 
     def cached(self, name: str, detail: str = "") -> None:
-        self.records.append(PassRecord(name, "cached", 0.0, detail))
+        self._row(name, "cached", 0.0, detail)
+
+    def _row(self, name: str, status: str, seconds: float, detail: str) -> None:
+        self.rows.append(
+            {"name": name, "status": status, "seconds": seconds, "detail": detail}
+        )
 
     # ----- reporting --------------------------------------------------------
 
@@ -161,23 +154,20 @@ class PassManager:
         """Total wall time of passes whose name matches or is a
         ``name:`` prefix (e.g. ``detect`` sums every ``detect:<checker>``)."""
         total = 0.0
-        for rec in self.records:
-            if rec.name in names or any(
-                rec.name.startswith(n + ":") for n in names
+        for row in self.rows:
+            if row["name"] in names or any(
+                row["name"].startswith(n + ":") for n in names
             ):
-                total += rec.seconds
+                total += row["seconds"]
         return total
 
     def counts(self) -> Dict[str, int]:
-        run = sum(1 for r in self.records if r.status == "run")
-        failed = sum(1 for r in self.records if r.status == "failed")
-        counts = {"run": run, "cached": len(self.records) - run - failed}
+        run = sum(1 for r in self.rows if r["status"] == "run")
+        failed = sum(1 for r in self.rows if r["status"] == "failed")
+        counts = {"run": run, "cached": len(self.rows) - run - failed}
         if failed:
             counts["failed"] = failed
         return counts
-
-    def statistics(self) -> List[Dict[str, Any]]:
-        return [r.as_dict() for r in self.records]
 
 
 class AnalysisPipeline:
@@ -198,27 +188,23 @@ class AnalysisPipeline:
         #: the run's metrics registry — every statistic of this analysis
         #: (pass rows, solver/checker/search counters, cache counters,
         #: timings) lands here; the final report exposes it as
-        #: ``report.metrics`` with the legacy accessors as views.
+        #: ``report.metrics`` with the statistics accessors as views.
         self.registry = MetricsRegistry()
-        self.pm = PassManager(budget=self.budget, tracer=self.tracer)
+        self.pm = PassManager(self.registry, budget=self.budget, tracer=self.tracer)
 
     # ----- entry points -----------------------------------------------------
 
     def analyze_source(
-        self,
-        source: str,
-        filename: str = "<input>",
-        track_memory: bool = False,
-        keep_bundle: bool = False,
+        self, source: str, filename: str = "<input>", keep_bundle: bool = False
     ) -> AnalysisReport:
         with self.tracer.span("analyze", file=filename, entry="source"):
-            return self._analyze_source(source, filename, track_memory, keep_bundle)
+            return self._analyze_source(source, filename, keep_bundle)
 
     def _analyze_source(
-        self, source: str, filename: str, track_memory: bool, keep_bundle: bool
+        self, source: str, filename: str, keep_bundle: bool
     ) -> AnalysisReport:
         cfg = self.config
-        caching = cfg.use_cache and not track_memory and not keep_bundle
+        caching = cfg.use_cache and not keep_bundle
         if caching:
             digest = run_digest(source, filename, cfg.cache_key())
             hit = self.store.get(digest)
@@ -226,7 +212,11 @@ class AnalysisPipeline:
                 return self._rehydrate(hit["record"], hit["instructions"])
         try:
             ast = self.pm.run("parse", lambda: parse_program(source, filename))
-            module = self._lower(ast)
+            module, _reused = self.pm.run(
+                "lower",
+                lambda: lower_program_incremental(ast, unroll_depth=cfg.unroll_depth),
+            )
+            self.pm.rows[-1]["detail"] = f"{len(module.functions)} function(s)"
             # The IR shares only Locations with the AST: dropping it here
             # frees the tree before the passes that never read it.
             del ast
@@ -244,9 +234,9 @@ class AnalysisPipeline:
             return self._degraded_empty_report()
         if self._out_of_time("frontend"):
             return self._degraded_empty_report()
-        report = self._analyze_module(module, track_memory, keep_bundle)
-        report.set_timing("parse", self.pm.seconds_of("parse"))
-        report.set_timing("lowering", self.pm.seconds_of("lower"))
+        report = self._analyze_module(module, keep_bundle)
+        self.registry.set("time.parse", self.pm.seconds_of("parse"))
+        self.registry.set("time.lowering", self.pm.seconds_of("lower"))
         # Degraded runs (budget expiry, isolated failures) are partial by
         # definition: caching them would pin the degradation.
         if caching and not report.timed_out and not report.degradation_warnings:
@@ -257,20 +247,11 @@ class AnalysisPipeline:
             )
         return report
 
-    def analyze_ast(
-        self, ast: Program, track_memory: bool = False, keep_bundle: bool = False
-    ) -> AnalysisReport:
-        with self.tracer.span("analyze", entry="ast"):
-            module = self._lower(ast)
-            report = self._analyze_module(module, track_memory, keep_bundle)
-            report.set_timing("lowering", self.pm.seconds_of("lower"))
-            return report
-
     def analyze_module(
-        self, module: IRModule, track_memory: bool = False, keep_bundle: bool = False
+        self, module: IRModule, keep_bundle: bool = False
     ) -> AnalysisReport:
         with self.tracer.span("analyze", entry="module"):
-            return self._analyze_module(module, track_memory, keep_bundle)
+            return self._analyze_module(module, keep_bundle)
 
     # ----- run-cache hits ---------------------------------------------------
 
@@ -282,34 +263,18 @@ class AnalysisPipeline:
         report = report_from_portable(record, instructions, metrics=self.registry)
         for row in record["pass_statistics"]:
             self.pm.cached(row["name"], detail="run cache")
-        report.timings = {
-            "parse": 0.0,
-            "lowering": 0.0,
-            "vfg": 0.0,
-            "checking": 0.0,
-            "solving": 0.0,
-        }
-        self._finish_report(report)
+        for phase in ("parse", "lowering", "vfg", "checking", "solving"):
+            self.registry.set(f"time.{phase}", 0.0)
+        self._count_cache_use()
         return report
 
     # ----- phases -----------------------------------------------------------
 
-    def _lower(self, ast: Program) -> IRModule:
-        module, _reused = self.pm.run(
-            "lower",
-            lambda: lower_program_incremental(ast, unroll_depth=self.config.unroll_depth),
-        )
-        self.pm.records[-1].detail = f"{len(module.functions)} function(s)"
-        return module
-
-    def _analyze_module(
-        self, module: IRModule, track_memory: bool, keep_bundle: bool
-    ) -> AnalysisReport:
+    def _analyze_module(self, module: IRModule, keep_bundle: bool) -> AnalysisReport:
         cfg = self.config
         pm = self.pm
         budget = self.budget
-        if track_memory:
-            tracemalloc.start()
+        registry = self.registry
 
         # Result accumulators: every early return below (budget expiry,
         # unsurvivable pass failure) still produces a complete report
@@ -323,45 +288,44 @@ class AnalysisPipeline:
         realizability: Optional[RealizabilityChecker] = None
 
         def finish() -> AnalysisReport:
-            peak = 0
-            if track_memory:
-                _current, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
-            solver_stats = (
-                dict(realizability.statistics) if realizability is not None else {}
-            )
+            # solver.* counters are not written here: the realizability
+            # checker shares this run's registry and wrote them live.
             degradation = list(pm.warnings)
             if realizability is not None:
                 degradation.extend(realizability.degradation_summary())
-            report = AnalysisReport(
+            if bundle is not None:
+                for key, value in bundle.summary().items():
+                    registry.set(f"vfg.{key}", value)
+            registry.set(
+                "time.vfg",
+                (bundle.build_seconds if bundle is not None else 0.0)
+                + pm.seconds_of("verify"),
+            )
+            registry.set("time.checking", pm.seconds_of("detect"))
+            registry.set("time.solving", registry.value("solver.solve_seconds", 0.0))
+            for prefix, per_checker in (
+                ("checker", checker_statistics),
+                ("search", search_statistics),
+            ):
+                for name, stats in per_checker.items():
+                    for key, value in stats.items():
+                        registry.inc(f"{prefix}.{key}", value, checker=name)
+            self._count_cache_use()
+            return AnalysisReport(
                 bugs=bugs,
                 suppressed=suppressed,
-                vfg_summary=bundle.summary() if bundle is not None else {},
-                timings={
-                    "vfg": (bundle.build_seconds if bundle is not None else 0.0)
-                    + pm.seconds_of("verify"),
-                    "checking": pm.seconds_of("detect"),
-                    "solving": solver_stats.get("solve_seconds", 0.0),
-                },
-                peak_memory_bytes=peak,
-                # solver.* counters are NOT re-seeded: the realizability
-                # checker shares this run's registry and wrote them live.
-                checker_statistics=checker_statistics,
-                search_statistics=search_statistics,
                 truncation_warnings=truncation_warnings,
                 degradation_warnings=degradation,
                 timed_out=bool(budget.expirations),
                 bundle=bundle if keep_bundle else None,
-                metrics=self.registry,
+                metrics=registry,
             )
-            self._finish_report(report)
-            return report
 
         verification, ok = pm.attempt(
             "verify", lambda: verify_module(module, strict=False)
         )
         if ok:
-            pm.records[-1].detail = (
+            pm.rows[-1]["detail"] = (
                 f"{len(verification.errors)} error(s),"
                 f" {len(verification.warnings)} warning(s)"
             )
@@ -399,20 +363,20 @@ class AnalysisPipeline:
         if not ok:
             pm.warn("data-dependence analysis unavailable; no findings produced")
             return finish()
-        pm.records[-1].detail = f"{len(dataflow.summaries)} function(s)"
+        pm.rows[-1]["detail"] = f"{len(dataflow.summaries)} function(s)"
         if self._out_of_time("dataflow"):
             return finish()
 
         # -- per-function value-flow summaries -----------------------------
         summary_index, ok = pm.attempt(
-            "summaries", lambda: compute_summaries(dataflow, metrics=self.registry)
+            "summaries", lambda: compute_summaries(dataflow, metrics=registry)
         )
         if not ok:
             # Interference builds the site indexes itself: losing the
             # layer costs the per-function extents, never the findings.
             pm.warn("summary layer unavailable; interference indexes its own sites")
         else:
-            pm.records[-1].detail = f"{len(summary_index.summaries)} summaries"
+            pm.rows[-1]["detail"] = f"{len(summary_index.summaries)} summaries"
         if self._out_of_time("summaries"):
             return finish()
 
@@ -425,7 +389,7 @@ class AnalysisPipeline:
                 use_mhp=cfg.use_mhp,
                 prune_guards=cfg.prune_guards,
                 summary_index=summary_index,
-                metrics=self.registry,
+                metrics=registry,
             )
             analysis.run()
             return analysis
@@ -434,7 +398,7 @@ class AnalysisPipeline:
         if not ok:
             pm.warn("interference analysis unavailable; no findings produced")
             return finish()
-        pm.records[-1].detail = (
+        pm.rows[-1]["detail"] = (
             f"{interference.interference_edge_count} interference edge(s)"
         )
         if interference.truncated:
@@ -474,7 +438,7 @@ class AnalysisPipeline:
             memory_model=cfg.memory_model,
             solver_timeout=cfg.solver_timeout_seconds,
             budget=budget,
-            metrics=self.registry,
+            metrics=registry,
             tracer=self.tracer,
         )
         limits = SearchLimits(
@@ -506,7 +470,7 @@ class AnalysisPipeline:
                 # One crashing checker never takes down the others.
                 pm.warn(f"checker {name}: its findings are omitted")
                 continue
-            pm.records[-1].detail = f"{len(found)} report(s)"
+            pm.rows[-1]["detail"] = f"{len(found)} report(s)"
             bugs.extend(found)
             suppressed.extend(checker.suppressed)
             checker_statistics[name] = dict(checker.statistics)
@@ -533,21 +497,17 @@ class AnalysisPipeline:
     def _degraded_empty_report(self) -> AnalysisReport:
         """A well-formed empty report for runs that could not get past
         the frontend (crash or budget expiry before lowering finished)."""
-        report = AnalysisReport(
-            timings={
-                "parse": self.pm.seconds_of("parse"),
-                "lowering": self.pm.seconds_of("lower"),
-            },
+        self.registry.set("time.parse", self.pm.seconds_of("parse"))
+        self.registry.set("time.lowering", self.pm.seconds_of("lower"))
+        self._count_cache_use()
+        return AnalysisReport(
             degradation_warnings=list(self.pm.warnings),
             timed_out=bool(self.budget.expirations),
             metrics=self.registry,
         )
-        self._finish_report(report)
-        return report
 
-    def _finish_report(self, report: AnalysisReport) -> None:
-        report.pass_statistics = self.pm.statistics()
-        report.cache_statistics = {
-            **self.store.statistics(),
-            **self.pm.counts(),
-        }
+    def _count_cache_use(self) -> None:
+        """The run's last statistics: the artifact store's hit/miss
+        counters and how many passes ran or were answered from cache."""
+        for key, count in {**self.store.statistics(), **self.pm.counts()}.items():
+            self.registry.inc(f"cache.{key}", count)

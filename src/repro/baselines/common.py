@@ -161,7 +161,8 @@ def uaf_reports(
 ) -> List[BaselineReport]:
     """Use-after-free by plain reachability: every dereference of a
     variable that ``graph`` reaches from a variable aliasing a freed
-    pointer, once per (free, use) pair."""
+    pointer, once per (free, use) pair, free sites in module order and
+    each one's uses in ascending label order."""
     uses = collect_deref_uses(module)
     frees = [
         i
@@ -180,21 +181,20 @@ def uaf_reports(
                 if isinstance(obj, MemObject):
                     alias_roots.setdefault(obj, set()).add(var)
     reports: List[BaselineReport] = []
-    seen = set()
     for free in frees:
         roots: Set[Variable] = set()
         for obj in pts.points_to(free.pointer):
             if isinstance(obj, MemObject):
                 roots |= alias_roots.get(obj, set())
+        # by label: the reachable set iterates in identity-hash order
+        hits: Dict[int, Instruction] = {}
         for var in reachable_vars(graph, roots):
             if not isinstance(var, Variable):
                 continue
             for use in uses.get(var, ()):
-                if use is free or isinstance(use, FreeInst):
-                    continue
-                key = (free.label, use.label)
-                if key in seen:
-                    continue
-                seen.add(key)
-                reports.append(BaselineReport("use-after-free", free, use))
+                if not isinstance(use, FreeInst):
+                    hits[use.label] = use
+        reports.extend(
+            BaselineReport("use-after-free", free, hits[label]) for label in sorted(hits)
+        )
     return reports

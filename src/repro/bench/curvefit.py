@@ -20,9 +20,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
     def equation(self, xname: str = "x", yname: str = "y") -> str:
         return (
             f"{yname} = {self.slope:.4g}·{xname} + {self.intercept:.4g}"

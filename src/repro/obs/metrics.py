@@ -21,7 +21,7 @@ registry into the JSON schema the exporters and the bench runner share.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -97,10 +97,10 @@ class MetricsRegistry:
     """Counters, gauges, histograms and row-series under one namespace.
 
     Instruments are created on first touch and keep insertion order, so
-    views that rebuild legacy dicts reproduce their historical key
-    order.  One registry spans one analysis run (the pipeline creates
-    it, the :class:`~repro.analysis.driver.AnalysisReport` exposes it as
-    ``report.metrics``, and the legacy ``*_statistics`` accessors are
+    a view lists its keys in the order the run wrote them.  One registry
+    spans one analysis run (the pipeline creates and fills it, the
+    :class:`~repro.analysis.driver.AnalysisReport` exposes it as
+    ``report.metrics``, and the report's ``*_statistics`` accessors are
     views over it).
     """
 
@@ -170,10 +170,6 @@ class MetricsRegistry:
                 rows = self._series[name] = []
             return rows
 
-    def replace_series(self, name: str, rows: Iterable[Dict[str, Any]]) -> None:
-        with self._lock:
-            self._series[name] = [dict(r) for r in rows]
-
     def append(self, series_name: str, **row) -> None:
         # first parameter deliberately not called ``name``: rows of the
         # pass table carry a ``name`` column of their own
@@ -185,8 +181,8 @@ class MetricsRegistry:
     def namespace(self, prefix: str, label: Optional[Tuple[str, str]] = None) -> Dict[str, Any]:
         """Plain ``{suffix: value}`` dict of every counter/gauge under
         ``prefix.``, optionally filtered to one ``(label, value)`` pair.
-        Insertion order is preserved — views rebuilt from a seeded
-        registry keep the seeding dict's key order."""
+        Insertion order is preserved: keys come in the order they were
+        first written."""
         dot = prefix + "."
         want = (label[0], str(label[1])) if label is not None else None
         out: Dict[str, Any] = {}
@@ -257,13 +253,6 @@ class MetricsRegistry:
                     hist.min = mn if hist.min is None else min(hist.min, mn)
                 if mx is not None:
                     hist.max = mx if hist.max is None else max(hist.max, mx)
-
-    def clear_namespace(self, prefix: str) -> None:
-        dot = prefix + "."
-        with self._lock:
-            for table in (self._counters, self._gauges, self._histograms):
-                for key in [k for k in table if k[0].startswith(dot)]:
-                    del table[key]
 
     def snapshot(self) -> Dict[str, Any]:
         """The flat ``{rendered-name: value}`` dict of the whole

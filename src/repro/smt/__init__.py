@@ -26,7 +26,6 @@ from .terms import (
     implies,
     int_const,
     int_var,
-    ite,
     le,
     lt,
     ne,
@@ -53,7 +52,6 @@ __all__ = [
     "implies",
     "int_const",
     "int_var",
-    "ite",
     "le",
     "lt",
     "ne",

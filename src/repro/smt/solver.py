@@ -204,21 +204,6 @@ class Solver:
         for t in terms:
             self._assertions.append(t)
 
-    # Assertion-stack interface (check() is stateless over the assertion
-    # list, so push/pop are exact).
-    def push(self) -> None:
-        self._scopes = getattr(self, "_scopes", [])
-        self._scopes.append(len(self._assertions))
-
-    def pop(self) -> None:
-        scopes = getattr(self, "_scopes", [])
-        if not scopes:
-            raise IndexError("pop without matching push")
-        del self._assertions[scopes.pop() :]
-
-    def assertions(self) -> List[BoolTerm]:
-        return list(self._assertions)
-
     def check(self) -> Result:
         self._model = None
         self.unknown_reason = None

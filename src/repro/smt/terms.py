@@ -49,7 +49,6 @@ __all__ = [
     "or_",
     "implies",
     "iff",
-    "ite",
     "lt",
     "le",
     "gt",
@@ -426,16 +425,6 @@ def iff(a, b) -> BoolTerm:
     if a is b:
         return TRUE
     return and_(implies(a, b), implies(b, a))
-
-
-def ite(c, t, e) -> BoolTerm:
-    """Boolean if-then-else."""
-    c = _coerce_bool(c)
-    if c is TRUE:
-        return _coerce_bool(t)
-    if c is FALSE:
-        return _coerce_bool(e)
-    return and_(implies(c, t), implies(not_(c), e))
 
 
 def _mk_add(a: IntTerm, b: IntTerm) -> IntTerm:

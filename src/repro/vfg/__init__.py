@@ -1,6 +1,6 @@
 """Guarded value-flow graph construction (paper §4, Fig. 1 left half)."""
 
-from .builder import VFGBundle, build_vfg
+from .builder import VFGBundle
 from .dataflow import ContentEntry, DataDependenceAnalysis, FunctionSummary
 from .export import to_dot, to_json
 from .graph import DefNode, NullNode, ObjNode, StoreNode, ValueFlowGraph, VFGEdge
@@ -8,7 +8,6 @@ from .interference import InterferenceAnalysis
 
 __all__ = [
     "VFGBundle",
-    "build_vfg",
     "ContentEntry",
     "DataDependenceAnalysis",
     "FunctionSummary",

@@ -1,29 +1,29 @@
-"""End-to-end VFG construction: the first two phases of Fig. 1.
+"""The product of the first two phases of Fig. 1.
 
-``build_vfg`` wires together Steensgaard's analysis, the thread call
-graph, MHP, Alg. 1 (data dependence) and Alg. 2 (interference
-dependence) and returns a :class:`VFGBundle` with everything the
-bug-checking stage needs.
+The pipeline (:mod:`repro.analysis.passes`) runs Steensgaard's
+analysis, the thread call graph, MHP, Alg. 1 (data dependence) and
+Alg. 2 (interference dependence) and collects their results in a
+:class:`VFGBundle`: everything the bug-checking stage needs.  A caller
+gets it as ``Canary.analyze_module(module, keep_bundle=True).bundle``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.instructions import StoreInst
 from ..ir.module import IRModule
 from ..ir.values import MemObject
-from ..pointer.steensgaard import SteensgaardResult, steensgaard
+from ..pointer.steensgaard import SteensgaardResult
 from ..smt.terms import BoolTerm
-from ..threads.callgraph import ThreadCallGraph, build_thread_call_graph
+from ..threads.callgraph import ThreadCallGraph
 from ..threads.mhp import MhpAnalysis
 from .dataflow import DataDependenceAnalysis
 from .graph import ValueFlowGraph
 from .interference import InterferenceAnalysis
 
-__all__ = ["VFGBundle", "build_vfg"]
+__all__ = ["VFGBundle"]
 
 
 @dataclass
@@ -71,38 +71,3 @@ class VFGBundle:
             "fixpoint_rounds": self.interference.rounds,
         }
 
-
-def build_vfg(
-    module: IRModule,
-    max_content_entries: int = 16,
-    max_interference_rounds: int = 20,
-    prune_guards: bool = True,
-    use_mhp: bool = True,
-) -> VFGBundle:
-    """Build the interference-aware VFG for a lowered module."""
-    start = time.perf_counter()
-    pointsto = steensgaard(module)
-    tcg = build_thread_call_graph(module, pointsto)
-    mhp = MhpAnalysis(tcg)
-    dataflow = DataDependenceAnalysis(
-        module, tcg, max_content_entries=max_content_entries, prune_guards=prune_guards
-    )
-    dataflow.run()
-    interference = InterferenceAnalysis(
-        dataflow,
-        mhp,
-        max_rounds=max_interference_rounds,
-        use_mhp=use_mhp,
-        prune_guards=prune_guards,
-    )
-    interference.run()
-    return VFGBundle(
-        module=module,
-        vfg=dataflow.vfg,
-        tcg=tcg,
-        mhp=mhp,
-        dataflow=dataflow,
-        interference=interference,
-        pointsto=pointsto,
-        build_seconds=time.perf_counter() - start,
-    )

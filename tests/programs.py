@@ -1,4 +1,17 @@
-"""Shared MiniCC test programs."""
+"""Shared MiniCC test programs, and the analysis bundle of one."""
+
+from repro import AnalysisConfig, Canary
+
+
+def bundle_for(src, **config):
+    """The VFG bundle (module, VFG, thread structure, points-to) the
+    analysis pipeline builds for the MiniCC text ``src``, with no
+    checkers run; ``config`` sets other :class:`AnalysisConfig` fields."""
+    report = Canary(AnalysisConfig(checkers=(), **config)).analyze_source(
+        src, keep_bundle=True
+    )
+    return report.bundle
+
 
 # The paper's Fig. 2: bug-free because the two branch conditions
 # contradict each other (theta1 vs !theta1).

@@ -1,5 +1,10 @@
 """Tests for the Andersen/flow-sensitive analyses and the baselines."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -234,3 +239,58 @@ class TestFsamBaseline:
         result = FsamBaseline().detect_uaf(lower(SIMPLE_UAF))
         assert result.iterations >= 1
         assert result.vfg_edges > 0
+
+
+# Saber and FSAM over every corpus file and two quick-profile subjects,
+# printed as one JSON list of report keys per (input, tool), in order.
+_KEY_DUMP = """
+import json, sys
+from repro.baselines import FsamBaseline, SaberBaseline
+from repro.bench import PROFILES, SUBJECTS, prepare_subject
+from repro.frontend import parse_program
+from repro.lowering import lower_program
+
+modules = [lower_program(parse_program(open(p).read())) for p in sys.argv[1:]]
+by_name = {s.name: s for s in SUBJECTS}
+modules += [prepare_subject(by_name[n], PROFILES["quick"])[0] for n in ("lrzip", "coturn")]
+print(json.dumps([
+    [list(r.key) for r in tool().detect_uaf(module).reports]
+    for module in modules
+    for tool in (SaberBaseline, FsamBaseline)
+]))
+"""
+
+
+def test_report_order_is_the_same_in_every_process():
+    # Baseline reports list each free site's uses in ascending label
+    # order, not in the order a set of identity-hashed variables yields.
+    files = [str(p) for p in CORPUS_FILES]
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    dumps = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _KEY_DUMP, *files],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        dumps.append(proc.stdout)
+    assert dumps[0] == dumps[1]
+    assert any(json.loads(dumps[0]))
+
+
+@pytest.mark.parametrize("tool", [SaberBaseline, FsamBaseline])
+def test_reports_follow_free_sites_then_use_labels(tool):
+    # free sites in module order; each one's uses in ascending label
+    checked = 0
+    for path in CORPUS_FILES:
+        module = lower(path.read_text())
+        body = [i for f in module.functions.values() for i in f.body]
+        free_order = {i.label: n for n, i in enumerate(body)}
+        keys = [r.key for r in tool().detect_uaf(module).reports]
+        assert keys == sorted(keys, key=lambda k: (free_order[k[0]], k[1]))
+        assert len(set(keys)) == len(keys)
+        checked += len(keys)
+    assert checked

@@ -11,20 +11,14 @@ from repro.detection import (
     ValueFlowPath,
     order_var,
 )
-from repro.frontend import parse_program
 from repro.ir import CallInst, ForkInst, FreeInst, LoadInst, SinkInst, StoreInst
-from repro.lowering import lower_program
 from repro import AnalysisConfig, Canary
 from repro.smt import SAT, TRUE, Solver, and_, implies, is_satisfiable, lt, or_
 from repro.smt.terms import Lt, Or, conjuncts
-from repro.vfg import DefNode, ObjNode, StoreNode, build_vfg
+from repro.vfg import DefNode, ObjNode, StoreNode
 
-from programs import FIG2_BUGGY, JOIN_PROTECTED, SIMPLE_UAF, THROUGH_CALL
+from programs import FIG2_BUGGY, JOIN_PROTECTED, SIMPLE_UAF, THROUGH_CALL, bundle_for
 from test_corpus import CORPUS_FILES, _parse_directives
-
-
-def bundle_for(src):
-    return build_vfg(lower_program(parse_program(src)))
 
 
 def find(module, func, cls, nth=0):

@@ -5,19 +5,13 @@ import pathlib
 import pytest
 
 from repro import AnalysisConfig, Canary
-from repro.frontend import parse_program
 from repro.ir import AllocInst, LoadInst, StoreInst
-from repro.lowering import lower_program
 from repro.smt.terms import TRUE
-from repro.vfg import DefNode, ObjNode, build_vfg
+from repro.vfg import DefNode, ObjNode
 
-from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF
+from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF, bundle_for
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
-
-
-def bundle_for(src, **kw):
-    return build_vfg(lower_program(parse_program(src)), **kw)
 
 
 def allocs(module, func):
@@ -106,8 +100,7 @@ class TestFixpointBehavior:
 
     def test_idempotent_edges(self):
         # Running the pipeline twice over the same module adds nothing new.
-        module = lower_program(parse_program(FIG2_BUGGY))
-        a = build_vfg(module)
+        a = bundle_for(FIG2_BUGGY)
         edges_before = a.vfg.num_edges
         a.interference.run()  # second run over the same graph
         assert a.vfg.num_edges == edges_before

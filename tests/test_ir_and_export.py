@@ -11,11 +11,10 @@ from repro.ir import IRModule, verify_module
 from repro.ir.instructions import CopyInst, LoadInst
 from repro.ir.values import IntConstant, Variable, fresh_variable
 from repro.lowering import lower_program
-from repro.smt import SAT, UNSAT, Solver, bool_var, not_
 from repro.smt.terms import TRUE
-from repro.vfg import build_vfg, to_dot, to_json
+from repro.vfg import to_dot, to_json
 
-from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF, THROUGH_CALL
+from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF, THROUGH_CALL, bundle_for
 
 
 def lower(src):
@@ -106,7 +105,7 @@ class TestVerifier:
 
 class TestVfgExport:
     def test_dot_contains_nodes_and_edges(self):
-        bundle = build_vfg(lower(FIG2_BUGGY))
+        bundle = bundle_for(FIG2_BUGGY)
         dot = to_dot(bundle.vfg)
         assert dot.startswith("digraph vfg {")
         assert dot.rstrip().endswith("}")
@@ -114,12 +113,12 @@ class TestVfgExport:
         assert "store@" in dot
 
     def test_dot_guard_labels(self):
-        bundle = build_vfg(lower(FIG2_BUGGY))
+        bundle = bundle_for(FIG2_BUGGY)
         dot = to_dot(bundle.vfg)
         assert "theta1" in dot
 
     def test_json_round_trips(self):
-        bundle = build_vfg(lower(SIMPLE_UAF))
+        bundle = bundle_for(SIMPLE_UAF)
         data = json.loads(to_json(bundle.vfg))
         assert len(data["nodes"]) == bundle.vfg.num_nodes
         assert len(data["edges"]) == bundle.vfg.num_edges
@@ -127,7 +126,7 @@ class TestVfgExport:
         assert "alloc" in kinds and "load" in kinds
 
     def test_json_flags_interference(self):
-        bundle = build_vfg(lower(FIG2_BUGGY))
+        bundle = bundle_for(FIG2_BUGGY)
         data = json.loads(to_json(bundle.vfg))
         assert any(e["interthread"] for e in data["edges"])
 
@@ -217,32 +216,3 @@ class TestSuppressionExplanation:
         assert report.suppressed
         text = report.suppressed[0].describe()
         assert "suppressed" in text
-
-
-class TestSolverPushPop:
-    def test_push_pop_restores(self):
-        a = bool_var("a")
-        s = Solver()
-        s.add(a)
-        s.push()
-        s.add(not_(a))
-        assert s.check() is UNSAT
-        s.pop()
-        assert s.check() is SAT
-
-    def test_nested_scopes(self):
-        a, b = bool_var("a"), bool_var("b")
-        s = Solver()
-        s.push()
-        s.add(a)
-        s.push()
-        s.add(not_(a))
-        assert s.check() is UNSAT
-        s.pop()
-        assert s.check() is SAT
-        s.pop()
-        assert s.assertions() == []
-
-    def test_pop_without_push_raises(self):
-        with pytest.raises(IndexError):
-            Solver().pop()

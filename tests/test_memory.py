@@ -244,11 +244,8 @@ class TestCollectorPolicy:
 
     def test_every_entry_point(self):
         canary = Canary(AnalysisConfig(use_cache=False))
-        ast = passes.parse_program(SMALL)
-        module = lower_program(ast)
+        module = lower_program(passes.parse_program(SMALL))
         with custom_thresholds():
-            canary.analyze_ast(ast)
-            assert gc.get_threshold() == CUSTOM
             canary.analyze_module(module)
             assert gc.get_threshold() == CUSTOM
 

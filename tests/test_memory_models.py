@@ -4,13 +4,10 @@ import pytest
 
 from repro import AnalysisConfig, Canary
 from repro.detection import OrderConstraintBuilder
-from repro.frontend import parse_program
 from repro.ir import LoadInst, StoreInst
-from repro.lowering import lower_program
 from repro.smt import TRUE
-from repro.vfg import build_vfg
 
-from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF
+from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF, bundle_for
 from test_corpus import CORPUS_FILES, _parse_directives
 
 # Two stores through *different pointer names*; the reader thread is
@@ -36,10 +33,6 @@ void user(int** s) {
 """
 
 
-def lower(src):
-    return lower_program(parse_program(src))
-
-
 def analyze(src, model):
     return Canary(AnalysisConfig(memory_model=model)).analyze_source(src)
 
@@ -47,7 +40,7 @@ def analyze(src, model):
 class TestRelaxationClassification:
     @pytest.fixture()
     def pair(self):
-        module = lower(
+        bundle = bundle_for(
             """
             void main(int** a, int** b) {
                 int* v = *b;
@@ -57,8 +50,7 @@ class TestRelaxationClassification:
             }
             """
         )
-        bundle = build_vfg(module)
-        body = module.functions["main"].body
+        body = bundle.module.functions["main"].body
         store_a = next(i for i in body if isinstance(i, StoreInst))
         load_after = [i for i in body if isinstance(i, LoadInst)][1]
         store_b = [i for i in body if isinstance(i, StoreInst)][1]
@@ -85,17 +77,15 @@ class TestRelaxationClassification:
 
     def test_same_pointer_stays_ordered(self):
         # Coherence: accesses through the identical pointer never relax.
-        module = lower("void main(int** a) { *a = 1; int* v = *a; }")
-        bundle = build_vfg(module)
-        body = module.functions["main"].body
+        bundle = bundle_for("void main(int** a) { *a = 1; int* v = *a; }")
+        body = bundle.module.functions["main"].body
         store = next(i for i in body if isinstance(i, StoreInst))
         load = next(i for i in body if isinstance(i, LoadInst))
         builder = OrderConstraintBuilder(bundle, memory_model="pso")
         assert builder.program_order_pair(store, load) is not TRUE
 
     def test_unknown_model_rejected(self):
-        module = lower("void main() {}")
-        bundle = build_vfg(module)
+        bundle = bundle_for("void main() {}")
         with pytest.raises(ValueError):
             OrderConstraintBuilder(bundle, memory_model="arm")
 

@@ -6,10 +6,11 @@ Covers the guarantees ``docs/architecture.md`` §12 documents:
   run nesting under its ``solver.query`` span;
 * zero overhead with tracing off (the default);
 * the :class:`~repro.obs.metrics.MetricsRegistry` instruments and the
-  legacy ``AnalysisReport`` accessors being exact views over it;
+  ``AnalysisReport`` statistics accessors being views over it;
 * exporter round-trips and both directions of every schema validator.
 """
 
+import inspect
 import json
 import pathlib
 
@@ -20,6 +21,11 @@ from test_corpus import CORPUS_FILES, _parse_directives
 from repro import AnalysisConfig, Canary
 from repro.__main__ import main as repro_main
 from repro.analysis.driver import AnalysisReport
+from repro.analysis.fingerprint import (
+    named_instructions,
+    report_from_portable,
+    report_to_portable,
+)
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -225,59 +231,10 @@ class TestMetricsRegistry:
         assert list(snap) == sorted(snap)
         validate_metrics_doc({"meta": run_meta(), "metrics": snap})
 
-    def test_clear_namespace(self):
-        reg = MetricsRegistry()
-        reg.inc("solver.queries")
-        reg.set("vfg.nodes", 1)
-        reg.clear_namespace("solver")
-        assert reg.namespace("solver") == {}
-        assert reg.value("vfg.nodes") == 1
-
 
 class TestLegacyAccessorEquivalence:
-    """AnalysisReport's historical dict accessors are views over the
-    registry: seeding from legacy kwargs must reproduce the dicts
-    exactly, including key order."""
-
-    SOLVER = {"queries": 7, "sat": 3, "unsat": 4, "solve_seconds": 0.125}
-    CHECKER = {"use-after-free": {"sources": 2, "sinks": 5}}
-    SEARCH = {"use-after-free": {"visits": 40, "paths": 6}}
-    VFG = {"nodes": 11, "edges": 30}
-    TIMINGS = {"parse": 0.01, "solving": 0.2}
-    PASSES = [{"name": "parse", "status": "ran"}]
-    CACHE = {"hits": 1, "misses": 2}
-
-    def _report(self):
-        return AnalysisReport(
-            vfg_summary=dict(self.VFG),
-            timings=dict(self.TIMINGS),
-            peak_memory_bytes=4096,
-            solver_statistics=dict(self.SOLVER),
-            checker_statistics={k: dict(v) for k, v in self.CHECKER.items()},
-            search_statistics={k: dict(v) for k, v in self.SEARCH.items()},
-            pass_statistics=[dict(r) for r in self.PASSES],
-            cache_statistics=dict(self.CACHE),
-        )
-
-    def test_round_trip_shapes_and_order(self):
-        report = self._report()
-        assert report.solver_statistics == self.SOLVER
-        assert list(report.solver_statistics) == list(self.SOLVER)
-        assert report.checker_statistics == self.CHECKER
-        assert report.search_statistics == self.SEARCH
-        assert report.vfg_summary == self.VFG
-        assert report.timings == self.TIMINGS
-        assert report.pass_statistics == self.PASSES
-        assert report.cache_statistics == self.CACHE
-        assert report.peak_memory_bytes == 4096
-        # float promotion survived the seed
-        assert isinstance(report.solver_statistics["solve_seconds"], float)
-
-    def test_accessors_are_registry_views(self):
-        report = self._report()
-        report.metrics.inc("solver.queries", 3)
-        assert report.solver_statistics["queries"] == self.SOLVER["queries"] + 3
-        assert report.metrics.value("vfg.nodes") == self.VFG["nodes"]
+    """AnalysisReport's statistics accessors are views over the registry
+    the run filled."""
 
     def test_live_run_exposes_registry_and_identical_stats(self):
         config = AnalysisConfig(use_cache=False)
@@ -287,6 +244,98 @@ class TestLegacyAccessorEquivalence:
         assert "parse" in report.timings
         text = report.describe_statistics()
         assert "solver:" in text and "queries" in text
+
+    def _corpus_report(self, stem="mixed_all_checkers"):
+        text = (CORPUS / f"{stem}.mcc").read_text()
+        _expects, checkers, overrides = _parse_directives(text)
+        config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+        return Canary(config).analyze_source(text)
+
+    def test_round_trip_shapes_and_order(self):
+        # report_from_portable is the one code path that fills a registry
+        # from dicts: its views must reproduce the live run's, key order
+        # and number types included.
+        report = self._corpus_report()
+        data = report_to_portable(report)
+        back = report_from_portable(data, named_instructions(report))
+        for view in (
+            "vfg_summary",
+            "solver_statistics",
+            "checker_statistics",
+            "search_statistics",
+        ):
+            assert json.dumps(getattr(back, view)) == json.dumps(getattr(report, view))
+        assert [b.key for b in back.bugs] == [b.key for b in report.bugs]
+        assert back.truncation_warnings == report.truncation_warnings
+        assert back.degradation_warnings == report.degradation_warnings
+        assert json.dumps(report_to_portable(back)) == json.dumps(data)
+        assert isinstance(back.solver_statistics["solve_seconds"], float)
+        assert isinstance(back.solver_statistics["queries"], int)
+
+    def test_accessors_are_registry_views(self):
+        reg = MetricsRegistry()
+        reg.inc("solver.queries", 7)
+        reg.set("vfg.nodes", 11)
+        reg.inc("checker.sources", 2, checker="use-after-free")
+        reg.inc("search.visits", 40, checker="use-after-free")
+        reg.set("time.parse", 0.01)
+        reg.inc("cache.hits", 1)
+        reg.append("passes", name="parse", status="run")
+        report = AnalysisReport(metrics=reg)
+        assert report.metrics is reg
+        assert report.solver_statistics == {"queries": 7}
+        assert report.vfg_summary == {"nodes": 11}
+        assert report.checker_statistics == {"use-after-free": {"sources": 2}}
+        assert report.search_statistics == {"use-after-free": {"visits": 40}}
+        assert report.timings == {"parse": 0.01}
+        assert report.cache_statistics == {"hits": 1}
+        assert report.pass_statistics == [{"name": "parse", "status": "run"}]
+        # later writes to the registry show through every view
+        reg.inc("solver.queries", 3)
+        reg.append("passes", name="lower", status="cached")
+        assert report.solver_statistics["queries"] == 10
+        assert [row["name"] for row in report.pass_statistics] == ["parse", "lower"]
+
+    def test_constructor_takes_findings_and_one_registry(self):
+        params = list(inspect.signature(AnalysisReport.__init__).parameters)
+        assert params == [
+            "self",
+            "bugs",
+            "suppressed",
+            "truncation_warnings",
+            "degradation_warnings",
+            "timed_out",
+            "bundle",
+            "metrics",
+        ]
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            "vfg_summary",
+            "timings",
+            "solver_statistics",
+            "checker_statistics",
+            "search_statistics",
+            "pass_statistics",
+            "cache_statistics",
+        ],
+    )
+    def test_statistics_views_are_read_only(self, view):
+        report = AnalysisReport()
+        with pytest.raises(AttributeError):
+            setattr(report, view, {})
+
+    def test_pass_rows_are_the_registry_series(self):
+        # one pass table: the pass manager appends its rows to the run
+        # registry's ``passes`` series and the report reads them there
+        report = self._corpus_report()
+        rows = report.metrics.series("passes")
+        assert report.pass_statistics == rows
+        assert rows and rows[0]["name"] == "parse"
+        assert {row["status"] for row in rows} == {"run"}
+        assert report.cache_statistics["run"] == len(rows)
+        assert report.metrics.snapshot()["passes"] == rows
 
 
 # ----- exporters and schema validators ---------------------------------------

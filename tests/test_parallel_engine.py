@@ -9,8 +9,6 @@ import pytest
 
 from repro import AnalysisConfig, Canary
 from repro.detection import PathQuery, RealizabilityChecker, ValueFlowPath
-from repro.frontend import parse_program
-from repro.lowering import lower_program
 from repro.smt import (
     FALSE,
     SAT,
@@ -29,14 +27,9 @@ from repro.smt import (
     solve_formula,
 )
 from repro.smt import solver as solver_module
-from repro.vfg import build_vfg
 
-from programs import FIG2_BUGGY, SIMPLE_UAF
+from programs import FIG2_BUGGY, SIMPLE_UAF, bundle_for
 from test_corpus import CORPUS_FILES, _parse_directives
-
-
-def bundle_for(src):
-    return build_vfg(lower_program(parse_program(src)))
 
 
 def interference_query(bundle):

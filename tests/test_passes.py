@@ -22,7 +22,8 @@ from repro.analysis.fingerprint import (
     report_from_portable,
     report_to_portable,
 )
-from repro.analysis.passes import PassManager, PassRecord
+from repro.analysis.passes import PassManager
+from repro.obs.metrics import MetricsRegistry
 
 from test_corpus import CORPUS_FILES, _parse_directives
 
@@ -87,29 +88,28 @@ def _keys(report):
 
 class TestPassManager:
     def test_run_records_status_and_timing(self):
-        pm = PassManager()
+        pm = PassManager(MetricsRegistry())
         assert pm.run("work", lambda: 42) == 42
         pm.cached("skip", detail="because")
-        assert [r.status for r in pm.records] == ["run", "cached"]
-        assert pm.records[0].seconds >= 0.0
-        assert pm.records[1].seconds == 0.0
+        assert [r["status"] for r in pm.rows] == ["run", "cached"]
+        assert pm.rows[0]["seconds"] >= 0.0
+        assert pm.rows[1]["seconds"] == 0.0
         assert pm.counts() == {"run": 1, "cached": 1}
 
     def test_seconds_of_sums_prefixed_passes(self):
-        pm = PassManager()
-        pm.records += [
-            PassRecord("detect:uaf", "run", 1.0),
-            PassRecord("detect:race", "run", 2.0),
-            PassRecord("dataflow", "run", 4.0),
-        ]
+        pm = PassManager(MetricsRegistry())
+        for name, seconds in {"detect:uaf": 1.0, "detect:race": 2.0, "dataflow": 4.0}.items():
+            pm.rows.append({"name": name, "status": "run", "seconds": seconds})
         assert pm.seconds_of("detect") == pytest.approx(3.0)
         assert pm.seconds_of("dataflow", "detect") == pytest.approx(7.0)
 
     def test_statistics_rows_are_uniform(self):
-        pm = PassManager()
+        registry = MetricsRegistry()
+        pm = PassManager(registry)
         pm.run("p", lambda: None, detail="d")
-        (row,) = pm.statistics()
-        assert set(row) == {"name", "status", "seconds", "detail"}
+        (row,) = registry.series("passes")
+        assert list(row) == ["name", "status", "seconds", "detail"]
+        assert (row["name"], row["status"], row["detail"]) == ("p", "run", "d")
 
 
 # ----- config hashing --------------------------------------------------------
@@ -213,13 +213,6 @@ class TestWarmRuns:
         first = canary.analyze_source(UAF, filename="uaf.mcc")
         second = canary.analyze_source(UAF, filename="uaf.mcc")
         assert second.passes_run() == first.passes_run() != []
-
-    def test_track_memory_bypasses_the_run_cache(self):
-        canary = Canary()
-        canary.analyze_source(UAF, filename="uaf.mcc")
-        tracked = canary.analyze_source(UAF, filename="uaf.mcc", track_memory=True)
-        assert tracked.passes_run() != []
-        assert tracked.peak_memory_bytes > 0
 
     def test_warm_run_counts_the_hit_and_lists_cached_passes(self):
         canary = Canary()

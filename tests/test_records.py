@@ -15,22 +15,16 @@ import pickle
 
 import pytest
 
-from repro.frontend import parse_program
 from repro.frontend.lexer import Token, TokenKind, tokenize
 from repro.frontend.source import Location
 from repro.ir import AllocInst, LoadInst, StoreInst
 from repro.ir.values import Variable
-from repro.lowering import lower_program
 from repro.smt.terms import TRUE, bool_var
-from repro.vfg import DefNode, NullNode, ObjNode, StoreNode, ValueFlowGraph, VFGEdge, build_vfg
+from repro.vfg import DefNode, NullNode, ObjNode, StoreNode, ValueFlowGraph, VFGEdge
 
-from programs import SIMPLE_UAF
+from programs import SIMPLE_UAF, bundle_for
 
 NODE_CLASSES = (DefNode, StoreNode, ObjNode, NullNode)
-
-
-def bundle_for(src):
-    return build_vfg(lower_program(parse_program(src)))
 
 
 def first(module, func, cls):

@@ -68,12 +68,6 @@ class TestDriverBehavior:
         assert set(report.timings) >= {"lowering", "vfg", "checking"}
         assert all(v >= 0 for v in report.timings.values())
 
-    def test_memory_tracking(self):
-        report = Canary().analyze_source(SIMPLE_UAF, track_memory=True)
-        assert report.peak_memory_bytes > 0
-        untracked = Canary().analyze_source(SIMPLE_UAF)
-        assert untracked.peak_memory_bytes == 0
-
     def test_solver_statistics_propagated(self):
         report = Canary().analyze_source(FIG2_BUGGY)
         assert report.solver_statistics["queries"] >= 1

@@ -3,11 +3,9 @@
 import pytest
 
 from repro import AnalysisConfig, Canary
-from repro.frontend import parse_program
 from repro.ir import FreeInst, LoadInst, StoreInst
-from repro.lowering import lower_program
 from repro.smt.terms import TRUE
-from repro.vfg import DefNode, ObjNode, StoreNode, build_vfg
+from repro.vfg import DefNode, ObjNode, StoreNode
 
 from programs import (
     FIG2_BUGGY,
@@ -15,11 +13,8 @@ from programs import (
     JOIN_PROTECTED,
     SIMPLE_UAF,
     THROUGH_CALL,
+    bundle_for,
 )
-
-
-def bundle_for(src, **kwargs):
-    return build_vfg(lower_program(parse_program(src)), **kwargs)
 
 
 def find(module, func, cls, nth=0):
