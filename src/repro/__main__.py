@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         "--stats",
         action="store_true",
         help="print per-file timings, solver counters and the per-pass"
-        " table (name, run/cached, seconds)",
+        " table (name, run/failed, seconds)",
     )
     parser.add_argument(
         "--trace-out",

@@ -13,12 +13,12 @@ import hashlib
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-__all__ = ["AnalysisConfig", "CACHE_ONLY_FIELDS"]
+__all__ = ["AnalysisConfig", "INERT_FIELDS"]
 
-#: fields that select *whether* results are cached, not *what* is
-#: computed — they are excluded from :meth:`AnalysisConfig.cache_key` so
-#: toggling them never invalidates artifacts.
-CACHE_ONLY_FIELDS = frozenset({"use_cache"})
+#: fields that change nothing a run computes: excluded from
+#: :meth:`AnalysisConfig.cache_key`, so setting them never moves a
+#: config digest
+INERT_FIELDS = frozenset({"use_cache"})
 
 #: optional budgets that must not be negative (besides ``context_depth``
 #: and the ``max_*`` bounds); 0 is legal and means "expire immediately"
@@ -79,8 +79,9 @@ class AnalysisConfig:
     #: record solver-refuted candidates with the refutation reason
     #: (guard-contradiction vs order-violation) in the report
     collect_suppressed: bool = False
-    #: answer a byte-identical re-run of one driver (or one daemon) from
-    #: the in-memory run cache
+    #: no effect: every run analyses its input from scratch.  Kept only
+    #: because the benchmark's workload configs still pass it; it goes
+    #: with the benchmark change that drops the key (ROADMAP item 1).
     use_cache: bool = True
 
     def __post_init__(self) -> None:
@@ -109,14 +110,15 @@ class AnalysisConfig:
 
     def cache_key(self) -> str:
         """A stable content hash over every knob that can change analysis
-        results.  Two configs with equal keys are interchangeable for
-        artifact-cache purposes; any analysis-relevant difference —
-        solver, search, ablation or extension knobs alike — yields a
-        different key.  Cache-plumbing fields are excluded.
+        results (the config digest of ``--metrics-out`` and the daemon's
+        report records).  Two configs with equal keys analyse alike; any
+        analysis-relevant difference — solver, search, ablation or
+        extension knobs alike — yields a different key.  Inert fields
+        are excluded.
         """
         h = hashlib.sha256()
         for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name in CACHE_ONLY_FIELDS:
+            if f.name in INERT_FIELDS:
                 continue
             h.update(f"{f.name}={getattr(self, f.name)!r};".encode())
         return h.hexdigest()[:16]

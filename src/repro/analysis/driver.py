@@ -6,15 +6,14 @@ returns an :class:`AnalysisReport` with the confirmed bugs and the
 phase-by-phase statistics used by the benchmarks.
 
 The driver is a facade over the staged pass pipeline
-(:mod:`repro.analysis.passes`): each phase is a named pass, and the
-whole-run cache of the :class:`~repro.analysis.artifacts.ArtifactStore`
-owned by the driver answers a re-run of identical input without
-executing any pass.  Any other input is analysed from scratch.
+(:mod:`repro.analysis.passes`): each phase is a named pass, and every
+``analyze_*`` call runs every pass on its input, so a re-run of
+identical input is analysed again from scratch.
 
 Every run's statistics live in one
 :class:`~repro.obs.metrics.MetricsRegistry` (``report.metrics``): the
-solver counters, per-checker phase and enumeration counters, cache
-counters, pass table and phase timings all share a single namespace the
+solver counters, per-checker phase and enumeration counters, pass
+table and phase timings all share a single namespace the
 exporters (``--metrics-out``) and the bench runner dump uniformly.  The
 pipeline writes them there as it runs; the report's accessors
 (``solver_statistics``, ``checker_statistics``, ``search_statistics``,
@@ -37,14 +36,12 @@ from ..ir.module import IRModule
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..vfg.builder import VFGBundle
-from .artifacts import ArtifactStore
 from .config import AnalysisConfig
 
 __all__ = ["Canary", "AnalysisReport"]
 
 #: registry namespaces behind the report's statistics views
 _NS_SOLVER = "solver"
-_NS_CACHE = "cache"
 _NS_TIME = "time"
 _NS_VFG = "vfg"
 _NS_CHECKER = "checker"
@@ -160,14 +157,9 @@ class AnalysisReport:
 
     @property
     def pass_statistics(self) -> List[Dict[str, Any]]:
-        """Uniform per-pass rows: {name, status ('run'|'cached'|'failed'),
+        """Uniform per-pass rows: {name, status ('run'|'failed'),
         seconds, detail}."""
         return [dict(row) for row in self.metrics.series(_SERIES_PASSES)]
-
-    @property
-    def cache_statistics(self) -> Dict[str, int]:
-        """Artifact-store hit/miss counters plus run/cached pass counts."""
-        return self.metrics.namespace(_NS_CACHE)
 
     # ----- derived ----------------------------------------------------------
 
@@ -176,7 +168,7 @@ class AnalysisReport:
         return len(self.bugs)
 
     def passes_run(self) -> List[str]:
-        """Names of the passes that actually executed (not cached)."""
+        """Names of the passes that ran to completion (not failed)."""
         return [p["name"] for p in self.pass_statistics if p["status"] == "run"]
 
     def describe_statistics(self) -> str:
@@ -196,10 +188,7 @@ class AnalysisReport:
             f" {s.get('solve_seconds', 0.0):.3f}s solving",
         ]
         if self.pass_statistics:
-            run = len(self.passes_run())
-            lines.append(
-                f"passes: {run} run / {len(self.pass_statistics) - run} cached"
-            )
+            lines.append(f"passes: {len(self.passes_run())} run")
         if phases:
             lines.append(f"checkers: {phases}")
         totals: Dict[str, int] = {}
@@ -247,44 +236,28 @@ class AnalysisReport:
 class Canary:
     """Facade over the whole analysis.
 
-    The driver owns an :class:`ArtifactStore`: an ``analyze_source``
-    call whose source, filename and config match an earlier run of the
-    instance is answered from the run cache (disable with
-    ``AnalysisConfig(use_cache=False)``), rehydrated from the few
-    instructions the earlier run's findings name.  An
-    optional :class:`~repro.obs.tracer.Tracer` collects the span
-    timeline across all runs of the instance.
+    Each ``analyze_*`` call is one whole analysis of its input: runs of
+    one instance share nothing but the config and the optional
+    :class:`~repro.obs.tracer.Tracer`, which collects the span timeline
+    across all runs of the instance.
     """
 
     def __init__(
         self,
         config: Optional[AnalysisConfig] = None,
-        store: Optional[ArtifactStore] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        # A fresh config per instance: a shared default instance would
-        # leak artifact state between unrelated drivers.
         self.config = config if config is not None else AnalysisConfig()
-        self.store = store if store is not None else ArtifactStore()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def _pipeline(self):
         from .passes import AnalysisPipeline
 
-        return AnalysisPipeline(self.config, self.store, tracer=self.tracer)
+        return AnalysisPipeline(self.config, tracer=self.tracer)
 
     def with_config(self, config: AnalysisConfig) -> "Canary":
-        """A sibling driver sharing this one's artifact store.
-
-        The request-isolation primitive of the analysis daemon: each
-        request gets its own (immutable) config — and thus its own
-        budget, checkers and knobs — while every run digs into the same
-        resident store.  Content keys embed the config hash, so two
-        configs never alias each other's cached runs.  ``analyze_*``
-        calls are thread-safe across siblings: the store is locked,
-        and runs share nothing else.
-        """
-        return Canary(config, store=self.store, tracer=self.tracer)
+        """A sibling driver with ``config`` and this one's tracer."""
+        return Canary(config, tracer=self.tracer)
 
     # ----- pipeline entry points ---------------------------------------------
     #
@@ -292,8 +265,7 @@ class Canary:
     # process-wide ``gc`` thresholds differ from the caller's while a run
     # is in flight.  The returned report holds the findings and the
     # statistics; ``keep_bundle=True`` also attaches the run's module,
-    # VFG, thread structure and points-to result as ``report.bundle``
-    # and bypasses the run cache, whose hits carry no bundle.
+    # VFG, thread structure and points-to result as ``report.bundle``.
 
     def analyze_source(
         self, source: str, filename: str = "<input>", keep_bundle: bool = False

@@ -12,19 +12,13 @@ registry to the :class:`~repro.analysis.driver.AnalysisReport` it
 returns; the report's statistics accessors are views over it.
 
 One request is one whole analysis: every pass runs, and nothing a run
-computes is reused by a later run except through the whole-run cache of
-the :class:`~repro.analysis.artifacts.ArtifactStore`.  That cache is
-keyed by the source text, filename and config hash and holds one record
-format, the portable report beside a label -> instruction map of the
-instructions its findings name: a hit rehydrates from that map without
-running any pass (status ``cached``).
+computes is reused by a later run.
 
 A finished run returns a report that holds its findings and statistics
 and nothing of the analysis: the module, VFG, thread structure and
 points-to result are freed by reference counting as the run returns.  A
 caller that reads them passes ``keep_bundle=True`` to get them on
-``report.bundle``; such a run bypasses the run cache, whose hits carry
-no bundle.
+``report.bundle``.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from ..detection.reachability import SinkReachabilityIndex
 from ..detection.realizability import RealizabilityChecker
 from ..detection.search import SearchLimits
 from ..frontend import parse_program
-from ..ir.instructions import Instruction
 from ..ir.module import IRModule
 from ..ir.verifier import verify_module
 from ..lowering import lower_program_incremental
@@ -53,23 +46,16 @@ from ..vfg.interference import InterferenceAnalysis
 from ..vfg.summaries import compute_summaries
 from ..frontend import FrontendError
 from ..testing.faults import fault_point
-from .artifacts import ArtifactStore
 from .budget import Budget, BudgetExceededError
 from .config import AnalysisConfig
 from .driver import AnalysisReport
-from .fingerprint import (
-    named_instructions,
-    report_from_portable,
-    report_to_portable,
-    run_digest,
-)
 
 __all__ = ["AnalysisPipeline", "PassManager"]
 
 
 class PassManager:
     """Runs named passes, timing each and recording a uniform row
-    ``{name, status ('run'|'cached'|'failed'), seconds, detail}`` in the
+    ``{name, status ('run'|'failed'), seconds, detail}`` in the
     ``passes`` series of ``registry``.
 
     Every pass is a fault-injection site (``pass:<name>``, see
@@ -140,9 +126,6 @@ class PassManager:
             )
         return result, True
 
-    def cached(self, name: str, detail: str = "") -> None:
-        self._row(name, "cached", 0.0, detail)
-
     def _row(self, name: str, status: str, seconds: float, detail: str) -> None:
         self.rows.append(
             {"name": name, "status": status, "seconds": seconds, "detail": detail}
@@ -161,34 +144,24 @@ class PassManager:
                 total += row["seconds"]
         return total
 
-    def counts(self) -> Dict[str, int]:
-        run = sum(1 for r in self.rows if r["status"] == "run")
-        failed = sum(1 for r in self.rows if r["status"] == "failed")
-        counts = {"run": run, "cached": len(self.rows) - run - failed}
-        if failed:
-            counts["failed"] = failed
-        return counts
-
 
 class AnalysisPipeline:
-    """One analysis run, staged over the artifact store."""
+    """One analysis run."""
 
     def __init__(
         self,
         config: AnalysisConfig,
-        store: ArtifactStore,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config
-        self.store = store
         # The run's resource budget: the wall clock starts here (the
         # driver builds a fresh pipeline per analyze_* call).
         self.budget = Budget.from_config(config)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: the run's metrics registry — every statistic of this analysis
-        #: (pass rows, solver/checker/search counters, cache counters,
-        #: timings) lands here; the final report exposes it as
-        #: ``report.metrics`` with the statistics accessors as views.
+        #: (pass rows, solver/checker/search counters, timings) lands
+        #: here; the final report exposes it as ``report.metrics`` with
+        #: the statistics accessors as views.
         self.registry = MetricsRegistry()
         self.pm = PassManager(self.registry, budget=self.budget, tracer=self.tracer)
 
@@ -204,12 +177,6 @@ class AnalysisPipeline:
         self, source: str, filename: str, keep_bundle: bool
     ) -> AnalysisReport:
         cfg = self.config
-        caching = cfg.use_cache and not keep_bundle
-        if caching:
-            digest = run_digest(source, filename, cfg.cache_key())
-            hit = self.store.get(digest)
-            if hit is not None:
-                return self._rehydrate(hit["record"], hit["instructions"])
         try:
             ast = self.pm.run("parse", lambda: parse_program(source, filename))
             module, _reused = self.pm.run(
@@ -237,14 +204,6 @@ class AnalysisPipeline:
         report = self._analyze_module(module, keep_bundle)
         self.registry.set("time.parse", self.pm.seconds_of("parse"))
         self.registry.set("time.lowering", self.pm.seconds_of("lower"))
-        # Degraded runs (budget expiry, isolated failures) are partial by
-        # definition: caching them would pin the degradation.
-        if caching and not report.timed_out and not report.degradation_warnings:
-            record = report_to_portable(report)
-            record["pass_statistics"] = report.pass_statistics
-            self.store.put(
-                digest, {"record": record, "instructions": named_instructions(report)}
-            )
         return report
 
     def analyze_module(
@@ -252,21 +211,6 @@ class AnalysisPipeline:
     ) -> AnalysisReport:
         with self.tracer.span("analyze", entry="module"):
             return self._analyze_module(module, keep_bundle)
-
-    # ----- run-cache hits ---------------------------------------------------
-
-    def _rehydrate(
-        self, record: dict, instructions: Dict[int, Instruction]
-    ) -> AnalysisReport:
-        """A run-cache hit: ``record`` rehydrated from the instructions
-        stored with it, and a ``cached`` row for every recorded pass."""
-        report = report_from_portable(record, instructions, metrics=self.registry)
-        for row in record["pass_statistics"]:
-            self.pm.cached(row["name"], detail="run cache")
-        for phase in ("parse", "lowering", "vfg", "checking", "solving"):
-            self.registry.set(f"time.{phase}", 0.0)
-        self._count_cache_use()
-        return report
 
     # ----- phases -----------------------------------------------------------
 
@@ -310,7 +254,6 @@ class AnalysisPipeline:
                 for name, stats in per_checker.items():
                     for key, value in stats.items():
                         registry.inc(f"{prefix}.{key}", value, checker=name)
-            self._count_cache_use()
             return AnalysisReport(
                 bugs=bugs,
                 suppressed=suppressed,
@@ -499,15 +442,8 @@ class AnalysisPipeline:
         the frontend (crash or budget expiry before lowering finished)."""
         self.registry.set("time.parse", self.pm.seconds_of("parse"))
         self.registry.set("time.lowering", self.pm.seconds_of("lower"))
-        self._count_cache_use()
         return AnalysisReport(
             degradation_warnings=list(self.pm.warnings),
             timed_out=bool(self.budget.expirations),
             metrics=self.registry,
         )
-
-    def _count_cache_use(self) -> None:
-        """The run's last statistics: the artifact store's hit/miss
-        counters and how many passes ran or were answered from cache."""
-        for key, count in {**self.store.statistics(), **self.pm.counts()}.items():
-            self.registry.inc(f"cache.{key}", count)

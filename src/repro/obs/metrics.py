@@ -2,7 +2,7 @@
 
 Naming convention (documented in ``docs/architecture.md`` §12): dotted
 lowercase ``<component>.<metric>`` — ``solver.queries``,
-``passes.run``, ``cache.hits`` — with optional labels for per-checker
+``vfg.nodes``, ``time.parse`` — with optional labels for per-checker
 or per-phase breakdowns (``search.visits{checker=use-after-free}``).
 
 Four instrument kinds:

@@ -4,18 +4,17 @@ Endpoints:
 
 * ``POST /analyze`` — body ``{"source": "...", "filename": "f.mcc",
   "config": {...}, "wait": false}``; returns ``202`` with the report id
-  (or ``200`` with the finished record when ``wait`` is true).
-  Re-submitting a byte-identical source and config is answered from the
-  resident run cache without running a pass; an edited source is
-  analysed from scratch;
+  (or ``200`` with the finished record when ``wait`` is true).  Every
+  request is analysed from scratch, a byte-identical re-submission
+  included;
 * ``GET /reports/<id>`` — poll one report (``queued``/``running``/
   ``done``/``failed``; ``done`` carries the portable result and the
   run's metrics snapshot);
 * ``GET /reports`` — list records (without result payloads);
 * ``DELETE /reports/<id>`` (or ``POST /reports/<id>/cancel``) — cancel
   an in-flight run;
-* ``GET /metrics`` — the server's aggregate metrics registry plus the
-  run cache's counters (``store.*``), as flat JSON;
+* ``GET /metrics`` — the server's aggregate metrics registry, as flat
+  JSON;
 * ``GET /healthz`` — liveness.
 
 ``serve_main`` is the ``repro serve`` subcommand: it builds the
@@ -203,13 +202,6 @@ def serve_main(argv=None) -> int:
         help="finished reports retained for polling (oldest evicted first)",
     )
     parser.add_argument(
-        "--max-store-entries",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="LRU bound on the resident in-memory artifact store",
-    )
-    parser.add_argument(
         "--checkers",
         default="use-after-free",
         help="default checker list for requests that do not override it"
@@ -242,7 +234,6 @@ def serve_main(argv=None) -> int:
         config,
         workers=args.server_workers,
         max_reports=args.max_reports,
-        max_memory_entries=args.max_store_entries,
     )
     server = make_server(service, args.host, args.port)
     server.verbose = args.verbose  # type: ignore[attr-defined]

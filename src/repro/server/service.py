@@ -1,16 +1,14 @@
-"""The analysis service: a bounded worker pool over one resident store.
+"""The analysis service: a bounded worker pool over a report registry.
 
-One :class:`AnalysisService` owns the daemon's warm state — the shared
-:class:`~repro.analysis.artifacts.ArtifactStore` (the in-memory
-whole-run cache) — and a pool of worker threads
-draining a submission queue.  Each request is
-isolated in three ways:
+One :class:`AnalysisService` owns a pool of worker threads draining a
+submission queue, the registry of their reports and the server's
+aggregate metrics.  Each request is one whole analysis, isolated in
+three ways:
 
 * **config** — the request's knob overrides are folded into a fresh
-  immutable :class:`~repro.analysis.config.AnalysisConfig`; content
-  keys embed the config hash, so differently-configured requests never
-  alias artifacts.  The cache knob (``use_cache``) is server-owned and
-  rejected;
+  immutable :class:`~repro.analysis.config.AnalysisConfig`, whose hash
+  is the report record's config digest.  The inert knob (``use_cache``)
+  is rejected;
 * **budget** — every run gets its own
   :class:`~repro.analysis.budget.Budget` (the request may tighten the
   server's default ``timeout_seconds``); :meth:`cancel` flips it so the
@@ -23,10 +21,9 @@ isolated in three ways:
   prefix (:meth:`MetricsRegistry.merge`), so ``/metrics`` shows
   cumulative traffic while per-report snapshots stay request-scoped.
 
-Requests share nothing but the run cache: a byte-identical
-re-submission is answered from it without running a pass, and an edited
-one is analysed from scratch, so requests for the same file run in
-parallel like any others.
+Requests share no analysis state: a byte-identical re-submission runs
+every pass again, exactly as a one-shot run would, and requests for the
+same file run in parallel like any others.
 """
 
 from __future__ import annotations
@@ -37,9 +34,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from ..analysis.artifacts import ArtifactStore
 from ..analysis.budget import Budget, BudgetExceededError
-from ..analysis.config import CACHE_ONLY_FIELDS, AnalysisConfig
+from ..analysis.config import INERT_FIELDS, AnalysisConfig
 from ..analysis.driver import quiet_collector
 from ..analysis.fingerprint import report_to_portable
 from ..analysis.passes import AnalysisPipeline
@@ -51,28 +47,22 @@ from .registry import ReportRecord, ReportRegistry
 
 __all__ = ["AnalysisService", "ConfigError"]
 
-#: knobs a request may not touch: whether the shared run cache answers
-#: is the server's call
-_SERVER_OWNED_FIELDS = CACHE_ONLY_FIELDS
-
 
 class ConfigError(ValueError):
-    """A request carried an unknown or server-owned config knob."""
+    """A request carried an unknown or inert config knob."""
 
 
 class AnalysisService:
-    """The daemon's core: shared store + bounded workers + report registry."""
+    """The daemon's core: bounded workers + report registry."""
 
     def __init__(
         self,
         config: Optional[AnalysisConfig] = None,
         workers: int = 2,
         max_reports: int = 256,
-        max_memory_entries: Optional[int] = 4096,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config if config is not None else AnalysisConfig()
-        self.store = ArtifactStore(max_memory_entries=max_memory_entries)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = ReportRegistry(max_reports=max_reports)
         #: the server's aggregate registry (the ``/metrics`` payload)
@@ -95,8 +85,8 @@ class AnalysisService:
 
     def request_config(self, overrides: Optional[Dict[str, Any]] = None) -> AnalysisConfig:
         """The server default config with a request's knob overrides
-        folded in.  Unknown names and server-owned (``use_cache``)
-        names raise :class:`ConfigError` — a client typo must become a
+        folded in.  Unknown names and inert (``use_cache``) names
+        raise :class:`ConfigError` — a client typo must become a
         400, not a silently-default knob."""
         if not overrides:
             return self.config
@@ -105,8 +95,8 @@ class AnalysisService:
         for name, value in overrides.items():
             if name not in known:
                 raise ConfigError(f"unknown config knob: {name!r}")
-            if name in _SERVER_OWNED_FIELDS:
-                raise ConfigError(f"server-owned config knob: {name!r}")
+            if name in INERT_FIELDS:
+                raise ConfigError(f"inert config knob: {name!r} (it has no effect)")
             if name == "checkers":
                 if isinstance(value, str):
                     value = [c.strip() for c in value.split(",") if c.strip()]
@@ -174,7 +164,7 @@ class AnalysisService:
             self.metrics.gauge("server.queue_depth").set(self._queue.qsize())
             self.registry.set_running(report_id)
             t0 = time.perf_counter()
-            pipeline = AnalysisPipeline(config, self.store, tracer=self.tracer)
+            pipeline = AnalysisPipeline(config, tracer=self.tracer)
             with self._lock:
                 self._budgets[report_id] = pipeline.budget
             try:
@@ -203,7 +193,6 @@ class AnalysisService:
             result["num_reports"] = report.num_reports
             result["pass_statistics"] = report.pass_statistics
             result["passes_run"] = report.passes_run()
-            result["cache_statistics"] = report.cache_statistics
             self.registry.set_done(report_id, result, metrics=report.metrics.snapshot())
             self.metrics.inc("server.completed")
             self.metrics.observe("server.analyze_seconds", seconds)
@@ -212,13 +201,11 @@ class AnalysisService:
     # ----- introspection ----------------------------------------------------
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """The ``/metrics`` payload: server aggregate + live store state."""
+        """The ``/metrics`` payload: the server aggregate and report counts."""
         snapshot = self.metrics.snapshot()
         snapshot["server.uptime_seconds"] = time.time() - self.started_at
         for key, value in self.registry.counts().items():
             snapshot[f"server.reports_{key}"] = value
-        for key, value in self.store.statistics().items():
-            snapshot[f"store.{key}"] = value
         return snapshot
 
     def health(self) -> Dict[str, Any]:

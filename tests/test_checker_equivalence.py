@@ -47,7 +47,7 @@ def _file_setup(path: Path) -> Tuple[str, Tuple[str, ...], Dict[str, object]]:
 
 
 def _analyze(text, filename, checkers, config, keep_bundle=False):
-    overrides = dict(config, checkers=checkers, use_cache=False)
+    overrides = dict(config, checkers=checkers)
     return Canary(AnalysisConfig(**overrides)).analyze_source(
         text, filename=filename, keep_bundle=keep_bundle
     )

@@ -288,7 +288,7 @@ class TestFreeSourceOrder:
 
     def test_free_sources_are_sorted_per_statement(self):
         text = (CORPUS / "mixed_all_checkers.mcc").read_text()
-        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(text, keep_bundle=True)
+        report = Canary(AnalysisConfig()).analyze_source(text, keep_bundle=True)
         objects = {}
         for node, inst, _alias in UseAfterFreeChecker(report.bundle).free_sources():
             objects.setdefault(inst.label, []).append(node.obj)

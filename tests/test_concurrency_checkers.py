@@ -121,7 +121,6 @@ void consumer(int* d) {
 
 
 def run(src, checkers, keep_bundle=False, **overrides):
-    overrides.setdefault("use_cache", False)
     config = AnalysisConfig(checkers=checkers, **overrides)
     return Canary(config).analyze_source(src, keep_bundle=keep_bundle)
 

@@ -164,7 +164,7 @@ def test_load_store_order_matches_reference_on_every_load_edge(path, model):
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
     config = AnalysisConfig(
-        checkers=checkers, **{**overrides, "memory_model": model, "use_cache": False}
+        checkers=checkers, **{**overrides, "memory_model": model}
     )
     bundle = Canary(config).analyze_source(text, keep_bundle=True).bundle
     builder = OrderConstraintBuilder(bundle, memory_model=model)

@@ -33,7 +33,7 @@ DRIVER = textwrap.dedent(
     from repro.vfg.export import to_json
 
     text = open(sys.argv[1]).read()
-    rep = Canary(AnalysisConfig(use_cache=False)).analyze_source(text, keep_bundle=True)
+    rep = Canary(AnalysisConfig()).analyze_source(text, keep_bundle=True)
     print(json.dumps({
         "keys": sorted(str(b.key) for b in rep.bugs),
         "vfg": rep.vfg_summary,
@@ -105,7 +105,7 @@ class TestCrossProcess:
             from repro.vfg.export import to_json
             out = {}
             for path in sys.argv[1:]:
-                rep = Canary(AnalysisConfig(use_cache=False)).analyze_source(
+                rep = Canary(AnalysisConfig()).analyze_source(
                     open(path).read(), keep_bundle=True
                 )
                 out[path] = {

@@ -226,7 +226,7 @@ class TestReachabilityIndexSharing:
 
         monkeypatch.setattr(SourceSinkChecker, "_reach_index", recording)
         text = (CORPUS / "mixed_all_checkers.mcc").read_text()
-        Canary(AnalysisConfig(checkers=checkers, use_cache=False)).analyze_source(text)
+        Canary(AnalysisConfig(checkers=checkers)).analyze_source(text)
         return seen
 
     def test_same_sink_set_shares_one_index(self, monkeypatch):
@@ -310,7 +310,7 @@ class TestPrunedEquivalence:
         findings must not change."""
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)
-        base = dict(checkers=checkers, use_cache=False, **overrides)
+        base = dict(checkers=checkers, **overrides)
         plain = Canary(AnalysisConfig(**base)).analyze_source(text, filename=path.name)
         diagnosed = Canary(
             AnalysisConfig(collect_suppressed=True, **base)
@@ -332,7 +332,7 @@ class TestPrunedEquivalence:
         ids=["scaled-0", "scaled-1", "scaled-2", "detection-heavy"],
     )
     def test_scaled_subject_same_keys_and_fewer_visits(self, text):
-        config = AnalysisConfig(use_cache=False)
+        config = AnalysisConfig()
         pruned = Canary(config).analyze_source(text, keep_bundle=True)
         ref_keys, ref_visits = _unpruned_reference(pruned, config)
         assert ref_keys == _keys(pruned)

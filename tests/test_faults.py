@@ -36,7 +36,6 @@ def _disarm_faults():
 
 
 def _fresh_canary(**overrides):
-    overrides.setdefault("use_cache", False)
     return Canary(AnalysisConfig(**overrides))
 
 
@@ -180,12 +179,12 @@ class TestWallBudgetDegradation:
         assert report.pass_statistics is not None  # well-formed partial report
 
     def test_degraded_runs_are_never_memoized(self):
-        canary = Canary(AnalysisConfig())  # caching on
+        canary = Canary(AnalysisConfig())
         with inject(FaultPlan.make(crash=["pass:verify"])):
             degraded = canary.analyze_source(SIMPLE_UAF)
         assert degraded.degradation_warnings
         clean = canary.analyze_source(SIMPLE_UAF)
-        # A run-cache hit would have replayed the degradation verbatim.
+        # The next run of the same driver is a clean run again.
         assert clean.degradation_warnings == []
         assert not clean.timed_out
         assert clean.num_reports >= 1

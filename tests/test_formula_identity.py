@@ -103,7 +103,7 @@ def digests(text: str, checkers, overrides, model: str) -> Tuple[List[str], List
 
     config = AnalysisConfig(
         checkers=tuple(checkers),
-        **{**overrides, "memory_model": model, "use_cache": False},
+        **{**overrides, "memory_model": model},
     )
     RealizabilityChecker.check_formula = recording
     realizability.solve_formula = recording_solve

@@ -190,7 +190,6 @@ def checked(monkeypatch):
 
 
 def _analyze(text: str, **config) -> None:
-    config.setdefault("use_cache", False)
     Canary(AnalysisConfig(**config)).analyze_source(text)
 
 

@@ -111,9 +111,9 @@ class TestFixpointBehavior:
         # edge lands in round 2; round 3 adds nothing.  A cap that stops
         # a round still adding edges must say so.
         text = (CORPUS / "uaf_summary_chained_escape.mcc").read_text()
-        config = AnalysisConfig(use_cache=False)
+        config = AnalysisConfig()
         if cap is not None:
-            config = AnalysisConfig(use_cache=False, max_interference_rounds=cap)
+            config = AnalysisConfig(max_interference_rounds=cap)
         report = Canary(config).analyze_source(text, keep_bundle=True)
         cut = cap is not None and cap < 3
         warnings = [w for w in report.truncation_warnings if w.startswith("interference")]

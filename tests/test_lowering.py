@@ -82,7 +82,7 @@ class TestUnrolling:
             return program
 
         monkeypatch.setattr(passes, "parse_program", parse_and_snapshot)
-        Canary(AnalysisConfig(use_cache=False)).analyze_source(NESTED_LOOPS)
+        Canary(AnalysisConfig()).analyze_source(NESTED_LOOPS)
         [(program, before)] = parsed
         assert repr(program) == before
 

@@ -15,9 +15,8 @@
   subject the benchmark analyses (openssl) and the shapes of its scaled
   modules.
 * **A run leaves only its findings alive.**  A default report holds no
-  module or VFG and the run cache stores no module, so the analysis is
-  freed as the run returns; ``keep_bundle=True`` is the one way to keep
-  it.
+  module or VFG, so the analysis is freed as the run returns;
+  ``keep_bundle=True`` is the one way to keep it.
 
 Each acyclicity check runs the analysis once untimed first: importing a
 module (and building its ``slots=True`` dataclasses) leaves one-off
@@ -98,7 +97,7 @@ class TestRunsAreAcyclic:
     def test_paper_profile(self, name):
         subject = next(s for s in SUBJECTS if s.name == name)
         text, _truth = generate_project(project_spec(subject, PROFILES["paper"]))
-        canary = Canary(AnalysisConfig(use_cache=False))
+        canary = Canary(AnalysisConfig())
         run = analyze_and_drop(canary, text, f"{name}.mcc")
         run()
         assert cyclic_garbage(run) == 0
@@ -112,7 +111,7 @@ class TestRunsAreAcyclic:
         ids=["scaled_program", "detection_scaled_program"],
     )
     def test_scaled_shapes(self, text):
-        canary = Canary(AnalysisConfig(use_cache=False))
+        canary = Canary(AnalysisConfig())
         run = analyze_and_drop(canary, text, "scaled.mcc")
         run()
         assert cyclic_garbage(run) == 0
@@ -123,24 +122,24 @@ class TestRunsAreAcyclic:
         _expects, _checkers, overrides = _parse_directives(text)
         for model in MODELS:
             config = AnalysisConfig(
-                **{**overrides, **model, "checkers": ALL, "use_cache": False}
+                **{**overrides, **model, "checkers": ALL}
             )
             run = analyze_and_drop(Canary(config), text, path.name)
             run()
             assert cyclic_garbage(run) == 0, model
 
-    def test_memory_run_cache_store_and_hit(self):
-        text = (CORPUS_FILES[0].parent / "mixed_all_checkers.mcc").read_text()
+    def test_repeated_runs_in_one_driver(self):
+        # A resident driver (the daemon's shape) analyses the same text
+        # again: the second run is a whole run and is as acyclic as the
+        # first.
         canary = Canary(AnalysisConfig(checkers=ALL))
-        analyze_and_drop(canary, text, "warm-up.mcc")()
-        # The miss stores the run's record; the hit rehydrates it.
-        assert cyclic_garbage(analyze_and_drop(canary, text, "m.mcc")) == 0
-        assert cyclic_garbage(analyze_and_drop(canary, text, "m.mcc")) == 0
-        assert canary.store.statistics()["artifact_hits"] >= 1
+        analyze_and_drop(canary, MIXED, "warm-up.mcc")()
+        assert cyclic_garbage(analyze_and_drop(canary, MIXED, "m.mcc")) == 0
+        assert cyclic_garbage(analyze_and_drop(canary, MIXED, "m.mcc")) == 0
 
     def test_failed_runs(self):
         text = (CORPUS_FILES[0].parent / "uaf_basic.mcc").read_text()
-        canary = Canary(AnalysisConfig(use_cache=False))
+        canary = Canary(AnalysisConfig())
 
         def malformed():
             with pytest.raises(FrontendError):
@@ -222,7 +221,7 @@ def collection_off(thresholds) -> bool:
 class TestCollectorPolicy:
     def test_off_during_a_run_and_restored_after(self, seen_during_parse):
         with custom_thresholds():
-            Canary(AnalysisConfig(use_cache=False)).analyze_source(SMALL)
+            Canary(AnalysisConfig()).analyze_source(SMALL)
             assert gc.get_threshold() == CUSTOM
         [during] = seen_during_parse
         assert collection_off(during)
@@ -239,11 +238,11 @@ class TestCollectorPolicy:
         with custom_thresholds():
             with inject(FaultPlan.make(cancel=["pass:dataflow"])):
                 with pytest.raises(BudgetExceededError):
-                    Canary(AnalysisConfig(use_cache=False)).analyze_source(SMALL)
+                    Canary(AnalysisConfig()).analyze_source(SMALL)
             assert gc.get_threshold() == CUSTOM
 
     def test_every_entry_point(self):
-        canary = Canary(AnalysisConfig(use_cache=False))
+        canary = Canary(AnalysisConfig())
         module = lower_program(passes.parse_program(SMALL))
         with custom_thresholds():
             canary.analyze_module(module)
@@ -263,7 +262,7 @@ class TestCollectorPolicy:
         saved = gc.get_threshold()
         gc.set_threshold(0)
         try:
-            Canary(AnalysisConfig(use_cache=False)).analyze_source(SMALL)
+            Canary(AnalysisConfig()).analyze_source(SMALL)
             assert gc.get_threshold()[0] == 0
         finally:
             gc.set_threshold(*saved)
@@ -311,7 +310,7 @@ class TestCollectorPolicy:
             return parse(source, filename)
 
         monkeypatch.setattr(passes, "parse_program", held)
-        canary = Canary(AnalysisConfig(use_cache=False))
+        canary = Canary(AnalysisConfig())
         threads = {
             name: threading.Thread(
                 target=canary.analyze_source, args=(SMALL,), kwargs={"filename": name}
@@ -362,7 +361,7 @@ def test_ast_is_freed_before_alg1(monkeypatch):
     monkeypatch.setattr(passes, "parse_program", parse_and_watch)
     monkeypatch.setattr(DataDependenceAnalysis, "run", run_and_check)
     with collection_disabled():
-        Canary(AnalysisConfig(use_cache=False, checkers=ALL)).analyze_source(MIXED)
+        Canary(AnalysisConfig(checkers=ALL)).analyze_source(MIXED)
     assert alive == [False]
 
 
@@ -404,35 +403,30 @@ def findings(report):
 
 
 class TestWhatARunLeaves:
-    @pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
-    def test_report_holds_no_analysis_unless_asked(self, run_graphs, use_cache):
-        canary = Canary(AnalysisConfig(checkers=ALL, use_cache=use_cache))
+    def test_report_holds_no_analysis_unless_asked(self, run_graphs):
+        canary = Canary(AnalysisConfig(checkers=ALL))
         with collection_disabled():
             report = canary.analyze_source(MIXED, "m.mcc")
             assert report.bugs and report.bundle is None
             [(module, vfg)] = run_graphs
             assert module() is None and vfg() is None
-            # keep_bundle always runs the passes: a run-cache hit has no
-            # bundle to give.
             kept = canary.analyze_source(MIXED, "m.mcc", keep_bundle=True)
-            assert kept.passes_run()
             module, vfg = run_graphs[-1]
             assert module() is kept.bundle.module
             assert vfg() is kept.bundle.vfg
             assert findings(kept) == findings(report)
 
-    def test_run_cache_hit_outlives_the_module(self, run_graphs):
+    def test_repeat_run_frees_each_module(self, run_graphs):
         canary = Canary(AnalysisConfig(checkers=ALL, collect_suppressed=True))
         with collection_disabled():
-            cold = canary.analyze_source(MIXED, "m.mcc")
-            expected = findings(cold)
-            del cold
-            [(module, _vfg)] = run_graphs
-            assert module() is None
-            warm = canary.analyze_source(MIXED, "m.mcc")
-        assert warm.passes_run() == []
+            first = canary.analyze_source(MIXED, "m.mcc")
+            expected = findings(first)
+            del first
+            second = canary.analyze_source(MIXED, "m.mcc")
+            assert [module() for module, _vfg in run_graphs] == [None, None]
+        assert second.passes_run()
         assert expected[0] and expected[1]
-        assert findings(warm) == expected
+        assert findings(second) == expected
 
     def test_openssl_leaves_a_small_fraction_of_its_analysis(self):
         # The paper-profile openssl subject: byte for byte the perfbench

@@ -116,7 +116,7 @@ class TestEndToEnd:
         keys = []
         for model in ("sc", "tso", "pso"):
             config = AnalysisConfig(
-                checkers=checkers, memory_model=model, use_cache=False, **overrides
+                checkers=checkers, memory_model=model, **overrides
             )
             report = Canary(config).analyze_source(text, filename=path.name)
             keys.append({b.key for b in report.bugs})

@@ -13,6 +13,7 @@ Covers the guarantees ``docs/architecture.md`` §12 documents:
 import inspect
 import json
 import pathlib
+import threading
 
 import pytest
 
@@ -21,11 +22,7 @@ from test_corpus import CORPUS_FILES, _parse_directives
 from repro import AnalysisConfig, Canary
 from repro.__main__ import main as repro_main
 from repro.analysis.driver import AnalysisReport
-from repro.analysis.fingerprint import (
-    named_instructions,
-    report_from_portable,
-    report_to_portable,
-)
+from repro.analysis.fingerprint import report_to_portable
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -109,7 +106,7 @@ class TestDisabledTracer:
         assert NULL_TRACER.finished == []
 
     def test_canary_defaults_to_disabled_tracing(self):
-        canary = Canary(AnalysisConfig(use_cache=False))
+        canary = Canary(AnalysisConfig())
         assert canary.tracer is NULL_TRACER
         report = canary.analyze_source(SIMPLE_UAF)
         assert report.num_reports >= 1
@@ -128,7 +125,7 @@ class TestSolverSpans:
         for path in CORPUS_FILES:
             text = path.read_text()
             _expects, checkers, overrides = _parse_directives(text)
-            config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+            config = AnalysisConfig(checkers=checkers, **overrides)
             Canary(config, tracer=tracer).analyze_source(text, filename=path.name)
         by_id = {s.span_id: s for s in tracer.finished}
 
@@ -160,7 +157,7 @@ class TestSolverSpans:
         # counters tally; and tracing leaves the findings as they are.
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)
-        config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+        config = AnalysisConfig(checkers=checkers, **overrides)
         tracer = Tracer()
         traced = Canary(config, tracer=tracer).analyze_source(text, filename=path.name)
         plain = Canary(config).analyze_source(text, filename=path.name)
@@ -212,17 +209,17 @@ class TestMetricsRegistry:
     def test_series_and_snapshot(self):
         reg = MetricsRegistry()
         reg.append("passes", name="parse", status="ran")
-        reg.append("passes", name="lower", status="cached")
-        reg.inc("cache.hits", 2)
+        reg.append("passes", name="lower", status="failed")
+        reg.inc("solver.sat", 2)
         reg.set("vfg.nodes", 17)
         reg.observe("solver.latency", 0.5)
         reg.observe("solver.latency", 1.5)
         snap = reg.snapshot()
-        assert snap["cache.hits"] == 2
+        assert snap["solver.sat"] == 2
         assert snap["vfg.nodes"] == 17
         assert snap["passes"] == [
             {"name": "parse", "status": "ran"},
-            {"name": "lower", "status": "cached"},
+            {"name": "lower", "status": "failed"},
         ]
         assert snap["solver.latency.count"] == 2
         assert snap["solver.latency.sum"] == 2.0
@@ -231,13 +228,37 @@ class TestMetricsRegistry:
         assert list(snap) == sorted(snap)
         validate_metrics_doc({"meta": run_meta(), "metrics": snap})
 
+    def test_counts_are_exact_under_contention(self):
+        # The daemon's workers share one service registry: every
+        # increment, observation and row lands exactly once.
+        reg = MetricsRegistry()
+
+        def hammer(tid):
+            for i in range(300):
+                reg.inc("server.completed")
+                reg.inc("server.by_worker", worker=str(tid))
+                reg.observe("server.analyze_seconds", 0.5)
+                reg.append("requests", worker=tid, i=i)
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        snap = reg.snapshot()
+        assert snap["server.completed"] == 4 * 300
+        assert reg.value("server.by_worker", worker="2") == 300
+        assert snap["server.analyze_seconds.count"] == 4 * 300
+        assert snap["server.analyze_seconds.sum"] == 4 * 300 * 0.5
+        assert len(reg.series("requests")) == 4 * 300
+
 
 class TestLegacyAccessorEquivalence:
     """AnalysisReport's statistics accessors are views over the registry
     the run filled."""
 
     def test_live_run_exposes_registry_and_identical_stats(self):
-        config = AnalysisConfig(use_cache=False)
+        config = AnalysisConfig()
         report = Canary(config).analyze_source(SIMPLE_UAF)
         snap = report.metrics.snapshot()
         assert report.solver_statistics["queries"] == snap["solver.queries"]
@@ -248,29 +269,25 @@ class TestLegacyAccessorEquivalence:
     def _corpus_report(self, stem="mixed_all_checkers"):
         text = (CORPUS / f"{stem}.mcc").read_text()
         _expects, checkers, overrides = _parse_directives(text)
-        config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+        config = AnalysisConfig(checkers=checkers, **overrides)
         return Canary(config).analyze_source(text)
 
     def test_round_trip_shapes_and_order(self):
-        # report_from_portable is the one code path that fills a registry
-        # from dicts: its views must reproduce the live run's, key order
-        # and number types included.
+        # The portable payload carries the live run's views through JSON,
+        # key order and number types included.
         report = self._corpus_report()
-        data = report_to_portable(report)
-        back = report_from_portable(data, named_instructions(report))
+        back = json.loads(json.dumps(report_to_portable(report)))
         for view in (
             "vfg_summary",
             "solver_statistics",
             "checker_statistics",
             "search_statistics",
         ):
-            assert json.dumps(getattr(back, view)) == json.dumps(getattr(report, view))
-        assert [b.key for b in back.bugs] == [b.key for b in report.bugs]
-        assert back.truncation_warnings == report.truncation_warnings
-        assert back.degradation_warnings == report.degradation_warnings
-        assert json.dumps(report_to_portable(back)) == json.dumps(data)
-        assert isinstance(back.solver_statistics["solve_seconds"], float)
-        assert isinstance(back.solver_statistics["queries"], int)
+            assert json.dumps(back[view]) == json.dumps(getattr(report, view))
+        assert back["truncation_warnings"] == report.truncation_warnings
+        assert back["degradation_warnings"] == report.degradation_warnings
+        assert isinstance(back["solver_statistics"]["solve_seconds"], float)
+        assert isinstance(back["solver_statistics"]["queries"], int)
 
     def test_accessors_are_registry_views(self):
         reg = MetricsRegistry()
@@ -279,7 +296,6 @@ class TestLegacyAccessorEquivalence:
         reg.inc("checker.sources", 2, checker="use-after-free")
         reg.inc("search.visits", 40, checker="use-after-free")
         reg.set("time.parse", 0.01)
-        reg.inc("cache.hits", 1)
         reg.append("passes", name="parse", status="run")
         report = AnalysisReport(metrics=reg)
         assert report.metrics is reg
@@ -288,11 +304,10 @@ class TestLegacyAccessorEquivalence:
         assert report.checker_statistics == {"use-after-free": {"sources": 2}}
         assert report.search_statistics == {"use-after-free": {"visits": 40}}
         assert report.timings == {"parse": 0.01}
-        assert report.cache_statistics == {"hits": 1}
         assert report.pass_statistics == [{"name": "parse", "status": "run"}]
         # later writes to the registry show through every view
         reg.inc("solver.queries", 3)
-        reg.append("passes", name="lower", status="cached")
+        reg.append("passes", name="lower", status="failed")
         assert report.solver_statistics["queries"] == 10
         assert [row["name"] for row in report.pass_statistics] == ["parse", "lower"]
 
@@ -318,7 +333,6 @@ class TestLegacyAccessorEquivalence:
             "checker_statistics",
             "search_statistics",
             "pass_statistics",
-            "cache_statistics",
         ],
     )
     def test_statistics_views_are_read_only(self, view):
@@ -334,7 +348,7 @@ class TestLegacyAccessorEquivalence:
         assert report.pass_statistics == rows
         assert rows and rows[0]["name"] == "parse"
         assert {row["status"] for row in rows} == {"run"}
-        assert report.cache_statistics["run"] == len(rows)
+        assert report.passes_run() == [row["name"] for row in rows]
         assert report.metrics.snapshot()["passes"] == rows
 
 
@@ -404,7 +418,7 @@ class TestExporters:
     def test_metrics_json_multi_file(self, tmp_path):
         out = tmp_path / "metrics.json"
         write_metrics_json(
-            out, files={"a.mcc": {"solver.queries": 1}, "b.mcc": {"cache.hits": 0}}
+            out, files={"a.mcc": {"solver.queries": 1}, "b.mcc": {"solver.sat": 0}}
         )
         assert validate_metrics_file(out) == 2
 

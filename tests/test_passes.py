@@ -1,10 +1,11 @@
-"""The staged pass pipeline: pass accounting, the run cache, and
-cold/warm/edited equivalence.
+"""The staged pass pipeline: pass accounting, config hashing, and
+repeated and edited runs in one driver.
 
-The load-bearing property is the last one: a run-cache hit must report
-exactly what a fresh cold run on the same source produces, and an edited
-source re-analysed in the same driver exactly what a fresh driver
-reports — checked over the whole regression corpus.
+The load-bearing property is the last one: every run is one whole
+analysis, so a second run of the same source in one driver runs every
+pass again and reports exactly what the first did, and an edited source
+re-analysed in the same driver reports exactly what a fresh driver does
+— checked over the whole regression corpus.
 """
 
 from __future__ import annotations
@@ -12,17 +13,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import threading
 
 import pytest
 
-from repro.analysis import AnalysisConfig, ArtifactStore, Canary
-from repro.analysis.config import CACHE_ONLY_FIELDS
-from repro.analysis.fingerprint import (
-    named_instructions,
-    report_from_portable,
-    report_to_portable,
-)
+from repro.analysis import AnalysisConfig, Canary
+from repro.analysis.config import INERT_FIELDS
+from repro.analysis.fingerprint import report_to_portable
+from repro.obs.tracer import Tracer
 from repro.analysis.passes import PassManager
+from repro.checkers import ALL_CHECKERS
 from repro.obs.metrics import MetricsRegistry
 
 from test_corpus import CORPUS_FILES, _parse_directives
@@ -63,7 +63,7 @@ PROBE = "\nint incrprobe() {\n  return 1;\n}\n"
 
 def _spin_subject(n_spin: int = 8) -> str:
     """The UAF of two workers through a global plus ``n_spin`` arithmetic
-    helpers: a multi-function subject for the pass counts and the caches."""
+    helpers: a multi-function subject for the pass counts and repeated runs."""
     helpers = "".join(
         f"\nint spin{i}(int a) {{\n  int b;\n  b = a + {i};\n  return b * 2;\n}}\n"
         for i in range(n_spin)
@@ -90,11 +90,10 @@ class TestPassManager:
     def test_run_records_status_and_timing(self):
         pm = PassManager(MetricsRegistry())
         assert pm.run("work", lambda: 42) == 42
-        pm.cached("skip", detail="because")
-        assert [r["status"] for r in pm.rows] == ["run", "cached"]
-        assert pm.rows[0]["seconds"] >= 0.0
-        assert pm.rows[1]["seconds"] == 0.0
-        assert pm.counts() == {"run": 1, "cached": 1}
+        assert pm.attempt("boom", lambda: 1 / 0) == (None, False)
+        assert [r["status"] for r in pm.rows] == ["run", "failed"]
+        assert all(r["seconds"] >= 0.0 for r in pm.rows)
+        assert pm.rows[1]["detail"].startswith("ZeroDivisionError")
 
     def test_seconds_of_sums_prefixed_passes(self):
         pm = PassManager(MetricsRegistry())
@@ -140,7 +139,7 @@ class TestConfigCacheKey:
         base_key = base.cache_key()
         seen = {base_key}
         for f in dataclasses.fields(base):
-            if f.name in CACHE_ONLY_FIELDS:
+            if f.name in INERT_FIELDS:
                 continue
             flipped = dataclasses.replace(
                 base, **{f.name: _variant(getattr(base, f.name))}
@@ -150,11 +149,31 @@ class TestConfigCacheKey:
             assert key not in seen, f"{f.name} collided with another knob"
             seen.add(key)
 
-    def test_cache_plumbing_fields_do_not_change_the_key(self):
+    def test_inert_fields_do_not_change_the_key(self):
         base = AnalysisConfig()
-        assert (
-            dataclasses.replace(base, use_cache=False).cache_key() == base.cache_key()
-        )
+        for name in INERT_FIELDS:
+            flipped = dataclasses.replace(
+                base, **{name: _variant(getattr(base, name))}
+            )
+            assert flipped.cache_key() == base.cache_key(), name
+
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "48efc18f487e0a48"),
+            ({"memory_model": "tso"}, "17778939e0f1dc69"),
+            ({"memory_model": "pso"}, "e871396722fa2b29"),
+            ({"checkers": tuple(sorted(ALL_CHECKERS))}, "dc946caa1de96342"),
+            ({"max_search_visits": 1000, "timeout_seconds": 5.0}, "170b1f3ba0b67e6f"),
+        ],
+        ids=["default", "tso", "pso", "all-checkers", "budgets"],
+    )
+    def test_key_values_are_pinned(self, overrides, digest):
+        # The key is the config digest in ``--metrics-out`` files and the
+        # server's report registry: its value must not drift between
+        # releases, whatever the inert fields hold.
+        assert AnalysisConfig(**overrides).cache_key() == digest
+        assert AnalysisConfig(use_cache=False, **overrides).cache_key() == digest
 
 
 # ----- driver construction ---------------------------------------------------
@@ -165,37 +184,19 @@ class TestDriverConstruction:
         a, b = Canary(), Canary()
         assert a.config == AnalysisConfig()
         assert a.config is not b.config
-        assert a.store is not b.store
 
-    def test_explicit_store_is_shared(self):
-        store = ArtifactStore()
-        a = Canary(store=store)
-        b = Canary(store=store)
-        assert a.store is b.store
-
-
-# ----- warm and edited runs -------------------------------------------------
+    def test_with_config_keeps_the_tracer(self):
+        tracer = Tracer()
+        config = AnalysisConfig(checkers=("double-free",))
+        sibling = Canary(tracer=tracer).with_config(config)
+        assert sibling.config is config
+        assert sibling.tracer is tracer
 
 
-#: the small subject and the larger multi-function one
-SUBJECTS = pytest.mark.parametrize(
-    "text", [UAF, _spin_subject()], ids=["uaf", "spin8"]
-)
+# ----- pass rows -------------------------------------------------------------
 
 
-class TestWarmRuns:
-    @SUBJECTS
-    def test_warm_run_executes_no_pass(self, text):
-        canary = Canary()
-        cold = canary.analyze_source(text, filename="uaf.mcc")
-        warm = canary.analyze_source(text, filename="uaf.mcc")
-        assert cold.passes_run()
-        assert _keys(cold)
-        assert warm.passes_run() == []
-        assert _keys(warm) == _keys(cold)
-        assert warm.bundle is None  # hits rehydrate the portable record
-        assert warm.vfg_summary == cold.vfg_summary
-
+class TestPassRows:
     def test_cold_run_pass_count(self):
         # parse, lower, verify, pointer, tcg, mhp, dataflow, summaries,
         # interference and one detect pass: one dataflow row covers all
@@ -208,19 +209,98 @@ class TestWarmRuns:
         ]
         assert _keys(cold)
 
-    def test_use_cache_false_always_reruns(self):
-        canary = Canary(AnalysisConfig(use_cache=False))
-        first = canary.analyze_source(UAF, filename="uaf.mcc")
-        second = canary.analyze_source(UAF, filename="uaf.mcc")
-        assert second.passes_run() == first.passes_run() != []
+    def test_describe_statistics_counts_the_run_passes(self):
+        report = Canary().analyze_source(UAF, filename="uaf.mcc")
+        assert "passes: 10 run\n" in report.describe_statistics()
 
-    def test_warm_run_counts_the_hit_and_lists_cached_passes(self):
+    @pytest.mark.parametrize(
+        "text", [UAF, _spin_subject()], ids=["uaf", "spin8"]
+    )
+    def test_repeat_run_runs_every_pass(self, text):
         canary = Canary()
-        canary.analyze_source(UAF, filename="uaf.mcc")
-        warm = canary.analyze_source(UAF, filename="uaf.mcc")
-        assert warm.cache_statistics["artifact_hits"] == 1
-        assert "passes:" in warm.describe_statistics()
-        assert "cached" in warm.describe_passes()
+        first = canary.analyze_source(text, filename="uaf.mcc")
+        second = canary.analyze_source(text, filename="uaf.mcc")
+        assert first.passes_run()
+        assert second.passes_run() == first.passes_run()
+        assert {row["status"] for row in second.pass_statistics} == {"run"}
+        assert _keys(first)
+        assert _keys(second) == _keys(first)
+        assert second.vfg_summary == first.vfg_summary
+
+    def test_use_cache_is_inert(self):
+        on = Canary(AnalysisConfig(use_cache=True)).analyze_source(UAF, filename="uaf.mcc")
+        off = Canary(AnalysisConfig(use_cache=False)).analyze_source(UAF, filename="uaf.mcc")
+        assert off.passes_run() == on.passes_run() != []
+        assert _everything(off) == _everything(on)
+
+
+# ----- concurrent runs -------------------------------------------------------
+
+
+class TestConcurrentRuns:
+    """Threads analysing at once in one process, as the daemon's worker
+    pool does: no torn state, and bug keys equal the serial reference."""
+
+    FILES = [
+        "uaf_basic.mcc",
+        "mixed_all_checkers.mcc",
+        "doublefree_cross_thread.mcc",
+        "uaf_two_workers.mcc",
+    ]
+
+    @staticmethod
+    def _driver(name):
+        text = (CORPUS / name).read_text()
+        _expects, checkers, overrides = _parse_directives(text)
+        return Canary(AnalysisConfig(checkers=checkers, **overrides)), text
+
+    def _reference(self, name):
+        canary, text = self._driver(name)
+        return _keys(canary.analyze_source(text, filename=name))
+
+    @staticmethod
+    def _run_all(targets):
+        errors: list = []
+
+        def guarded(target):
+            try:
+                target()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+
+    def test_distinct_files_in_parallel_match_serial(self):
+        expected = {name: self._reference(name) for name in self.FILES}
+        results: dict = {}
+
+        def work(name):
+            canary, text = self._driver(name)
+            for _ in range(2):  # a second lap in the same driver
+                report = canary.analyze_source(text, filename=name)
+            results[name] = _keys(report)
+
+        self._run_all([lambda n=name: work(n) for name in self.FILES])
+        assert results == expected
+
+    def test_same_file_in_parallel_matches_serial(self):
+        name = "mixed_all_checkers.mcc"
+        expected = self._reference(name)
+        results: list = []
+
+        def work():
+            canary, text = self._driver(name)
+            results.append(_keys(canary.analyze_source(text, filename=name)))
+
+        self._run_all([work] * 4)
+        assert len(results) == 4
+        assert all(r == expected for r in results), results
 
 
 # ----- corpus-wide equivalence ----------------------------------------------
@@ -228,20 +308,17 @@ class TestWarmRuns:
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
 def test_corpus_cold_warm_incremental_equivalence(path):
-    """Over every corpus program: a warm re-run executes no pass and an
-    appended-function edit re-analyzes — both with identical bug keys."""
+    """Over every corpus program: an appended-function edit analysed as
+    the second run of one driver reports the bug keys of a fresh driver,
+    and of the unedited source."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
     config = AnalysisConfig(checkers=checkers, **overrides)
     canary = Canary(config)
     cold = canary.analyze_source(text, filename=path.name)
-    warm = canary.analyze_source(text, filename=path.name)
-    assert warm.passes_run() == [], path.name
-    assert _keys(warm) == _keys(cold), path.name
-
     edited = text + PROBE
     incr = canary.analyze_source(edited, filename=path.name)
-    assert incr.passes_run() != [], path.name
+    assert incr.passes_run() == cold.passes_run(), path.name
     # label blocks: appending a function shifts no existing label
     assert _keys(incr) == _keys(cold), path.name
     fresh = Canary(config).analyze_source(edited, filename=path.name)
@@ -292,8 +369,8 @@ def _described(report):
 )
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
 def test_corpus_line_moving_edit_matches_fresh(path, edit):
-    """An edit that moves lines or columns but no code: the re-analysis
-    in the same driver reports exactly what a fresh run does, locations
+    """An edit that moves lines or columns but no code: the second run in
+    one driver reports exactly what a fresh driver does, locations
     included."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
@@ -308,7 +385,8 @@ def test_corpus_line_moving_edit_matches_fresh(path, edit):
 
 
 def _everything(report):
-    """A report's findings, refutations and statistics, field for field."""
+    """A report's findings, refutations and statistics, field for field
+    (wall-clock seconds aside)."""
     return (
         [
             (
@@ -324,7 +402,7 @@ def _everything(report):
         ],
         [(s.kind, s.source.label, s.sink.label, s.reason) for s in report.suppressed],
         report.vfg_summary,
-        report.solver_statistics,
+        {k: v for k, v in report.solver_statistics.items() if k != "solve_seconds"},
         report.checker_statistics,
         report.search_statistics,
         report.truncation_warnings,
@@ -335,59 +413,42 @@ def _everything(report):
 
 @pytest.mark.parametrize("collect_suppressed", [False, True], ids=["default", "suppressed"])
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
-def test_corpus_memory_hit_equals_cold(path, collect_suppressed):
-    """Over every corpus program: a memory hit rehydrates the portable
-    record from the instructions stored with it without running a pass,
-    and reports what the cold run did, suppressed candidates and
-    statistics included."""
+def test_corpus_repeat_run_runs_every_pass(path, collect_suppressed):
+    """Over every corpus program: a second run of the same text in one
+    driver runs every pass again and reports what the first run did,
+    suppressed candidates and statistics included."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
     overrides["collect_suppressed"] = collect_suppressed
     canary = Canary(AnalysisConfig(checkers=checkers, **overrides))
-    cold = canary.analyze_source(text, filename=path.name)
-    warm = canary.analyze_source(text, filename=path.name)
-    assert warm.passes_run() == [], path.name
-    assert warm.bundle is None
-    assert _everything(warm) == _everything(cold), path.name
-    again = canary.analyze_source(text, filename=path.name)
-    assert _everything(again) == _everything(cold), path.name
-
-
-@pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
-def test_corpus_shared_store_round_trip(path):
-    """Over every corpus program: a second driver instance on the same
-    store (the daemon's shape: one resident store, a fresh driver per
-    request) answers from the memory layer without running a pass, with
-    the cold run's findings field for field; a driver whose config
-    differs in an analysis knob misses."""
-    text = path.read_text()
-    _expects, checkers, overrides = _parse_directives(text)
-    store = ArtifactStore()
-    config = AnalysisConfig(checkers=checkers, **overrides)
-    cold = Canary(config, store=store).analyze_source(text, filename=path.name)
-    warm = Canary(dataclasses.replace(config), store=store).analyze_source(
-        text, filename=path.name
-    )
-    assert warm.passes_run() == [], path.name
-    assert _everything(warm) == _everything(cold), path.name
-    other = dataclasses.replace(config, max_search_visits=config.max_search_visits + 1)
-    miss = Canary(other, store=store).analyze_source(text, filename=path.name)
-    assert miss.passes_run() != [], path.name
-    assert store.statistics()["artifact_hits"] == 1, path.name
+    first = canary.analyze_source(text, filename=path.name)
+    second = canary.analyze_source(text, filename=path.name)
+    assert {row["status"] for row in second.pass_statistics} == {"run"}, path.name
+    assert second.passes_run() == first.passes_run(), path.name
+    assert _everything(second) == _everything(first), path.name
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
 def test_corpus_portable_record_survives_json(path):
     """Over every corpus program: the portable record that ``repro serve``
-    returns as JSON from ``/reports/<id>`` encodes without a fallback,
-    decodes to the same record, and rehydrates from the instructions the
-    findings name to the cold report field for field."""
+    returns as JSON from ``/reports/<id>`` encodes without a fallback and
+    decodes to the same record, which names the report's findings by
+    label."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
-    config = AnalysisConfig(checkers=checkers, use_cache=False, **overrides)
+    config = AnalysisConfig(checkers=checkers, collect_suppressed=True, **overrides)
     cold = Canary(config).analyze_source(text, filename=path.name)
     record = report_to_portable(cold)
     decoded = json.loads(json.dumps(record))
     assert decoded == record, path.name
-    again = report_from_portable(decoded, named_instructions(cold))
-    assert _everything(again) == _everything(cold), path.name
+    assert [
+        (b["kind"], b["source"], b["sink"], b["statements"]) for b in decoded["bugs"]
+    ] == [
+        (b.kind, b.source.label, b.sink.label, [s.label for s in b.statements])
+        for b in cold.bugs
+    ], path.name
+    assert [
+        (s["kind"], s["source"], s["sink"], s["reason"]) for s in decoded["suppressed"]
+    ] == [
+        (s.kind, s.source.label, s.sink.label, s.reason) for s in cold.suppressed
+    ], path.name

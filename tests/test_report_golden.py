@@ -1,11 +1,12 @@
 """Pinned report payloads: the portable record and the ``--stats`` text.
 
 ``report_to_portable`` is the JSON payload of the daemon's
-``/reports/<id>`` and the run cache's record; ``describe_statistics``
-and ``describe_passes`` are what ``--stats`` prints.  This file pins all
-three as text, key order included, for three corpus files, each run
-cold and then answered from the run cache.  Wall-clock numbers (every
-decimal in the text) are masked; counts are not.
+``/reports/<id>``; ``describe_statistics`` and ``describe_passes`` are
+what ``--stats`` prints.  This file pins all three as text, key order
+included, for three corpus files, each run twice in one driver
+(``cold`` and ``warm``): the second run analyses the file again and
+must print what the first did.  Wall-clock numbers (every decimal in
+the text) are masked; counts are not.
 
 After an intended change to the payload or the ``--stats`` text,
 regenerate the pins with::

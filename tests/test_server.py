@@ -1,8 +1,8 @@
 """The analysis daemon: service lifecycle, HTTP endpoints, and the
 correctness bar — daemon-served reports are bug-key- and
-witness-identical to CLI one-shot runs, whether a request is answered
-from the run cache, re-submits an edited file, or runs concurrently with
-another request for the same filename.
+witness-identical to CLI one-shot runs, whether a request re-submits
+the same or an edited file, or runs concurrently with another request
+for the same filename.
 """
 
 from __future__ import annotations
@@ -75,13 +75,31 @@ class TestDaemonCliEquivalence:
         assert record.result["suppressed"] == reference["suppressed"]
         assert record.result["truncation_warnings"] == reference["truncation_warnings"]
 
-    def test_second_submission_is_warm_and_identical(self, service):
+    def test_resubmission_runs_every_pass(self, service):
         text, overrides = _subject("uaf_basic.mcc")
         first = service.analyze(text, "uaf_basic.mcc", overrides, timeout=120)
         second = service.analyze(text, "uaf_basic.mcc", overrides, timeout=120)
         assert second.result["bugs"] == first.result["bugs"]
-        # the resident run cache serves the re-submission: zero passes run
-        assert second.result["passes_run"] == []
+        assert second.result["bugs"] == _reference_portable("uaf_basic.mcc")["bugs"]
+        # the re-submission is analysed again, pass for pass
+        assert second.result["passes_run"] == first.result["passes_run"]
+        assert {row["status"] for row in second.result["pass_statistics"]} == {"run"}
+
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+    def test_corpus_resubmission_equals_one_shot(self, service, path):
+        """Over every corpus program: a resident service (one process, a
+        fresh driver per request) analyses a byte-identical re-submission
+        again, pass for pass, and both answers are the one-shot run's."""
+        text, overrides = _subject(path.name)
+        first = service.analyze(text, path.name, overrides, timeout=120)
+        second = service.analyze(text, path.name, overrides, timeout=120)
+        assert first.status == second.status == "done", (first.error, second.error)
+        assert second.result["passes_run"] == first.result["passes_run"] != []
+        assert {row["status"] for row in second.result["pass_statistics"]} == {"run"}
+        reference = _reference_portable(path.name)
+        for record in (first, second):
+            for field in ("bugs", "suppressed", "truncation_warnings", "degradation_warnings"):
+                assert record.result[field] == reference[field], (path.name, field)
 
     def test_edited_resubmission_equals_one_shot(self, service):
         text, overrides = _subject("mixed_all_checkers.mcc")
@@ -89,16 +107,16 @@ class TestDaemonCliEquivalence:
         total = len(cold.result["pass_statistics"])
         assert len(cold.result["passes_run"]) == total  # cold = everything
         edited = text.replace("print(", "print(0 + ", 1)
-        warm = service.analyze(edited, "mixed.mcc", overrides, timeout=120)
-        assert warm.status == "done", warm.error
+        again = service.analyze(edited, "mixed.mcc", overrides, timeout=120)
+        assert again.status == "done", again.error
         config = AnalysisConfig(
             **{**overrides, "checkers": tuple(overrides["checkers"])}
         )
         one_shot = report_to_portable(
             Canary(config).analyze_source(edited, filename="mixed.mcc")
         )
-        assert warm.result["bugs"] == one_shot["bugs"]
-        assert warm.result["suppressed"] == one_shot["suppressed"]
+        assert again.result["bugs"] == one_shot["bugs"]
+        assert again.result["suppressed"] == one_shot["suppressed"]
 
 
 # ----- request isolation -----------------------------------------------------
@@ -148,8 +166,8 @@ class TestRequestIsolation:
             service.submit("int main() { return 0; }", "n.mcc", {knob: -1})
         assert getattr(service.request_config({knob: 0}), knob) == 0
 
-    def test_server_owned_knob_rejected(self, service):
-        with pytest.raises(ConfigError, match="server-owned"):
+    def test_inert_knob_rejected(self, service):
+        with pytest.raises(ConfigError, match="inert config knob"):
             service.request_config({"use_cache": False})
 
     def test_deleted_cache_dir_knob_is_unknown(self, service):
@@ -198,7 +216,6 @@ class TestConcurrentRequests:
         assert snapshot["server.completed"] == 2
         assert snapshot["server.analyze_seconds.count"] == 2
         assert snapshot["server.reports_done"] == 2
-        assert snapshot["store.artifact_hits"] >= 0
 
 
 
@@ -366,7 +383,6 @@ class TestHttpEndpoints:
         status, body = _call(port, "GET", "/metrics")
         assert status == 200
         assert body["server.requests"] >= 1
-        assert "store.artifact_hits" in body
         assert "server.uptime_seconds" in body
 
     def test_bad_requests(self, http_server):

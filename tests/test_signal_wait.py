@@ -72,7 +72,6 @@ def mhp_of(module):
 
 
 def run(src, checkers=("use-after-free",), **overrides):
-    overrides.setdefault("use_cache", False)
     return Canary(AnalysisConfig(checkers=checkers, **overrides)).analyze_source(src)
 
 

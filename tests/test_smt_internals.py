@@ -172,7 +172,7 @@ def _corpus_phi_all():
             for model in ("sc", "tso", "pso"):
                 config = AnalysisConfig(
                     checkers=tuple(checkers),
-                    **{**overrides, "memory_model": model, "use_cache": False},
+                    **{**overrides, "memory_model": model},
                 )
                 Canary(config).analyze_source(text)
     finally:

@@ -48,7 +48,6 @@ def _keys(report):
 
 
 def _run(text, **overrides):
-    overrides.setdefault("use_cache", False)
     return Canary(AnalysisConfig(**overrides)).analyze_source(text, keep_bundle=True)
 
 
@@ -77,7 +76,7 @@ class TestExactness:
     def test_corpus_keys_equal_on_off(self, path):
         text = path.read_text()
         expects, checkers, config = _parse_directives(text)
-        base = dict(config, checkers=checkers, use_cache=False)
+        base = dict(config, checkers=checkers)
         on = Canary(AnalysisConfig(**base)).analyze_source(text)
         with inject(FaultPlan.make(crash=["pass:summaries"])):
             off = Canary(AnalysisConfig(**base)).analyze_source(text, keep_bundle=True)

@@ -90,7 +90,7 @@ class TestSteensgaard:
         assert pts.callees(fork.callee) == {"w"}
 
     def test_uaf_in_thread_forked_through_deep_chain(self):
-        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(
+        report = Canary(AnalysisConfig()).analyze_source(
             indirect_chain(6), keep_bundle=True
         )
         functions = report.bundle.module.functions
@@ -237,7 +237,7 @@ class TestHappensBefore:
         assert mhp.may_happen_in_parallel(child, after)
 
     def test_reused_join_name_reports_the_use_after_free(self):
-        report = Canary(AnalysisConfig(use_cache=False)).analyze_source(JOIN_NAME_REUSED)
+        report = Canary(AnalysisConfig()).analyze_source(JOIN_NAME_REUSED)
         assert [b.kind for b in report.bugs] == ["use-after-free"]
 
     def test_join_does_not_order_statements_before_it(self):

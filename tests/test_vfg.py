@@ -207,7 +207,7 @@ void main() { g = malloc(); fork(t, worker); %s }
 
 def _uaf_count(mid_body, main_tail):
     source = GLOBAL_READ_THROUGH_CALLS % (mid_body, main_tail)
-    return len(Canary(AnalysisConfig(use_cache=False)).analyze_source(source).bugs)
+    return len(Canary(AnalysisConfig()).analyze_source(source).bugs)
 
 
 class TestGlobalReadsThroughCalls:
