@@ -90,14 +90,6 @@ class Budget:
 
     # ----- wall clock -------------------------------------------------------
 
-    @property
-    def unlimited(self) -> bool:
-        return (
-            self.wall_seconds is None
-            and self.pass_seconds is None
-            and self.solver_seconds is None
-        )
-
     def elapsed(self) -> float:
         return self._clock() - self.started_at
 
@@ -146,13 +138,3 @@ class Budget:
             clipped = max(remaining, floor)
             timeout = clipped if timeout is None else min(timeout, clipped)
         return timeout
-
-    def describe(self) -> str:
-        parts = []
-        if self.wall_seconds is not None:
-            parts.append(f"wall {self.wall_seconds:g}s")
-        if self.pass_seconds is not None:
-            parts.append(f"pass {self.pass_seconds:g}s (soft)")
-        if self.solver_seconds is not None:
-            parts.append(f"solver query {self.solver_seconds:g}s")
-        return ", ".join(parts) if parts else "unlimited"

@@ -379,7 +379,6 @@ class AnalysisPipeline:
             order_constraints=cfg.order_constraints,
             lock_analysis=lock_analysis,
             memory_model=cfg.memory_model,
-            solver_timeout=cfg.solver_timeout_seconds,
             budget=budget,
             metrics=registry,
             tracer=self.tracer,

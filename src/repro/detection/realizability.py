@@ -10,10 +10,10 @@ feasible sequentially-consistent interleaving and the bug is reported,
 together with a *witness order* extracted from the model.
 
 Every Φ_all is solved; a run rarely builds the same Φ_all twice, so
-verdicts are not memoized.  Per-query budgets (``solver_timeout``
-seconds, optionally clipped by the run's
-:class:`~repro.analysis.budget.Budget`) bound every solve: an exhausted
-budget is an UNKNOWN verdict, never a refutation.
+verdicts are not memoized.  The run's
+:class:`~repro.analysis.budget.Budget` bounds every solve
+(:meth:`~repro.analysis.budget.Budget.query_timeout`; no budget, no
+limit): an exhausted budget is an UNKNOWN verdict, never a refutation.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class RealizabilityChecker:
         order_constraints: bool = True,
         lock_analysis=None,
         memory_model: str = "sc",
-        solver_timeout: Optional[float] = None,
         budget=None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -96,9 +95,8 @@ class RealizabilityChecker:
             bundle, lock_analysis=lock_analysis, memory_model=memory_model
         )
         self.solver_max_conflicts = solver_max_conflicts
-        self.solver_timeout = solver_timeout
-        #: optional repro.analysis.budget.Budget — clips per-query
-        #: timeouts to the run's remaining wall budget
+        #: optional repro.analysis.budget.Budget — the per-query timeout,
+        #: clipped to the run's remaining wall budget
         self.budget = budget
         self.order_constraints = order_constraints
         #: the single home of the solver counters; shared with the run's
@@ -130,16 +128,6 @@ class RealizabilityChecker:
     def statistics(self) -> Dict[str, int]:
         """Legacy view: the ``solver.*`` registry counters, plain dict."""
         return self.metrics.namespace("solver")
-
-    def query_timeout(self) -> Optional[float]:
-        """Per-query wall budget: ``solver_timeout`` clipped to the run
-        budget's remaining wall time (evaluated at submission)."""
-        timeout = self.solver_timeout
-        if self.budget is not None:
-            clipped = self.budget.query_timeout()
-            if clipped is not None:
-                timeout = clipped if timeout is None else min(timeout, clipped)
-        return timeout
 
     # ----- formula assembly -------------------------------------------------
 
@@ -200,7 +188,8 @@ class RealizabilityChecker:
           (the Fig. 5(b) / fork-join class).
         """
         solver = Solver(
-            max_conflicts=self.solver_max_conflicts, timeout=self.query_timeout()
+            max_conflicts=self.solver_max_conflicts,
+            timeout=self.budget.query_timeout() if self.budget is not None else None,
         )
         solver.add(self.guards_only_formula(query))
         if solver.check() is UNSAT:
@@ -262,7 +251,7 @@ class RealizabilityChecker:
             verdict, ints, bools, seconds, reason = solve_formula(
                 formula,
                 max_conflicts=self.solver_max_conflicts,
-                timeout=self.query_timeout(),
+                timeout=self.budget.query_timeout() if self.budget is not None else None,
                 tracer=self.tracer,
             )
             span.set("verdict", verdict)

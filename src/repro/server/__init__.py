@@ -16,9 +16,10 @@ Three layers:
   face (``POST /analyze``, ``GET /reports/<id>``, ``GET /metrics``,
   ``GET /healthz``) and the ``repro serve`` entry point.
 
-Correctness bar (same as every prior PR): a daemon-served report is
-bug-key- and witness-identical to what a cold CLI one-shot on the same
-source and config would produce.
+Correctness bar: a done record's result is the
+:func:`~repro.checkers.report_to_dict` encoding of its report, and it
+equals that of a one-shot run on the same source and config, wall-clock
+numbers aside.
 """
 
 from .registry import ReportRecord, ReportRegistry

@@ -8,8 +8,8 @@ Endpoints:
   request is analysed from scratch, a byte-identical re-submission
   included;
 * ``GET /reports/<id>`` — poll one report (``queued``/``running``/
-  ``done``/``failed``; ``done`` carries the portable result and the
-  run's metrics snapshot);
+  ``done``/``failed``; ``done`` carries the result,
+  :func:`~repro.checkers.report_to_dict` of the run's report);
 * ``GET /reports`` — list records (without result payloads);
 * ``DELETE /reports/<id>`` (or ``POST /reports/<id>/cancel``) — cancel
   an in-flight run;

@@ -1,10 +1,9 @@
 """Report records and their lifecycle for the analysis daemon.
 
 A submission creates a :class:`ReportRecord` in state ``queued``; a
-worker moves it to ``running`` and finally ``done`` (with the portable,
-label-keyed result dict of
-:func:`~repro.analysis.fingerprint.report_to_portable`) or
-``failed`` (with the error string).  The registry is the daemon's only
+worker moves it to ``running`` and finally ``done`` (with the result
+dict of :func:`~repro.checkers.report_to_dict`) or ``failed`` (with
+the error string).  The registry is the daemon's only
 session state: it is bounded (``max_reports``), evicting the oldest
 *finished* records first so in-flight work is never dropped.
 """
@@ -38,12 +37,10 @@ class ReportRecord:
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: portable result payload (bugs, statistics, pass table) when done
+    #: ``report_to_dict`` of the run's report (findings and metrics) when done
     result: Optional[Dict[str, Any]] = None
     #: error rendering when failed
     error: Optional[str] = None
-    #: the run's flattened metrics registry snapshot when done
-    metrics: Optional[Dict[str, Any]] = None
 
     def as_dict(self, include_result: bool = True) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -59,7 +56,6 @@ class ReportRecord:
             data["error"] = self.error
         if include_result and self.result is not None:
             data["result"] = self.result
-            data["metrics"] = self.metrics
         return data
 
 
@@ -121,19 +117,13 @@ class ReportRegistry:
                 record.status = RUNNING
                 record.started_at = time.time()
 
-    def set_done(
-        self,
-        report_id: str,
-        result: Dict[str, Any],
-        metrics: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def set_done(self, report_id: str, result: Dict[str, Any]) -> None:
         with self._condition:
             record = self._records.get(report_id)
             if record is not None:
                 record.status = DONE
                 record.finished_at = time.time()
                 record.result = result
-                record.metrics = metrics
             self._condition.notify_all()
 
     def set_failed(self, report_id: str, error: str) -> None:

@@ -19,7 +19,11 @@ three ways:
   :class:`~repro.obs.metrics.MetricsRegistry`; on completion the run
   registry is folded into the server aggregate under the ``runs.``
   prefix (:meth:`MetricsRegistry.merge`), so ``/metrics`` shows
-  cumulative traffic while per-report snapshots stay request-scoped.
+  cumulative traffic while each report's ``result["metrics"]`` stays
+  request-scoped.
+
+A done record's result is :func:`~repro.checkers.report_to_dict` of the
+run's report: the same dict a one-shot run encodes.
 
 Requests share no analysis state: a byte-identical re-submission runs
 every pass again, exactly as a one-shot run would, and requests for the
@@ -37,9 +41,8 @@ from typing import Any, Dict, List, Optional
 from ..analysis.budget import Budget, BudgetExceededError
 from ..analysis.config import INERT_FIELDS, AnalysisConfig
 from ..analysis.driver import quiet_collector
-from ..analysis.fingerprint import report_to_portable
 from ..analysis.passes import AnalysisPipeline
-from ..checkers import resolve_checker_names
+from ..checkers import report_to_dict, resolve_checker_names
 from ..frontend import FrontendError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -189,11 +192,7 @@ class AnalysisService:
                     self._budgets.pop(report_id, None)
                 self._queue.task_done()
             seconds = time.perf_counter() - t0
-            result = report_to_portable(report)
-            result["num_reports"] = report.num_reports
-            result["pass_statistics"] = report.pass_statistics
-            result["passes_run"] = report.passes_run()
-            self.registry.set_done(report_id, result, metrics=report.metrics.snapshot())
+            self.registry.set_done(report_id, report_to_dict(report))
             self.metrics.inc("server.completed")
             self.metrics.observe("server.analyze_seconds", seconds)
             self.metrics.merge(report.metrics, prefix="runs.")

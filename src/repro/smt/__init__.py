@@ -33,7 +33,7 @@ from .terms import (
     or_,
     true,
 )
-from .simplify import GuardPrefix, quick_unsat, simplify_conjunction
+from .simplify import GuardPrefix, quick_unsat
 from .solver import SAT, UNKNOWN, UNSAT, Model, Solver, is_satisfiable, solve_formula
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "true",
     "GuardPrefix",
     "quick_unsat",
-    "simplify_conjunction",
     "SAT",
     "UNSAT",
     "UNKNOWN",

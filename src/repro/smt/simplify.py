@@ -10,18 +10,17 @@ definitely unsatisfiable; ``False`` means "don't know".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .terms import And, BoolTerm, FALSE, Le, Lt, Eq, Not, TRUE, conjuncts
+from .terms import BoolTerm, FALSE, Le, Lt, Eq, Not, TRUE, conjuncts
 from .theory import (
     DifferenceBound,
     IncrementalBoundStore,
-    ZERO_NAME,
     negate_bound,
     normalize_atom,
 )
 
-__all__ = ["GuardPrefix", "quick_unsat", "simplify_conjunction"]
+__all__ = ["GuardPrefix", "quick_unsat"]
 
 
 def _literal_bounds(lit: BoolTerm) -> Optional[List[DifferenceBound]]:
@@ -49,7 +48,8 @@ def quick_unsat(term: BoolTerm) -> bool:
     Detects (1) complementary boolean literals in the top-level
     conjunction (the ``theta and not theta`` pattern of the paper's
     Fig. 2) and (2) negative cycles among the conjunction's difference
-    bounds (contradictory order constraints, paper Ex. 5.1).
+    bounds (contradictory order constraints, paper Ex. 5.1), folded into
+    an :class:`IncrementalBoundStore` as :class:`GuardPrefix` does.
     """
     if term is FALSE:
         return True
@@ -57,34 +57,14 @@ def quick_unsat(term: BoolTerm) -> bool:
         return False
     lits = list(conjuncts(term))
     lit_set = set(lits)
-    arith: List[DifferenceBound] = []
+    store = IncrementalBoundStore()
     for lit in lits:
         if isinstance(lit, Not) and lit.arg in lit_set:
             return True
-        bounds = _literal_bounds(lit)
-        if bounds is not None:
-            arith.extend(bounds)
-    if arith:
-        return _has_negative_cycle(arith)
+        for bound in _literal_bounds(lit) or ():
+            if store.assert_bound(bound):
+                return True
     return False
-
-
-def _has_negative_cycle(bounds: List[DifferenceBound]) -> bool:
-    nodes = {ZERO_NAME}
-    for b in bounds:
-        nodes.add(b.x)
-        nodes.add(b.y)
-    dist: Dict[str, int] = {v: 0 for v in nodes}
-    edges: List[Tuple[str, str, int]] = [(b.y, b.x, b.c) for b in bounds]
-    for _ in range(len(nodes)):
-        changed = False
-        for u, v, w in edges:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            return False
-    return True
 
 
 class GuardPrefix:
@@ -191,15 +171,3 @@ class GuardPrefix:
         if self._fp is None:
             self._fp = tuple(self._order)
         return self._fp
-
-
-def simplify_conjunction(term: BoolTerm) -> BoolTerm:
-    """Normalize a guard conjunction; returns FALSE if quickly refutable.
-
-    The smart constructors in :mod:`repro.smt.terms` already flatten,
-    deduplicate, and cancel complementary literals, so this adds only the
-    arithmetic quick check on top.
-    """
-    if quick_unsat(term):
-        return FALSE
-    return term

@@ -19,6 +19,9 @@ complements by the lightweight simplifier.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Iterable, Optional, Tuple
 
 __all__ = [
@@ -60,27 +63,42 @@ __all__ = [
     "conjuncts",
 ]
 
+#: the hash-cons table, key -> weak reference to the term.  A term leaves
+#: it once nothing else holds it: the reference's callback drops the
+#: entry, unless a live term has taken its place.  (A plain dict of refs
+#: is a WeakValueDictionary whose lookups stay in C.)
 _interned: dict = {}
+_intern_lock = threading.Lock()
 
 
 def _intern(cls, *args):
     """Hash-cons constructor: one object per structurally-distinct term."""
     key = (cls, args)
-    found = _interned.get(key)
-    if found is None:
-        found = object.__new__(cls)
-        found._args = args
-        found._hash = hash(key)
-        # Not a plain store: when two threads build the same term at
-        # once, both must get the object that was stored first.
-        found = _interned.setdefault(key, found)
+    ref = _interned.get(key)
+    if ref is not None:
+        found = ref()
+        if found is not None:
+            return found
+    found = object.__new__(cls)
+    found._args = args
+    found._hash = hash(key)
+    new = weakref.ref(found, lambda _ref, key=key: _remove_dead_weakref(_interned, key))
+    # When two threads build the same term at once, both must get the
+    # object that was stored first.
+    with _intern_lock:
+        ref = _interned.setdefault(key, new)
+        if ref is not new:
+            stored = ref()
+            if stored is not None:
+                return stored
+            _interned[key] = new  # the entry's term died; its callback is due
     return found
 
 
 class Term:
     """Base class of all terms.  Instances are immutable and interned."""
 
-    __slots__ = ("_args", "_hash")
+    __slots__ = ("_args", "_hash", "__weakref__")
 
     def __hash__(self):
         return self._hash

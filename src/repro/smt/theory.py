@@ -131,10 +131,10 @@ def negate_bound(b: DifferenceBound) -> DifferenceBound:
 class IncrementalBoundStore:
     """Push/pop store of difference bounds with *incremental* consistency.
 
-    The non-incremental check (:func:`repro.smt.simplify.quick_unsat`)
-    re-runs Bellman-Ford over the whole conjunction for every candidate
-    path, which is O(V·E) per query.  This store instead maintains a
-    feasible potential function ``dist`` across assertions: adding the
+    A Bellman-Ford check re-runs over the whole conjunction for every
+    candidate path, which is O(V·E) per query.  This store instead
+    maintains a feasible potential function ``dist`` across assertions
+    (:func:`repro.smt.simplify.quick_unsat` fills one per call): adding the
     bound ``x - y <= c`` only triggers label-correcting relaxation from
     ``x`` when the new edge is violated, so the common case (the new
     guard is compatible) costs O(out-edges of the touched region) — the
@@ -142,10 +142,10 @@ class IncrementalBoundStore:
 
     Infeasibility is detected the standard incremental way: the store is
     consistent before each assertion, so a negative cycle must pass
-    through the new edge, and during relaxation some node then relaxes
-    more than |V| times.  Frames snapshot the touched potentials, so
-    ``pop`` restores the exact pre-push state in time proportional to
-    the work the push did.
+    through the new edge ``y -> x``, and one exists exactly when the
+    relaxation from ``x`` lowers ``y``'s potential.  Frames snapshot the
+    touched potentials, so ``pop`` restores the exact pre-push state in
+    time proportional to the work the push did.
     """
 
     def __init__(self) -> None:
@@ -185,10 +185,8 @@ class IncrementalBoundStore:
         if dist[bound.y] + bound.c >= dist[bound.x]:
             return False
         # The new edge is violated: relax forward from x.  A feasible
-        # potential exists for the old system, so any node relaxing more
-        # than |V| times lies on a negative cycle through the new edge.
-        limit = len(dist)
-        counts: Dict[str, int] = {}
+        # potential exists for the old system, so reaching y by a shorter
+        # path closes a negative cycle through the new edge.
         if bound.x not in touched:
             touched[bound.x] = dist[bound.x]
         dist[bound.x] = dist[bound.y] + bound.c
@@ -198,13 +196,12 @@ class IncrementalBoundStore:
             du = dist[u]
             for v, w in self._edges[u]:
                 if du + w < dist[v]:
+                    if v == bound.y:
+                        self._unsat_depth = len(self._frames) - 1
+                        return True
                     if v not in touched:
                         touched[v] = dist[v]
                     dist[v] = du + w
-                    counts[v] = counts.get(v, 0) + 1
-                    if counts[v] > limit:
-                        self._unsat_depth = len(self._frames) - 1
-                        return True
                     queue.append(v)
         return False
 

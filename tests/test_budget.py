@@ -26,11 +26,9 @@ class FakeClock:
 class TestBudgetWallClock:
     def test_default_budget_is_unlimited(self):
         budget = Budget()
-        assert budget.unlimited
         assert not budget.expired()
         assert budget.remaining() is None
         assert budget.query_timeout() is None
-        assert budget.describe() == "unlimited"
 
     def test_elapsed_tracks_the_clock(self):
         clock = FakeClock()
@@ -105,12 +103,6 @@ class TestBudgetDerivedLimits:
         assert budget.query_timeout() == pytest.approx(0.05)
         assert budget.query_timeout(floor=0.5) == pytest.approx(0.5)
 
-    def test_describe_lists_the_configured_limits(self):
-        text = Budget(wall_seconds=60.0, pass_seconds=5.0, solver_seconds=1.0).describe()
-        assert "wall 60s" in text
-        assert "pass 5s (soft)" in text
-        assert "solver query 1s" in text
-
 
 class TestConfigWiring:
     def test_from_config_maps_all_three_knobs(self):
@@ -123,9 +115,6 @@ class TestConfigWiring:
         assert budget.wall_seconds == 30.0
         assert budget.pass_seconds == 4.0
         assert budget.solver_seconds == 0.5
-
-    def test_default_config_gives_unlimited_budget(self):
-        assert Budget.from_config(AnalysisConfig()).unlimited
 
     def test_budget_knobs_are_semantic_for_caching(self):
         # A budget changes which verdicts are reachable (UNKNOWN vs.

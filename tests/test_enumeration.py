@@ -6,6 +6,7 @@ reference runs each checker directly with its three prunes turned off.
 """
 
 import pathlib
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.detection import (
 )
 from repro.threads.locks import LockAnalysis
 from repro.detection.reachability import INFINITE_AVAIL
-from repro.smt import GuardPrefix, TRUE, FALSE, and_, bool_var, int_var, lt, not_, quick_unsat
+from repro.smt import GuardPrefix, TRUE, FALSE, and_, bool_var, int_var, le, lt, not_, quick_unsat
 from repro.smt.theory import DifferenceBound, IncrementalBoundStore
 from repro.vfg.graph import ValueFlowGraph
 from repro.__main__ import main as repro_main
@@ -70,6 +71,52 @@ class TestIncrementalBoundStore:
         assert not store.assert_bound(DifferenceBound("a", "b", 0))  # a <= b
         assert not store.assert_bound(DifferenceBound("b", "a", 0))  # b <= a: a == b
         assert not store.unsat
+
+    def test_self_bound(self):
+        store = IncrementalBoundStore()
+        assert not store.assert_bound(DifferenceBound("a", "a", 0))
+        assert store.assert_bound(DifferenceBound("a", "a", -1))
+
+    #: a chain of diamonds n0 -> n4 (via a_i or b_i) closed through s:
+    #: the last bound lowers n4 by more routes than there are nodes, yet
+    #: the lightest cycle weighs 35 - 33 - 2 = 0, so the set is sat
+    DIAMONDS = [
+        ("n1", "a0", 0), ("n2", "b1", 0), ("n4", "b3", 0), ("n4", "a3", 0),
+        ("n3", "b2", 0), ("a2", "n2", 0), ("a1", "n1", 0), ("n2", "a1", 0),
+        ("a0", "n0", 0), ("n3", "a2", 0), ("b3", "n3", -2), ("b0", "n0", 16),
+        ("b1", "n1", 8), ("a3", "n3", 0), ("n1", "b0", 0), ("b2", "n2", 4),
+        ("s", "n4", 35), ("n0", "s", -33),
+    ]
+
+    def test_many_relaxations_without_a_cycle_stay_sat(self):
+        store = IncrementalBoundStore()
+        assert not any(store.assert_bound(DifferenceBound(*b)) for b in self.DIAMONDS)
+        guards = [le(int_var(a) - int_var(b), c) for a, b, c in self.DIAMONDS]
+        prefix = GuardPrefix()
+        assert not any(prefix.push(g) for g in guards)
+        assert not quick_unsat(and_(*guards))
+        assert store.assert_bound(DifferenceBound("s", "n4", 31))  # weight -4 < 0
+
+    def test_agrees_with_bellman_ford(self):
+        """Over random bound sets, the store is unsat exactly when the
+        constraint graph has a negative cycle."""
+        rng = random.Random(2024)
+        names = ["a", "b", "c", "d", "e"]
+        for _ in range(400):
+            bounds = [
+                DifferenceBound(*rng.sample(names, 2), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 9))
+            ]
+            store = IncrementalBoundStore()
+            unsat = any(store.assert_bound(b) for b in bounds)
+            dist = dict.fromkeys(names, 0)
+            for _round in range(len(names)):
+                changed = False
+                for b in bounds:  # x - y <= c is the edge y -> x of weight c
+                    if dist[b.y] + b.c < dist[b.x]:
+                        dist[b.x] = dist[b.y] + b.c
+                        changed = True
+            assert unsat == changed, bounds
 
 
 # ----- GuardPrefix -----------------------------------------------------------

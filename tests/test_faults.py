@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro import AnalysisConfig, Canary
-from repro.analysis.fingerprint import report_to_portable
+from repro.checkers import report_to_dict
 from repro.frontend import FrontendError
 from repro.testing import faults
 from repro.testing.faults import (
@@ -128,12 +128,12 @@ class TestPassCrashDegradation:
         assert "use-after-free" not in report.checker_statistics
         assert any("use-after-free" in w for w in report.degradation_warnings)
 
-    def test_degraded_report_round_trips_portably(self):
+    def test_degraded_report_round_trips_as_json(self):
         with inject(FaultPlan.make(crash=["pass:pointer"])):
             report = _fresh_canary().analyze_source(SIMPLE_UAF)
-        portable = report_to_portable(report)
-        assert portable["degradation_warnings"] == report.degradation_warnings
-        assert portable["timed_out"] is False
+        payload = report_to_dict(report)
+        assert payload["degradation_warnings"] == report.degradation_warnings
+        assert payload["timed_out"] is False
 
 
 class TestSolverDegradation:
@@ -189,9 +189,9 @@ class TestWallBudgetDegradation:
         assert not clean.timed_out
         assert clean.num_reports >= 1
 
-    def test_timed_out_flag_round_trips_portably(self):
+    def test_timed_out_flag_round_trips_as_json(self):
         report = _fresh_canary(timeout_seconds=0.0).analyze_source(SIMPLE_UAF)
-        assert report_to_portable(report)["timed_out"] is True
+        assert report_to_dict(report)["timed_out"] is True
 
 
 class TestSeedMatrix:

@@ -5,16 +5,18 @@ import json
 import pytest
 
 from repro import AnalysisConfig, Canary
-from repro.checkers import report_to_dict, report_to_json, report_to_sarif
+from repro.checkers import ALL_CHECKERS, report_to_dict, report_to_json, report_to_sarif
 from repro.frontend import parse_program
 from repro.ir import IRModule, verify_module
 from repro.ir.instructions import CopyInst, LoadInst
 from repro.ir.values import IntConstant, Variable, fresh_variable
 from repro.lowering import lower_program
 from repro.smt.terms import TRUE
+from repro.testing.faults import FaultPlan, inject
 from repro.vfg import to_dot, to_json
 
 from programs import FIG2_BUGGY, FIG2_BUG_FREE, SIMPLE_UAF, THROUGH_CALL, bundle_for
+from test_corpus import CORPUS_FILES, _parse_directives
 
 
 def lower(src):
@@ -138,12 +140,13 @@ class TestReportSerialization:
 
     def test_dict_shape(self, report):
         data = report_to_dict(report)
-        assert data["tool"] == "canary-repro"
+        assert data["version"] == 2
         assert len(data["bugs"]) == report.num_reports
         bug = data["bugs"][0]
         assert bug["kind"] == "use-after-free"
         assert bug["source"]["file"] == "simple.mcc"
-        assert bug["witness_interleaving"]
+        assert bug["witness_order"]
+        assert data["metrics"] == report.metrics.snapshot()
 
     def test_json_parses(self, report):
         data = json.loads(report_to_json(report))
@@ -164,6 +167,89 @@ class TestReportSerialization:
         clean = Canary().analyze_source(FIG2_BUG_FREE)
         sarif = report_to_sarif(clean)
         assert sarif["runs"][0]["results"] == []
+
+
+    def test_sarif_rule_text_for_every_checker(self, report):
+        rules = report_to_sarif(report)["runs"][0]["tool"]["driver"]["rules"]
+        text = {rule["id"]: rule["shortDescription"]["text"] for rule in rules}
+        for kind in ALL_CHECKERS:
+            assert text.get(kind, kind) != kind, kind
+
+
+def _endpoint(inst):
+    loc = inst.location
+    return {
+        "label": inst.label,
+        "statement": inst.brief(),
+        "file": loc.filename,
+        "line": loc.line,
+        "column": loc.column,
+    }
+
+
+def _assert_payload_carries(report):
+    """Every field of the report's findings and warnings, and its whole
+    metrics snapshot, is in the payload."""
+    data = json.loads(report_to_json(report))
+    assert data == report_to_dict(report)
+    assert data["bugs"] == [
+        {
+            "kind": b.kind,
+            "inter_thread": b.inter_thread,
+            "source": _endpoint(b.source),
+            "sink": _endpoint(b.sink),
+            "path": b.path,
+            "witness_order": b.witness_order,
+            "witness_env": b.witness_env,
+            "statements": [
+                {"label": s.label, "statement": s.brief(), "line": s.location.line}
+                for s in b.statements
+            ],
+        }
+        for b in report.bugs
+    ]
+    assert data["suppressed"] == [
+        {
+            "kind": s.kind,
+            "source": _endpoint(s.source),
+            "sink": _endpoint(s.sink),
+            "reason": s.reason,
+        }
+        for s in report.suppressed
+    ]
+    assert data["truncation_warnings"] == report.truncation_warnings
+    assert data["degradation_warnings"] == report.degradation_warnings
+    assert data["timed_out"] is report.timed_out
+    assert data["metrics"] == report.metrics.snapshot()
+
+
+class TestReportPayloadCompleteness:
+    @pytest.mark.parametrize(
+        "stem", ["mixed_all_checkers", "uaf_two_routes_first_infeasible"]
+    )
+    def test_corpus_payload_carries_every_field(self, stem):
+        path = next(p for p in CORPUS_FILES if p.stem == stem)
+        text = path.read_text()
+        _expects, checkers, overrides = _parse_directives(text)
+        config = AnalysisConfig(checkers=checkers, collect_suppressed=True, **overrides)
+        report = Canary(config).analyze_source(text, filename=path.name)
+        assert report.bugs and report.suppressed
+        _assert_payload_carries(report)
+        if stem == "uaf_two_routes_first_infeasible":
+            assert any(b["witness_env"]["ints"] or b["witness_env"]["bools"]
+                       for b in report_to_dict(report)["bugs"])
+
+    def test_payload_carries_warnings_and_timeout(self):
+        with inject(FaultPlan.make(crash=["pass:summaries"])):
+            degraded = Canary().analyze_source(SIMPLE_UAF)
+        assert degraded.degradation_warnings
+        _assert_payload_carries(degraded)
+        truncated = Canary(AnalysisConfig(max_search_visits=1)).analyze_source(SIMPLE_UAF)
+        assert truncated.truncation_warnings
+        _assert_payload_carries(truncated)
+        expired = Canary(AnalysisConfig(timeout_seconds=0.0)).analyze_source(SIMPLE_UAF)
+        assert expired.timed_out
+        _assert_payload_carries(expired)
 
 
 class TestSuppressionExplanation:

@@ -22,7 +22,7 @@ from test_corpus import CORPUS_FILES, _parse_directives
 from repro import AnalysisConfig, Canary
 from repro.__main__ import main as repro_main
 from repro.analysis.driver import AnalysisReport
-from repro.analysis.fingerprint import report_to_portable
+from repro.checkers import report_to_dict
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -273,21 +273,15 @@ class TestLegacyAccessorEquivalence:
         return Canary(config).analyze_source(text)
 
     def test_round_trip_shapes_and_order(self):
-        # The portable payload carries the live run's views through JSON,
-        # key order and number types included.
+        # The report payload carries the run's metrics snapshot through
+        # JSON, key order and number types included.
         report = self._corpus_report()
-        back = json.loads(json.dumps(report_to_portable(report)))
-        for view in (
-            "vfg_summary",
-            "solver_statistics",
-            "checker_statistics",
-            "search_statistics",
-        ):
-            assert json.dumps(back[view]) == json.dumps(getattr(report, view))
+        back = json.loads(json.dumps(report_to_dict(report)))
+        assert json.dumps(back["metrics"]) == json.dumps(report.metrics.snapshot())
         assert back["truncation_warnings"] == report.truncation_warnings
         assert back["degradation_warnings"] == report.degradation_warnings
-        assert isinstance(back["solver_statistics"]["solve_seconds"], float)
-        assert isinstance(back["solver_statistics"]["queries"], int)
+        assert isinstance(back["metrics"]["solver.solve_seconds"], float)
+        assert isinstance(back["metrics"]["solver.queries"], int)
 
     def test_accessors_are_registry_views(self):
         reg = MetricsRegistry()

@@ -19,10 +19,9 @@ import pytest
 
 from repro.analysis import AnalysisConfig, Canary
 from repro.analysis.config import INERT_FIELDS
-from repro.analysis.fingerprint import report_to_portable
 from repro.obs.tracer import Tracer
 from repro.analysis.passes import PassManager
-from repro.checkers import ALL_CHECKERS
+from repro.checkers import ALL_CHECKERS, report_to_dict
 from repro.obs.metrics import MetricsRegistry
 
 from test_corpus import CORPUS_FILES, _parse_directives
@@ -429,26 +428,33 @@ def test_corpus_repeat_run_runs_every_pass(path, collect_suppressed):
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
-def test_corpus_portable_record_survives_json(path):
-    """Over every corpus program: the portable record that ``repro serve``
+def test_corpus_report_payload_survives_json(path):
+    """Over every corpus program: the report payload that ``repro serve``
     returns as JSON from ``/reports/<id>`` encodes without a fallback and
-    decodes to the same record, which names the report's findings by
+    decodes to the same payload, which names the report's findings by
     label."""
     text = path.read_text()
     _expects, checkers, overrides = _parse_directives(text)
     config = AnalysisConfig(checkers=checkers, collect_suppressed=True, **overrides)
     cold = Canary(config).analyze_source(text, filename=path.name)
-    record = report_to_portable(cold)
-    decoded = json.loads(json.dumps(record))
-    assert decoded == record, path.name
+    payload = report_to_dict(cold)
+    decoded = json.loads(json.dumps(payload))
+    assert decoded == payload, path.name
     assert [
-        (b["kind"], b["source"], b["sink"], b["statements"]) for b in decoded["bugs"]
+        (
+            b["kind"],
+            b["source"]["label"],
+            b["sink"]["label"],
+            [s["label"] for s in b["statements"]],
+        )
+        for b in decoded["bugs"]
     ] == [
         (b.kind, b.source.label, b.sink.label, [s.label for s in b.statements])
         for b in cold.bugs
     ], path.name
     assert [
-        (s["kind"], s["source"], s["sink"], s["reason"]) for s in decoded["suppressed"]
+        (s["kind"], s["source"]["label"], s["sink"]["label"], s["reason"])
+        for s in decoded["suppressed"]
     ] == [
         (s.kind, s.source.label, s.sink.label, s.reason) for s in cold.suppressed
     ], path.name

@@ -1,8 +1,8 @@
-"""Pinned report payloads: the portable record and the ``--stats`` text.
+"""Pinned report payloads: the JSON payload and the ``--stats`` text.
 
-``report_to_portable`` is the JSON payload of the daemon's
-``/reports/<id>``; ``describe_statistics`` and ``describe_passes`` are
-what ``--stats`` prints.  This file pins all three as text, key order
+``report_to_dict`` is the JSON payload of a report, the daemon's
+``/reports/<id>`` result included; ``describe_statistics`` and
+``describe_passes`` are what ``--stats`` prints.  This file pins all three as text, key order
 included, for three corpus files, each run twice in one driver
 (``cold`` and ``warm``): the second run analyses the file again and
 must print what the first did.  Wall-clock numbers (every decimal in
@@ -31,7 +31,7 @@ if str(HERE) not in sys.path:  # run as a script
     sys.path.insert(0, str(HERE))
 
 from repro import AnalysisConfig, Canary  # noqa: E402
-from repro.analysis.fingerprint import report_to_portable  # noqa: E402
+from repro.checkers import report_to_dict  # noqa: E402
 
 from test_corpus import CORPUS_FILES, _parse_directives  # noqa: E402
 
@@ -53,7 +53,7 @@ def _payloads(stem: str) -> Dict[str, Dict[str, List[str]]]:
     for run in ("cold", "warm"):
         report = canary.analyze_source(text, filename=path.name)
         out[run] = {
-            "portable": _mask(json.dumps(report_to_portable(report))),
+            "payload": _mask(json.dumps(report_to_dict(report))),
             "statistics": _mask(report.describe_statistics()).split("\n"),
             "passes": _mask(report.describe_passes()).split("\n"),
         }

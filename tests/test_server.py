@@ -1,8 +1,8 @@
 """The analysis daemon: service lifecycle, HTTP endpoints, and the
-correctness bar — daemon-served reports are bug-key- and
-witness-identical to CLI one-shot runs, whether a request re-submits
-the same or an edited file, or runs concurrently with another request
-for the same filename.
+correctness bar — a done record's result is ``report_to_dict`` of a
+one-shot run on the same source and config (wall-clock numbers aside),
+whether a request re-submits the same or an edited file, or runs
+concurrently with another request for the same filename.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import urllib.request
 import pytest
 
 from repro.analysis import AnalysisConfig, Canary
-from repro.analysis.fingerprint import report_to_portable
+from repro.checkers import report_to_dict
 from repro.server import AnalysisService, ReportRegistry
 from repro.server.app import make_server
 from repro.server.service import ConfigError
@@ -51,13 +51,30 @@ def _subject(name):
     return text, {"checkers": list(checkers), **overrides}
 
 
-def _reference_portable(name):
+def _one_shot(text, filename, overrides):
+    """``report_to_dict`` of a one-shot run with a request's overrides."""
+    config = AnalysisConfig(**{**overrides, "checkers": tuple(overrides["checkers"])})
+    return report_to_dict(Canary(config).analyze_source(text, filename=filename))
+
+
+def _reference(name):
     text, overrides = _subject(name)
-    config = AnalysisConfig(
-        **{**overrides, "checkers": tuple(overrides["checkers"])}
-    )
-    report = Canary(config).analyze_source(text, filename=name)
-    return report_to_portable(report)
+    return _one_shot(text, name, overrides)
+
+
+def _masked(payload):
+    """``payload`` with every float (the wall-clock numbers) masked."""
+    if isinstance(payload, float):
+        return "#"
+    if isinstance(payload, dict):
+        return {key: _masked(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_masked(value) for value in payload]
+    return payload
+
+
+def _pass_rows(result):
+    return result["metrics"]["passes"]
 
 
 # ----- the correctness bar ---------------------------------------------------
@@ -69,54 +86,60 @@ class TestDaemonCliEquivalence:
         text, overrides = _subject(name)
         record = service.analyze(text, name, overrides, timeout=120)
         assert record.status == "done", record.error
-        reference = _reference_portable(name)
-        # bug keys AND witnesses: the full portable payloads must match
-        assert record.result["bugs"] == reference["bugs"]
-        assert record.result["suppressed"] == reference["suppressed"]
-        assert record.result["truncation_warnings"] == reference["truncation_warnings"]
+        assert _masked(record.result) == _masked(_reference(name))
+
+    def test_record_carries_each_statistic_once(self, service):
+        text, overrides = _subject("mixed_all_checkers.mcc")
+        record = service.analyze(text, "mixed.mcc", overrides, timeout=120)
+        data = record.as_dict()
+        assert "metrics" not in data
+        assert list(data["result"]) == [
+            "version",
+            "bugs",
+            "suppressed",
+            "truncation_warnings",
+            "degradation_warnings",
+            "timed_out",
+            "metrics",
+        ]
 
     def test_resubmission_runs_every_pass(self, service):
         text, overrides = _subject("uaf_basic.mcc")
         first = service.analyze(text, "uaf_basic.mcc", overrides, timeout=120)
         second = service.analyze(text, "uaf_basic.mcc", overrides, timeout=120)
         assert second.result["bugs"] == first.result["bugs"]
-        assert second.result["bugs"] == _reference_portable("uaf_basic.mcc")["bugs"]
+        assert second.result["bugs"] == _reference("uaf_basic.mcc")["bugs"]
         # the re-submission is analysed again, pass for pass
-        assert second.result["passes_run"] == first.result["passes_run"]
-        assert {row["status"] for row in second.result["pass_statistics"]} == {"run"}
+        names = [row["name"] for row in _pass_rows(second.result)]
+        assert names == [row["name"] for row in _pass_rows(first.result)]
+        assert {row["status"] for row in _pass_rows(second.result)} == {"run"}
 
+    @pytest.mark.parametrize("memory_model", ["sc", "tso", "pso"])
     @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
-    def test_corpus_resubmission_equals_one_shot(self, service, path):
-        """Over every corpus program: a resident service (one process, a
-        fresh driver per request) analyses a byte-identical re-submission
-        again, pass for pass, and both answers are the one-shot run's."""
+    def test_corpus_resubmission_equals_one_shot(self, service, path, memory_model):
+        """Over every corpus program and memory model: a resident service
+        (one process, a fresh driver per request) analyses a
+        byte-identical re-submission again, pass for pass, and both
+        results are the one-shot run's payload."""
         text, overrides = _subject(path.name)
+        overrides["memory_model"] = memory_model
         first = service.analyze(text, path.name, overrides, timeout=120)
         second = service.analyze(text, path.name, overrides, timeout=120)
         assert first.status == second.status == "done", (first.error, second.error)
-        assert second.result["passes_run"] == first.result["passes_run"] != []
-        assert {row["status"] for row in second.result["pass_statistics"]} == {"run"}
-        reference = _reference_portable(path.name)
-        for record in (first, second):
-            for field in ("bugs", "suppressed", "truncation_warnings", "degradation_warnings"):
-                assert record.result[field] == reference[field], (path.name, field)
+        assert {row["status"] for row in _pass_rows(second.result)} == {"run"}
+        reference = _masked(_one_shot(text, path.name, overrides))
+        assert _masked(first.result) == reference, path.name
+        assert _masked(second.result) == reference, path.name
 
     def test_edited_resubmission_equals_one_shot(self, service):
         text, overrides = _subject("mixed_all_checkers.mcc")
         cold = service.analyze(text, "mixed.mcc", overrides, timeout=120)
-        total = len(cold.result["pass_statistics"])
-        assert len(cold.result["passes_run"]) == total  # cold = everything
+        assert {row["status"] for row in _pass_rows(cold.result)} == {"run"}
         edited = text.replace("print(", "print(0 + ", 1)
         again = service.analyze(edited, "mixed.mcc", overrides, timeout=120)
         assert again.status == "done", again.error
-        config = AnalysisConfig(
-            **{**overrides, "checkers": tuple(overrides["checkers"])}
-        )
-        one_shot = report_to_portable(
-            Canary(config).analyze_source(edited, filename="mixed.mcc")
-        )
-        assert again.result["bugs"] == one_shot["bugs"]
-        assert again.result["suppressed"] == one_shot["suppressed"]
+        one_shot = _one_shot(edited, "mixed.mcc", overrides)
+        assert _masked(again.result) == _masked(one_shot)
 
 
 # ----- request isolation -----------------------------------------------------
@@ -197,7 +220,7 @@ class TestRequestIsolation:
 
 class TestConcurrentRequests:
     def test_parallel_mixed_submissions_match_serial(self, service):
-        expected = {name: _reference_portable(name)["bugs"] for name in SUBJECTS}
+        expected = {name: _reference(name)["bugs"] for name in SUBJECTS}
         records = {}
         for name in SUBJECTS:  # enqueue everything, then drain
             text, overrides = _subject(name)
@@ -230,11 +253,7 @@ def test_same_filename_concurrent_sources_match_one_shot(path):
     so each result is its own one-shot report."""
     text, overrides = _subject(path.name)
     sources = [text, _with_probe(text)]
-    config = AnalysisConfig(**{**overrides, "checkers": tuple(overrides["checkers"])})
-    expected = [
-        report_to_portable(Canary(config).analyze_source(src, filename=path.name))
-        for src in sources
-    ]
+    expected = [_one_shot(src, path.name, overrides) for src in sources]
     svc = AnalysisService(workers=2, max_reports=8)
     try:
         results = [None, None]
@@ -253,8 +272,7 @@ def test_same_filename_concurrent_sources_match_one_shot(path):
         svc.shutdown()
     for record, reference in zip(results, expected):
         assert record.status == "done", (path.name, record.error)
-        for field in ("bugs", "suppressed", "truncation_warnings"):
-            assert record.result[field] == reference[field], (path.name, field)
+        assert _masked(record.result) == _masked(reference), path.name
 
 
 # ----- report registry -------------------------------------------------------
@@ -267,11 +285,11 @@ class TestReportRegistry:
         assert record.status == "queued"
         registry.set_running(record.id)
         assert registry.get(record.id).status == "running"
-        registry.set_done(record.id, {"bugs": []}, metrics={"m": 1})
+        registry.set_done(record.id, {"bugs": []})
         done = registry.get(record.id)
         assert done.status == "done"
         assert done.result == {"bugs": []}
-        assert done.as_dict()["metrics"] == {"m": 1}
+        assert done.as_dict()["result"] == {"bugs": []}
 
     def test_wait_returns_after_done(self):
         registry = ReportRegistry()
@@ -348,11 +366,12 @@ class TestHttpEndpoints:
             port,
             "POST",
             "/analyze",
-            {"source": text, "filename": "uaf.mcc", "config": overrides, "wait": True},
+            {"source": text, "filename": "uaf_basic.mcc", "config": overrides, "wait": True},
         )
         assert status == 200
         assert body["status"] == "done"
-        assert body["result"]["bugs"] == _reference_portable("uaf_basic.mcc")["bugs"]
+        reference = json.loads(json.dumps(_reference("uaf_basic.mcc")))
+        assert _masked(body["result"]) == _masked(reference)
 
     def test_analyze_poll_round_trip(self, http_server):
         port, service = http_server
@@ -369,7 +388,9 @@ class TestHttpEndpoints:
         status, body = _call(port, "GET", f"/reports/{report_id}")
         assert status == 200
         assert body["status"] == "done"
-        assert body["metrics"]  # the run's scoped metrics snapshot rides along
+        # the run's scoped metrics snapshot rides along, once
+        assert body["result"]["metrics"]
+        assert "metrics" not in body
 
     def test_reports_listing(self, http_server):
         port, _service = http_server

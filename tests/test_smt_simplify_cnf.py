@@ -11,7 +11,7 @@ import random
 
 from repro.smt.cnf import CnfEncoder
 from repro.smt.sat import SAT, UNSAT, SatSolver
-from repro.smt.simplify import GuardPrefix, quick_unsat, simplify_conjunction
+from repro.smt.simplify import GuardPrefix, quick_unsat
 from repro.smt.solver import Model, Solver
 from repro.smt.terms import (
     FALSE,
@@ -73,13 +73,6 @@ class TestQuickUnsat:
                 solver.add(guard)
                 assert solver.check() is UNSAT, f"unsound quick refutation: {guard}"
         assert refuted > 5  # the generator must exercise the refuter
-
-    def test_simplify_conjunction(self):
-        x, y = int_var("x"), int_var("y")
-        contradiction = and_(lt(x, y), lt(y, x))
-        assert simplify_conjunction(contradiction) is FALSE
-        fine = and_(lt(x, y), bool_var("a"))
-        assert simplify_conjunction(fine) is fine
 
 
 class TestGuardPrefix:

@@ -1,5 +1,6 @@
 """Unit tests for the SMT term DSL."""
 
+import gc
 import sys
 import threading
 import uuid
@@ -45,6 +46,63 @@ class TestInterning:
         assert not any(thread.is_alive() for thread in threads)
         for built in results[1:]:
             assert all(a is b for a, b in zip(results[0], built))
+
+    def test_concurrent_compound_construction_yields_one_object(self):
+        # Threads that build the same compound term from the same fresh
+        # atoms at once all get one object, and the table forgets it (and
+        # its atoms) once the last of them lets go.
+        gc.collect()
+        size = len(T._interned)
+        names = [f"same_{uuid.uuid4().hex}" for _ in range(3)]
+        results = [None] * 4
+        barrier = threading.Barrier(len(results))
+
+        def build(k):
+            barrier.wait()
+            x, y, b = T.int_var(names[0]), T.int_var(names[1]), T.bool_var(names[2])
+            results[k] = [T.and_(T.lt(x, y), b) for _ in range(200)]
+
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        first = results[0][0]
+        assert all(term is first for built in results for term in built)
+        del first, results
+        gc.collect()
+        assert len(T._interned) == size
+
+    def test_dropped_terms_leave_the_table(self):
+        gc.collect()
+        size = len(T._interned)
+        x = T.int_var(f"drop_{uuid.uuid4().hex}")
+        term = T.and_(T.le(x, 3), T.bool_var(f"drop_{uuid.uuid4().hex}"))
+        assert len(T._interned) > size
+        del x, term
+        assert len(T._interned) == size
+
+    def test_runs_in_one_process_leave_no_terms_behind(self):
+        # Three Table-1 subjects analysed one after another in one process:
+        # once each report is dropped, the table holds what it held before.
+        from repro import AnalysisConfig, Canary
+        from repro.bench import PROFILES, SUBJECTS, generate_project, project_spec
+
+        gc.collect()
+        size = len(T._interned)
+        for name in ("openssl", "redis", "mysql"):
+            subject = next(s for s in SUBJECTS if s.name == name)
+            source, _truth = generate_project(project_spec(subject, PROFILES["quick"]))
+            report = Canary(AnalysisConfig()).analyze_source(source, filename=name)
+            del report
+            gc.collect()
+            assert len(T._interned) == size, name
 
 
 class TestBooleanConstruction:
@@ -101,16 +159,21 @@ class TestBooleanConstruction:
         assert T.and_(c, T.not_(a_or_b), a_or_b) is T.FALSE
 
     def test_contradiction_check_interns_no_negations(self):
-        # The process-wide intern table never shrinks: a conjunction or
-        # disjunction must add nothing to it beyond its own result.
+        # A conjunction or disjunction must add nothing to the intern
+        # table beyond its own result.  The table forgets a term once it
+        # is unreachable, so the collector is held off while counting.
         a = T.bool_var(f"fresh_{uuid.uuid4().hex}")
         b = T.bool_var(f"fresh_{uuid.uuid4().hex}")
         conj = T._intern(T.And, a, b)
         disj = T._intern(T.Or, a, b)
-        size = len(T._interned)
-        assert T.and_(a, b) is conj
-        assert T.or_(a, b) is disj
-        assert len(T._interned) == size
+        gc.disable()
+        try:
+            size = len(T._interned)
+            assert T.and_(a, b) is conj
+            assert T.or_(a, b) is disj
+            assert len(T._interned) == size
+        finally:
+            gc.enable()
         assert (T.Not, (a,)) not in T._interned
         assert (T.Not, (b,)) not in T._interned
 
